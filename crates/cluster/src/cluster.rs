@@ -17,8 +17,8 @@ use server_metrics::LatencyHistogram;
 use crate::faults::{FaultEvent, FaultTimeline};
 use crate::loan::{degrade_inflated_demand, LoanDemandModel, LoanEvent, LoanLedger, LoanPolicy};
 use crate::parallel::{
-    ArmedReplan, Command, Lane, LaneExecutor, ProfilingExecutor, SerialExecutor, SyncWindow,
-    WindowProfile, WorkerPool,
+    lane_threads, ArmedReplan, Command, Lane, LaneExecutor, Lanes, ProfilingExecutor,
+    SerialExecutor, SyncWindow, WindowProfile, WorkerPool,
 };
 use crate::router::{RouterPolicy, RouterState};
 use crate::shed::{degraded_capacity_gpus, ShedPolicy};
@@ -41,11 +41,13 @@ pub struct FaultRecord {
     pub requeued: u64,
 }
 
-/// The number of worker threads [`Cluster::run_scenario`] (and everything
-/// built on it) advances shard lanes with, taken from the
-/// `CLUSTER_THREADS` environment variable (default 1). Thread count never
-/// changes results — ARCHITECTURE.md invariant 11 — so this is purely a
-/// wall-clock knob.
+/// The lane thread count [`Cluster::run_scenario`] (and everything built
+/// on it) asks for, taken from the `CLUSTER_THREADS` environment variable
+/// (default 1). Thread count never changes results — ARCHITECTURE.md
+/// invariant 11 — so this is purely a wall-clock knob. Those entry points
+/// run [`SyncWindow::PerEvent`], which always advances its lanes on the
+/// calling thread; only [`Cluster::run_windowed`] with
+/// [`SyncWindow::Lookahead`] spreads lanes over threads.
 #[must_use]
 pub fn cluster_threads_from_env() -> usize {
     std::env::var("CLUSTER_THREADS")
@@ -70,8 +72,8 @@ pub fn cluster_threads_from_env() -> usize {
 /// arrivals, loan transfers and fault commands with the lanes only at
 /// window edges, through per-shard mailboxes ordered by the same
 /// `(time, key)` stamps the event queues use. Lane advancement is a pure
-/// function of the lane and its mailbox, so `CLUSTER_THREADS` workers can
-/// advance lanes concurrently and the result is **bit-for-bit identical at
+/// function of the lane and its mailbox, so lookahead windows can advance
+/// lanes on several threads and the result is **bit-for-bit identical at
 /// any thread count** (invariant 11, pinned by the determinism suite).
 ///
 /// # Degeneration contract
@@ -309,9 +311,9 @@ impl Cluster {
     /// [`run_stream`](Self::run_stream)** — the fault machinery costs
     /// nothing until an event fires; the unit suite pins this.
     ///
-    /// Runs per-event windows ([`SyncWindow::PerEvent`]) at
-    /// [`cluster_threads_from_env`] worker threads; thread count never
-    /// changes the result.
+    /// Runs per-event windows ([`SyncWindow::PerEvent`]), which advance
+    /// every lane on the calling thread; the [`cluster_threads_from_env`]
+    /// count is passed along and cannot change the result.
     #[must_use]
     pub fn run_scenario<I>(
         &self,
@@ -339,10 +341,11 @@ impl Cluster {
     /// per-event and lookahead modes are each deterministic bit-for-bit at
     /// any thread count (invariant 11). The two window modes are *distinct
     /// models*, though: per-event windows give the coordinator exact
-    /// fleet state at every decision (the sequential shared-queue order),
-    /// while `Lookahead(L)` freezes its reads at each window's leading
-    /// edge — an explicit model of cross-shard information latency, and
-    /// the mode that actually scales across cores.
+    /// fleet state at every decision (the sequential shared-queue order)
+    /// and always run on the calling thread, while `Lookahead(L)` freezes
+    /// its reads at each window's leading edge — an explicit model of
+    /// cross-shard information latency, and the mode that spreads lanes
+    /// over up to `threads` threads.
     #[must_use]
     pub fn run_windowed<I>(
         &self,
@@ -516,7 +519,7 @@ impl Cluster {
             // (no service events, so its online half needs no capacity).
             gw.trace = Some(ObsSink::for_request(obs, self.shards.len() as u32, 0));
         }
-        let mut lanes: Vec<Lane<'_>> = self
+        let lanes: Vec<Lane<'_>> = self
             .shards
             .iter()
             .enumerate()
@@ -539,7 +542,8 @@ impl Cluster {
                 Lane::new(s, engine, shard.budget().num_gpus, capacity, mailbox)
             })
             .collect();
-        let threads = threads.clamp(1, self.shards.len());
+        let threads = lane_threads(window, threads, self.shards.len());
+        let mut lanes = Lanes::new(lanes, threads);
         if threads <= 1 {
             let mut exec = SerialExecutor;
             gw.drive(&mut lanes, &mut exec);
@@ -572,7 +576,7 @@ impl Cluster {
         I: IntoIterator<Item = PinnedQuery>,
     {
         let mut gw = Gateway::new(self, arrivals.into_iter(), faults, window);
-        let mut lanes: Vec<Lane<'_>> = self
+        let lanes: Vec<Lane<'_>> = self
             .shards
             .iter()
             .enumerate()
@@ -591,7 +595,8 @@ impl Cluster {
                 )
             })
             .collect();
-        let mut exec = ProfilingExecutor::new(thread_counts);
+        let mut lanes = Lanes::new(lanes, 1);
+        let mut exec = ProfilingExecutor::new(thread_counts, window, self.shards.len());
         gw.drive(&mut lanes, &mut exec);
         (gw.finish(lanes).0, exec.into_profile())
     }
@@ -739,9 +744,6 @@ struct Gateway<'a, I> {
     route_seq: u64,
     route_clock: SimTime,
     next_route: Option<(SimTime, u64, PinnedQuery)>,
-    /// Reused outstanding-load scratch so routing allocates nothing after
-    /// the first arrival.
-    scratch: Vec<u64>,
     /// Shard liveness: failed shards leave the routing rotation.
     alive: Vec<bool>,
     /// Per shard, which of its base-budget GPU slots are currently failed.
@@ -755,12 +757,19 @@ struct Gateway<'a, I> {
     /// Per-shard planned capacity hints (router weights), reused by the
     /// shed policy's projected-delay estimate.
     cap_hint: Vec<f64>,
+    /// Per-shard capacity the shed policy divides outstanding load by
+    /// ([`shed_capacity_qps`](Self::shed_capacity_qps)), refreshed only when
+    /// a loan, failure, repair or degrade changes it.
+    shed_cap: Vec<f64>,
     /// Per-model count of queries the shed policy rejected at admission.
     shed_per_model: Vec<u64>,
     /// Shards owing a recovery re-plan that has not fired yet (a
     /// reconfiguration was in flight, or the survivor budget cannot host
     /// one GPU per model until a repair).
     pending_recovery: Vec<bool>,
+    /// How many entries of `pending_recovery` are set, so the per-item
+    /// recovery sweep is free while none is owed.
+    pending_recoveries: usize,
     /// The recovery re-plan id currently armed on each lane, if any —
     /// cleared when the lane reports it fired (window-edge harvest) or
     /// when infeasibility disarms it.
@@ -832,11 +841,12 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             .as_ref()
             .filter(|lp| lp.demand_model == LoanDemandModel::MeasuredBusy)
             .map_or(0, |lp| lp.detector.window_ns);
-        Gateway {
+        let mut gw = Gateway {
             cluster,
             arrivals,
             sync,
             cap_hint: weights.clone(),
+            shed_cap: vec![0.0; n],
             router: RouterState::new(cluster.router, weights),
             detector,
             ledger,
@@ -849,7 +859,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             route_seq: 0,
             route_clock: SimTime::ZERO,
             next_route: None,
-            scratch: Vec::with_capacity(n),
             alive: vec![true; n],
             failed_gpus: cluster
                 .shards
@@ -863,6 +872,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 .collect(),
             shed_per_model: vec![0; n_models],
             pending_recovery: vec![false; n],
+            pending_recoveries: 0,
             outstanding_arm: vec![None; n],
             arm_seq: 0,
             fault_queue: faults.events().iter().copied().collect(),
@@ -882,7 +892,11 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             items_processed: 0,
             last_item_at: SimTime::ZERO,
             trace: None,
+        };
+        for s in 0..n {
+            gw.refresh_shed_capacity(s);
         }
+        gw
     }
 
     /// Primes the next routing item from the arrival stream (stamped with
@@ -945,7 +959,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// later coordinator read sees its effect), mailboxed in lookahead
     /// mode (the lane executes it mid-window at the exact same stamp).
     /// Either way the lane-side code path is identical.
-    fn deliver(&mut self, lanes: &mut [Lane<'a>], s: usize, t: SimTime, k: u64, cmd: Command) {
+    fn deliver(&mut self, lanes: &mut Lanes<'a>, s: usize, t: SimTime, k: u64, cmd: Command) {
         if let SyncWindow::Lookahead(_) = self.sync {
             match &cmd {
                 Command::Offer(_) => self.out_est[s] += 1,
@@ -956,19 +970,41 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         } else {
             lanes[s].apply(t, cmd);
         }
+        self.refresh_load(lanes, s);
+    }
+
+    /// Re-keys shard `s` for join-shortest-queue from its current load and
+    /// liveness. Called wherever either can change — after the lane
+    /// advanced, after a command reached it, when it fails or is repaired —
+    /// so routing never rescans the fleet.
+    fn refresh_load(&mut self, lanes: &Lanes<'a>, s: usize) {
+        let load = self.outstanding(lanes, s);
+        self.router.set_load(s, load, self.alive[s]);
+    }
+
+    /// The join-shortest-queue pick recomputed over every lane — the live
+    /// shard with the least [`outstanding`](Self::outstanding) load, lowest
+    /// index first, over every shard when none is live. Debug builds check
+    /// each keyed pick against it.
+    fn jsq_oracle(&self, lanes: &Lanes<'a>) -> usize {
+        let any_alive = self.alive.iter().any(|&a| a);
+        (0..lanes.len())
+            .filter(|&s| !any_alive || self.alive[s])
+            .min_by_key(|&s| (self.outstanding(lanes, s), s))
+            .expect("at least one shard")
     }
 
     /// Shard `s`'s outstanding-query count as the coordinator knows it:
     /// exact in per-event mode, edge-of-window plus own offers in
     /// lookahead mode.
-    fn outstanding(&self, lanes: &[Lane<'a>], s: usize) -> u64 {
+    fn outstanding(&self, lanes: &Lanes<'a>, s: usize) -> u64 {
         lanes[s].engine.outstanding_queries() + self.out_est[s]
     }
 
     /// Whether shard `s` should be treated as mid-reconfiguration for
     /// deferral decisions (exact in per-event mode; in lookahead mode a
     /// Replan/Arm already sent this window counts).
-    fn in_flight(&self, lanes: &[Lane<'a>], s: usize) -> bool {
+    fn in_flight(&self, lanes: &Lanes<'a>, s: usize) -> bool {
         self.in_flight_est[s] || lanes[s].engine.reconfig_in_flight()
     }
 
@@ -980,7 +1016,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// that closes a detector window — the only instant a loan decision
     /// can fire — the measurement describes that same window, not a stale
     /// drifted one.
-    fn roll_busy_window(&mut self, lanes: &[Lane<'a>], now: SimTime) {
+    fn roll_busy_window(&mut self, lanes: &Lanes<'a>, now: SimTime) {
         if self.busy_window_ns == 0 || now.as_nanos() < self.busy_window_end_ns {
             return;
         }
@@ -1010,7 +1046,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// served-or-shed, nothing in between).
     fn offer(
         &mut self,
-        lanes: &mut [Lane<'a>],
+        lanes: &mut Lanes<'a>,
         pin: Option<usize>,
         tq: TaggedQuerySpec,
         now: SimTime,
@@ -1020,12 +1056,13 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         let (s, pinned) = match pin {
             Some(p) if p < lanes.len() && self.alive[p] => (p, true),
             _ => {
-                self.scratch.clear();
-                for (s, lane) in lanes.iter().enumerate() {
-                    self.scratch
-                        .push(lane.engine.outstanding_queries() + self.out_est[s]);
-                }
-                (self.router.pick(&self.scratch, &self.alive), false)
+                let s = self.router.pick(&self.alive);
+                debug_assert!(
+                    self.cluster.router != RouterPolicy::JoinShortestQueue
+                        || s == self.jsq_oracle(lanes),
+                    "a stale join-shortest-queue key picked shard {s}"
+                );
+                (s, false)
             }
         };
         if let Some(policy) = self.cluster.shed.as_ref() {
@@ -1092,7 +1129,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// borrow/reclaim decisions by the drift between the two mixes. A
     /// group momentarily dark mid-reconfiguration (no live instances)
     /// falls back to the initial plan rather than dividing by zero.
-    fn shard_demand_gpus(&self, lanes: &[Lane<'a>], s: usize) -> f64 {
+    fn shard_demand_gpus(&self, lanes: &Lanes<'a>, s: usize) -> f64 {
         let detector = self.detector.as_ref().expect("demand needs the detector");
         let rates = detector.observed_rates_qps();
         let shard = &self.cluster.shards[s];
@@ -1164,24 +1201,46 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     }
 
     /// Projected queueing delay on shard `s` for admission control:
-    /// outstanding queries over the shard's planned capacity, scaled by
-    /// the fraction of its base GPUs still effective — where "effective"
-    /// is degrade-aware: a GPU throttled 4× contributes a quarter of a
-    /// GPU ([`degraded_capacity_gpus`]). Deliberately coarse — the shed
-    /// policy only needs a monotone overload signal, and this one is O(1)
-    /// per arrival. A shard with no surviving GPU projects infinite delay
+    /// outstanding queries over the shard's [`shed_capacity_qps`]
+    /// (cached in `shed_cap`). Deliberately coarse — the shed policy only
+    /// needs a monotone overload signal, and this one is O(1) per arrival.
+    /// A shard with no surviving capacity projects infinite delay
     /// (everything sheddable sheds until repair).
-    fn estimated_delay_ns(&self, lanes: &[Lane<'a>], s: usize) -> f64 {
-        let Some(budget) = self.effective_budget(s) else {
-            return f64::INFINITY;
-        };
-        let base_gpus = self.cluster.shards[s].budget().num_gpus.max(1);
-        let cap_gpus = degraded_capacity_gpus(budget.num_gpus, self.active_degrades(s));
-        let cap_qps = self.cap_hint[s] * cap_gpus / base_gpus as f64;
+    ///
+    /// [`shed_capacity_qps`]: Self::shed_capacity_qps
+    fn estimated_delay_ns(&self, lanes: &Lanes<'a>, s: usize) -> f64 {
+        let cap_qps = self.shed_cap[s];
+        debug_assert_eq!(
+            cap_qps.to_bits(),
+            self.shed_capacity_qps(s).to_bits(),
+            "stale shed capacity for shard {s}"
+        );
         if cap_qps <= 0.0 {
             return f64::INFINITY;
         }
         self.outstanding(lanes, s) as f64 / cap_qps * 1e9
+    }
+
+    /// Shard `s`'s planned capacity scaled by the fraction of its base GPUs
+    /// still effective — where "effective" is degrade-aware: a GPU
+    /// throttled 4× contributes a quarter of a GPU
+    /// ([`degraded_capacity_gpus`]). Zero when no GPU survives.
+    fn shed_capacity_qps(&self, s: usize) -> f64 {
+        let Some(budget) = self.effective_budget(s) else {
+            return 0.0;
+        };
+        let base_gpus = self.cluster.shards[s].budget().num_gpus.max(1);
+        let cap_gpus = degraded_capacity_gpus(budget.num_gpus, self.active_degrades(s));
+        self.cap_hint[s] * cap_gpus / base_gpus as f64
+    }
+
+    /// Recomputes shard `s`'s cached [`shed_capacity_qps`] — called
+    /// wherever its inputs change: a loan transfer, a GPU failure or
+    /// repair, a degrade or restore.
+    ///
+    /// [`shed_capacity_qps`]: Self::shed_capacity_qps
+    fn refresh_shed_capacity(&mut self, s: usize) {
+        self.shed_cap[s] = self.shed_capacity_qps(s);
     }
 
     /// Per-shard demand in full-GPU equivalents under the policy's
@@ -1191,7 +1250,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// active degrade factors ([`degrade_inflated_demand`]), since a
     /// throttled shard's silicon-busy measurement understates how many
     /// *healthy* GPUs its load actually needs.
-    fn demand_estimates(&mut self, lanes: &[Lane<'a>], now: SimTime) -> Vec<f64> {
+    fn demand_estimates(&mut self, lanes: &Lanes<'a>, now: SimTime) -> Vec<f64> {
         let policy = self.cluster.loan.as_ref().expect("demand needs a policy");
         let n = lanes.len();
         match policy.demand_model {
@@ -1221,15 +1280,8 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// chance. Dead shards are skipped (they drain until repair), and a
     /// shard's owned/held GPU counts are failure-adjusted so lost capacity
     /// reads as a genuine shortfall the pool can backfill.
-    fn rebalance(&mut self, lanes: &mut [Lane<'a>], now: SimTime, key: u64) {
+    fn rebalance(&mut self, lanes: &mut Lanes<'a>, now: SimTime, key: u64) {
         let demand = self.demand_estimates(lanes, now);
-        let policy = self
-            .cluster
-            .loan
-            .as_ref()
-            .expect("rebalance requires a loan policy");
-        let (overload, underload) = (policy.overload_ratio, policy.underload_ratio);
-        let _ = (overload, underload);
         let mut deferred = false;
         // Pass 0 executes returns, pass 1 borrows — so one window's
         // reclaims can fund its loans.
@@ -1272,7 +1324,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// model.
     fn apply_transfer(
         &mut self,
-        lanes: &mut [Lane<'a>],
+        lanes: &mut Lanes<'a>,
         s: usize,
         delta: i64,
         now: SimTime,
@@ -1330,6 +1382,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         let ledger = self.ledger.as_mut().expect("ledger exists with policy");
         let held = ledger.transfer(s, delta);
         let pool_free_after = ledger.pool_free;
+        self.refresh_shed_capacity(s);
         let budget = self
             .minus_failed(s, held)
             .expect("feasibility was checked before the transfer");
@@ -1339,7 +1392,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             s,
             now,
             key,
-            Command::Replan(ArmedReplan {
+            Command::Replan(Box::new(ArmedReplan {
                 id: 0,
                 budget,
                 weights,
@@ -1347,7 +1400,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 cost,
                 extra_downtime: extra,
                 mode,
-            }),
+            })),
         );
         if let Some(tr) = &mut self.trace {
             tr.record(
@@ -1377,7 +1430,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// backfill borrow and the recovery land in one transition; the armed
     /// recovery afterwards is then a no-op (or the fallback when no
     /// transfer engaged).
-    fn on_fault(&mut self, lanes: &mut [Lane<'a>], event: FaultEvent, now: SimTime, key: u64) {
+    fn on_fault(&mut self, lanes: &mut Lanes<'a>, event: FaultEvent, now: SimTime, key: u64) {
         let log_idx = self.fault_log.len();
         // Requeue counts are harvested from the lane that executes the
         // kill and patched into this record at the next window edge.
@@ -1445,6 +1498,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                     && self.degraded[shard][gpu].is_none()
                 {
                     self.degraded[shard][gpu] = Some(factor_milli);
+                    self.refresh_shed_capacity(shard);
                     self.deliver(
                         lanes,
                         shard,
@@ -1459,6 +1513,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                     && gpu < self.degraded[shard].len()
                     && self.degraded[shard][gpu].take().is_some()
                 {
+                    self.refresh_shed_capacity(shard);
                     self.deliver(lanes, shard, now, key, Command::Restore { gpu });
                 }
             }
@@ -1467,6 +1522,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 // and the shard serves out what it already holds.
                 if shard < self.alive.len() {
                     self.alive[shard] = false;
+                    self.refresh_load(lanes, shard);
                 }
                 if self.cluster.loan.is_some() {
                     self.rebalance(lanes, now, key);
@@ -1475,6 +1531,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             FaultEvent::ShardRepair { shard } => {
                 if shard < self.alive.len() && !self.alive[shard] {
                     self.alive[shard] = true;
+                    self.refresh_load(lanes, shard);
                     if self.cluster.loan.is_some() {
                         self.rebalance(lanes, now, key);
                     }
@@ -1497,6 +1554,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             return false;
         }
         self.failed_gpus[s][gpu] = true;
+        self.refresh_shed_capacity(s);
         true
     }
 
@@ -1510,15 +1568,29 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             return false;
         }
         self.failed_gpus[s][gpu] = false;
+        self.refresh_shed_capacity(s);
         true
     }
 
     /// Marks shard `s` as owing a recovery re-plan and (re-)arms the lane
     /// with a fresh payload — the budget or traffic picture just changed,
     /// so any previously armed re-plan is stale.
-    fn request_recovery(&mut self, lanes: &mut [Lane<'a>], s: usize, now: SimTime, key: u64) {
-        self.pending_recovery[s] = true;
+    fn request_recovery(&mut self, lanes: &mut Lanes<'a>, s: usize, now: SimTime, key: u64) {
+        self.set_pending_recovery(s, true);
         self.arm_recovery(lanes, s, now, key, true);
+    }
+
+    /// Sets whether shard `s` owes a recovery re-plan, keeping
+    /// `pending_recoveries` in step.
+    fn set_pending_recovery(&mut self, s: usize, pending: bool) {
+        if self.pending_recovery[s] != pending {
+            self.pending_recovery[s] = pending;
+            if pending {
+                self.pending_recoveries += 1;
+            } else {
+                self.pending_recoveries -= 1;
+            }
+        }
     }
 
     /// Arms (or re-arms, with `force`) shard `s`'s pending recovery: an
@@ -1530,7 +1602,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// shard keeps serving on what survives and the recovery stays owed.
     fn arm_recovery(
         &mut self,
-        lanes: &mut [Lane<'a>],
+        lanes: &mut Lanes<'a>,
         s: usize,
         now: SimTime,
         key: u64,
@@ -1578,7 +1650,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             s,
             now,
             key,
-            Command::Arm(ArmedReplan {
+            Command::Arm(Box::new(ArmedReplan {
                 id,
                 budget,
                 weights,
@@ -1586,7 +1658,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 cost: self.fault_cost,
                 extra_downtime: SimDuration::ZERO,
                 mode: self.fault_mode,
-            }),
+            })),
         );
     }
 
@@ -1594,7 +1666,10 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// a side effect of this gateway item (a loan transfer grew the
     /// survivor budget, say) — the windowed sibling of the sequential
     /// engine's retry-on-every-event poke.
-    fn sweep_recoveries(&mut self, lanes: &mut [Lane<'a>], now: SimTime, key: u64) {
+    fn sweep_recoveries(&mut self, lanes: &mut Lanes<'a>, now: SimTime, key: u64) {
+        if self.pending_recoveries == 0 {
+            return;
+        }
         for s in 0..lanes.len() {
             if self.pending_recovery[s] && self.outstanding_arm[s].is_none() {
                 self.arm_recovery(lanes, s, now, key, false);
@@ -1605,7 +1680,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// Collects what the lanes did since the last synchronization point:
     /// requeue counts from executed kills (patched into the fault log) and
     /// fired recovery ids (clearing the pending/armed bookkeeping).
-    fn harvest(&mut self, lanes: &mut [Lane<'a>]) {
+    fn harvest(&mut self, lanes: &mut Lanes<'a>) {
         for lane in lanes.iter_mut() {
             for (idx, requeued) in lane.requeue_patches.drain(..) {
                 self.fault_log[idx].requeued += requeued;
@@ -1613,14 +1688,22 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             for id in lane.fired.drain(..) {
                 if self.outstanding_arm[lane.shard] == Some(id) {
                     self.outstanding_arm[lane.shard] = None;
-                    self.pending_recovery[lane.shard] = false;
+                    self.set_pending_recovery(lane.shard, false);
                 }
             }
         }
     }
 
+    /// Re-keys every lane the last window advanced (the only lanes whose
+    /// load it can have changed).
+    fn refresh_advanced(&mut self, lanes: &Lanes<'a>) {
+        for &s in lanes.active() {
+            self.refresh_load(lanes, s);
+        }
+    }
+
     /// Processes one gateway item at its stamp.
-    fn process(&mut self, lanes: &mut [Lane<'a>], t: SimTime, k: u64, item: GatewayItem) {
+    fn process(&mut self, lanes: &mut Lanes<'a>, t: SimTime, k: u64, item: GatewayItem) {
         self.items_processed += 1;
         self.last_item_at = self.last_item_at.max(t);
         match item {
@@ -1632,7 +1715,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// The run loop: alternate lane advancement (possibly on worker
     /// threads) with gateway decisions, in the sync mode's window
     /// structure, then drain the lanes to completion.
-    fn drive(&mut self, lanes: &mut Vec<Lane<'a>>, exec: &mut dyn LaneExecutor<'a>) {
+    fn drive(&mut self, lanes: &mut Lanes<'a>, exec: &mut dyn LaneExecutor<'a>) {
         self.prime_route();
         self.prime_fault();
         match self.sync {
@@ -1643,6 +1726,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                     // shared-queue value.
                     exec.advance_all(lanes, (t, k));
                     self.harvest(lanes);
+                    self.refresh_advanced(lanes);
                     self.process(lanes, t, k, item);
                     self.harvest(lanes);
                     self.sweep_recoveries(lanes, t, k);
@@ -1657,8 +1741,12 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                     let end_ns = edge_ns.saturating_add(w);
                     exec.advance_all(lanes, (SimTime::from_nanos(edge_ns), 0));
                     self.harvest(lanes);
+                    // Only lanes with mailboxed commands carry estimates,
+                    // and those all advanced: re-keying the advanced lanes
+                    // re-keys every reset estimate.
                     self.out_est.iter_mut().for_each(|o| *o = 0);
                     self.in_flight_est.iter_mut().for_each(|f| *f = false);
+                    self.refresh_advanced(lanes);
                     // All of this window's decisions fire against the
                     // edge state (plus the staleness patches); their
                     // commands execute mid-window at exact stamps when
@@ -1682,7 +1770,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// online metric registry) after the final drain.
     fn finish(
         mut self,
-        lanes: Vec<Lane<'a>>,
+        lanes: Lanes<'a>,
     ) -> (ClusterReport, Option<QueryTrace>, Option<MetricRegistry>) {
         let end = lanes
             .iter()

@@ -34,7 +34,23 @@ pub(crate) struct RouterState {
     /// Smooth-WRR credit accumulators.
     credit: Vec<f64>,
     weights: Vec<f64>,
+    /// Join-shortest-queue keys, one per shard:
+    /// `dead << 63 | load << 32 | shard`. The smallest key is the live
+    /// shard with the least load, lowest index first — and, when every
+    /// shard is dead, the same `(load, index)` argmin over all of them.
+    /// The gateway refreshes a key only when its shard's load or liveness
+    /// can have changed ([`set_load`](Self::set_load)), so a pick is one
+    /// branch-free `min()`.
+    keys: Vec<u64>,
 }
+
+/// The dead-shard bit of a JSQ key: sorts every dead shard after every
+/// live one.
+const DEAD: u64 = 1 << 63;
+
+/// Loads saturate below the dead bit. No simulated shard holds 2³¹
+/// outstanding queries.
+const LOAD_MAX: u64 = (1 << 31) - 1;
 
 /// SplitMix64 — the same cheap deterministic mixer the treap priorities
 /// use; avalanches the arrival counter so static hashing does not stripe.
@@ -45,50 +61,65 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Shard liveness as the load-oblivious policies route by: a fully dead
+/// fleet counts as fully alive.
+fn routable(alive: &[bool]) -> impl Fn(usize) -> bool + '_ {
+    let any_alive = alive.iter().any(|&a| a);
+    move |s| !any_alive || alive[s]
+}
+
 impl RouterState {
+    /// Every shard starts alive and empty.
     pub(crate) fn new(policy: RouterPolicy, capacity_weights: Vec<f64>) -> Self {
         debug_assert!(capacity_weights.iter().all(|w| w.is_finite() && *w > 0.0));
+        let n = capacity_weights.len();
+        debug_assert!(n as u64 <= u64::from(u32::MAX), "shard index fits the key");
         RouterState {
             policy,
             counter: 0,
-            credit: vec![0.0; capacity_weights.len()],
+            credit: vec![0.0; n],
             weights: capacity_weights,
+            keys: (0..n as u64).collect(),
         }
     }
 
-    /// Picks the shard for the next arrival. `outstanding[s]` is shard
-    /// `s`'s offered-but-uncompleted query count at this instant;
-    /// `alive[s]` is its liveness — failed shards are excluded from every
-    /// policy. A fully dead fleet routes as if everyone were alive (the
-    /// query must land somewhere; it waits out the outage in the shard).
-    /// With every shard alive each policy is bit-for-bit its historical
-    /// self.
-    pub(crate) fn pick(&mut self, outstanding: &[u64], alive: &[bool]) -> usize {
+    /// Records shard `s`'s offered-but-uncompleted query count and its
+    /// liveness for join-shortest-queue.
+    pub(crate) fn set_load(&mut self, s: usize, load: u64, alive: bool) {
+        debug_assert!(load <= LOAD_MAX, "shard load {load} overflows its key");
+        let dead = if alive { 0 } else { DEAD };
+        self.keys[s] = dead | load.min(LOAD_MAX) << 32 | s as u64;
+    }
+
+    /// Picks the shard for the next arrival. `alive[s]` is shard `s`'s
+    /// liveness — failed shards are excluded from every policy, and join-
+    /// shortest-queue reads the loads and liveness last passed to
+    /// [`set_load`](Self::set_load). A fully dead fleet routes as if
+    /// everyone were alive (the query must land somewhere; it waits out
+    /// the outage in the shard). With every shard alive each policy is
+    /// bit-for-bit its historical self.
+    pub(crate) fn pick(&mut self, alive: &[bool]) -> usize {
         let n = self.weights.len();
-        debug_assert_eq!(outstanding.len(), n);
         debug_assert_eq!(alive.len(), n);
-        let any_alive = alive.iter().any(|&a| a);
-        let live = |s: usize| !any_alive || alive[s];
         match self.policy {
+            RouterPolicy::JoinShortestQueue => {
+                let key = self.keys.iter().fold(u64::MAX, |m, &k| m.min(k));
+                (key & u64::from(u32::MAX)) as usize
+            }
             RouterPolicy::StaticHash => {
+                let live = routable(alive);
                 let h = splitmix64(self.counter);
                 self.counter += 1;
                 let count = (0..n).filter(|&s| live(s)).count() as u64;
                 let k = (h % count) as usize;
                 (0..n).filter(|&s| live(s)).nth(k).expect("k < live count")
             }
-            RouterPolicy::JoinShortestQueue => outstanding
-                .iter()
-                .enumerate()
-                .filter(|&(s, _)| live(s))
-                .min_by_key(|&(s, &load)| (load, s))
-                .map(|(s, _)| s)
-                .expect("at least one live shard"),
             RouterPolicy::WeightedByCapacity => {
                 // Smooth WRR: every live shard earns credit proportional
                 // to its weight; the richest serves and pays the pot back.
                 // Dead shards neither earn nor compete — their credit
                 // freezes until repair.
+                let live = routable(alive);
                 let mut winner: Option<usize> = None;
                 let mut pot = 0.0;
                 for s in 0..n {
@@ -113,17 +144,25 @@ impl RouterState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Sets every shard's load and liveness, then picks.
+    fn pick_with(r: &mut RouterState, loads: &[u64], alive: &[bool]) -> usize {
+        for (s, (&load, &a)) in loads.iter().zip(alive).enumerate() {
+            r.set_load(s, load, a);
+        }
+        r.pick(alive)
+    }
 
     #[test]
     fn static_hash_spreads_and_reproduces() {
         let mut a = RouterState::new(RouterPolicy::StaticHash, vec![1.0; 4]);
         let mut b = RouterState::new(RouterPolicy::StaticHash, vec![1.0; 4]);
-        let outstanding = [0u64; 4];
         let alive = [true; 4];
         let mut counts = [0usize; 4];
         for _ in 0..4000 {
-            let s = a.pick(&outstanding, &alive);
-            assert_eq!(s, b.pick(&outstanding, &alive), "deterministic");
+            let s = a.pick(&alive);
+            assert_eq!(s, b.pick(&alive), "deterministic");
             counts[s] += 1;
         }
         for &c in &counts {
@@ -135,17 +174,21 @@ mod tests {
     fn jsq_picks_least_loaded_lowest_index() {
         let mut r = RouterState::new(RouterPolicy::JoinShortestQueue, vec![1.0; 3]);
         let alive = [true; 3];
-        assert_eq!(r.pick(&[5, 2, 9], &alive), 1);
-        assert_eq!(r.pick(&[4, 4, 9], &alive), 0, "ties go to the lowest index");
-        assert_eq!(r.pick(&[4, 3, 3], &alive), 1);
+        assert_eq!(r.pick(&alive), 0, "an empty fleet starts at shard 0");
+        assert_eq!(pick_with(&mut r, &[5, 2, 9], &alive), 1);
+        assert_eq!(
+            pick_with(&mut r, &[4, 4, 9], &alive),
+            0,
+            "ties go to the lowest index"
+        );
+        assert_eq!(pick_with(&mut r, &[4, 3, 3], &alive), 1);
     }
 
     #[test]
     fn weighted_round_robin_tracks_capacity_ratio() {
         let mut r = RouterState::new(RouterPolicy::WeightedByCapacity, vec![3.0, 1.0]);
-        let outstanding = [0u64; 2];
         let alive = [true; 2];
-        let picks: Vec<usize> = (0..8).map(|_| r.pick(&outstanding, &alive)).collect();
+        let picks: Vec<usize> = (0..8).map(|_| r.pick(&alive)).collect();
         let to_heavy = picks.iter().filter(|&&s| s == 0).count();
         assert_eq!(to_heavy, 6, "3:1 weights give 6 of 8 to shard 0: {picks:?}");
         // Smooth: never more than a couple of consecutive repeats of the
@@ -158,14 +201,14 @@ mod tests {
         let dead_mid = [true, false, true];
         let mut hash = RouterState::new(RouterPolicy::StaticHash, vec![1.0; 3]);
         for _ in 0..100 {
-            assert_ne!(hash.pick(&[0; 3], &dead_mid), 1);
+            assert_ne!(hash.pick(&dead_mid), 1);
         }
         let mut jsq = RouterState::new(RouterPolicy::JoinShortestQueue, vec![1.0; 3]);
         // Shard 1 is emptiest but dead.
-        assert_eq!(jsq.pick(&[5, 0, 3], &dead_mid), 2);
+        assert_eq!(pick_with(&mut jsq, &[5, 0, 3], &dead_mid), 2);
         let mut wrr = RouterState::new(RouterPolicy::WeightedByCapacity, vec![1.0, 10.0, 1.0]);
         for _ in 0..20 {
-            assert_ne!(wrr.pick(&[0; 3], &dead_mid), 1);
+            assert_ne!(wrr.pick(&dead_mid), 1);
         }
     }
 
@@ -173,12 +216,64 @@ mod tests {
     fn fully_dead_fleet_falls_back_to_all_shards() {
         let dead = [false, false];
         let mut jsq = RouterState::new(RouterPolicy::JoinShortestQueue, vec![1.0; 2]);
-        assert_eq!(jsq.pick(&[3, 1], &dead), 1, "routes as if all were alive");
+        assert_eq!(
+            pick_with(&mut jsq, &[3, 1], &dead),
+            1,
+            "routes as if all were alive"
+        );
         let mut hash = RouterState::new(RouterPolicy::StaticHash, vec![1.0; 2]);
         let mut seen = [false; 2];
         for _ in 0..50 {
-            seen[hash.pick(&[0; 2], &dead)] = true;
+            seen[hash.pick(&dead)] = true;
         }
         assert!(seen[0] && seen[1]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn jsq_key_pick_matches_linear_argmin(
+            shards in 1usize..9,
+            ops in prop::collection::vec((0u8..4, 0usize..8, 0u64..4), 1..300)
+        ) {
+            // The packed-key pick against the linear `(load, index)` argmin
+            // over live shards (all shards when none is live), under random
+            // interleavings of the updates the gateway makes: an offer
+            // loads the picked shard, a lane advance moves one shard's load
+            // anywhere (small values, so ties are common), and shards fail
+            // and repair (small fleets are often entirely dead).
+            let mut router = RouterState::new(RouterPolicy::JoinShortestQueue, vec![1.0; shards]);
+            let mut load = vec![0u64; shards];
+            let mut alive = vec![true; shards];
+            for (op, s, x) in ops {
+                let s = s % shards;
+                match op {
+                    0 => {
+                        let p = router.pick(&alive);
+                        load[p] += 1;
+                        router.set_load(p, load[p], alive[p]);
+                    }
+                    1 => {
+                        load[s] = x;
+                        router.set_load(s, x, alive[s]);
+                    }
+                    2 => {
+                        alive[s] = false;
+                        router.set_load(s, load[s], false);
+                    }
+                    _ => {
+                        alive[s] = true;
+                        router.set_load(s, load[s], true);
+                    }
+                }
+                let any_alive = alive.iter().any(|&a| a);
+                let oracle = (0..shards)
+                    .filter(|&i| !any_alive || alive[i])
+                    .min_by_key(|&i| (load[i], i))
+                    .expect("at least one shard");
+                prop_assert_eq!(router.pick(&alive), oracle, "loads {:?} alive {:?}", load, alive);
+            }
+        }
     }
 }

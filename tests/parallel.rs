@@ -26,7 +26,15 @@ use paris_elsa::workload::{
 /// precisely on a Lookahead window edge.
 const WINDOW_NS: u64 = 1_000_000;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Lane thread counts each scenario is compared across, 1 (the
+/// reference) first: powers of two, 3 (which splits the lanes into
+/// unequal chunks) and one more thread than there are lanes.
+fn thread_counts(shards: usize) -> Vec<usize> {
+    let mut counts = vec![1, 2, 3, 4, 8, shards + 1];
+    counts.sort_unstable();
+    counts.dedup();
+    counts
+}
 
 fn mobilenet_table() -> ProfileTable {
     let perf = PerfModel::new(DeviceSpec::a100());
@@ -173,9 +181,10 @@ fn run_all_threads(
             threads,
         )
     };
-    let reference = run(THREADS[0]);
+    let counts = thread_counts(cluster.shards().len());
+    let reference = run(counts[0]);
     let want = format!("{reference:?}");
-    for &threads in &THREADS[1..] {
+    for &threads in &counts[1..] {
         let got = format!("{:?}", run(threads));
         assert_eq!(
             got, want,
@@ -287,7 +296,7 @@ fn loan_transfer_across_the_sync_boundary_conserves_pool_and_queries() {
         };
         let reference = run(1);
         let want = format!("{reference:?}");
-        for &threads in &THREADS[1..] {
+        for &threads in &thread_counts(cluster.shards().len())[1..] {
             assert_eq!(
                 format!("{:?}", run(threads)),
                 want,
@@ -385,7 +394,7 @@ fn shard_fail_during_borrow_returns_the_loan_and_serves_everything() {
         };
         let reference = run(1);
         let want = format!("{reference:?}");
-        for &threads in &THREADS[1..] {
+        for &threads in &thread_counts(cluster.shards().len())[1..] {
             assert_eq!(
                 format!("{:?}", run(threads)),
                 want,

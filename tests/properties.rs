@@ -927,11 +927,13 @@ proptest! {
     ) {
         // The shard-parallel determinism contract (ARCHITECTURE.md
         // invariant 11): for ANY router policy, loan policy, sampled
-        // fault plan and sync-window mode, running the cluster on 2, 4 or
-        // 8 lane worker threads produces a report byte-identical to the
-        // single-thread run — compared on the full `Debug` rendering, so
-        // every record, histogram bucket, float, loan ledger entry and
-        // fault-log line must agree, not just aggregate counts.
+        // fault plan and sync-window mode, running the cluster on 2, 3, 4
+        // or 8 lane threads, or one more than it has shards (uneven
+        // chunks, more threads than lanes), produces a report
+        // byte-identical to the single-thread run — compared on the full
+        // `Debug` rendering, so every record, histogram bucket, float,
+        // loan ledger entry and fault-log line must agree, not just
+        // aggregate counts.
         use paris_elsa::cluster::{
             Cluster, LoanDemandModel, LoanPolicy, RouterPolicy, ShedPolicy, SyncWindow,
         };
@@ -999,7 +1001,10 @@ proptest! {
             )
         };
         let reference = format!("{:?}", run(1));
-        for threads in [2usize, 4, 8] {
+        let mut counts = vec![2usize, 3, 4, 8, cluster.shards().len() + 1];
+        counts.sort_unstable();
+        counts.dedup();
+        for threads in counts {
             let got = format!("{:?}", run(threads));
             prop_assert_eq!(
                 &got,
