@@ -14,7 +14,8 @@
 //!   `parallel_bit_identical`.
 //! * **measured scaling** — the headline is the wall-clock speedup of each
 //!   thread count over one thread on the benchmarking host (best of
-//!   several runs each, with `host_cores` recorded beside it). At thread
+//!   several runs each, with `host_cores` recorded beside it and the
+//!   spread between the runs beside each point). At lookahead thread
 //!   counts up to the host's cores, a run must take at most 1.1× the
 //!   single-thread wall time. The conservative-window critical-path model
 //!   (per window, lane-event deltas bucketed by the pool's contiguous
@@ -23,8 +24,8 @@
 //!
 //! Per-event windows always advance their lanes on the calling thread (a
 //! window holds a couple of lane events), so their curve is flat by
-//! design; lookahead windows batch a full route-hop's worth of decisions
-//! per edge and carry the scaling.
+//! design and only its bit-identity is asserted; lookahead windows batch
+//! a full route-hop's worth of decisions per edge and carry the scaling.
 //!
 //! Usage: `cargo run --release --bin bench_megacluster [--quick] [--smoke] [--seed N]`
 
@@ -130,8 +131,8 @@ impl Scenario {
 
 struct ModeResult {
     reference: ClusterReport,
-    /// Best-of-reps wall-clock seconds per entry of [`THREADS`].
-    wall_secs: Vec<f64>,
+    /// Every rep's wall-clock seconds, per entry of [`THREADS`].
+    wall_secs: Vec<Vec<f64>>,
     bit_identical: bool,
     profile: WindowProfile,
 }
@@ -148,7 +149,7 @@ fn verify_mode(
 ) -> ModeResult {
     let (reference, _) = scenario.run(window, 1);
     let reference_bytes = format!("{reference:?}");
-    let mut wall_secs = vec![f64::INFINITY; THREADS.len()];
+    let mut wall_secs = vec![Vec::with_capacity(reps); THREADS.len()];
     let mut bit_identical = true;
     for rep in 0..reps {
         // Each rep starts at a different thread count, so no count always
@@ -156,7 +157,7 @@ fn verify_mode(
         for i in (0..THREADS.len()).map(|j| (j + rep) % THREADS.len()) {
             let threads = THREADS[i];
             let (report, wall) = scenario.run(window, threads);
-            wall_secs[i] = wall_secs[i].min(wall);
+            wall_secs[i].push(wall);
             if format!("{report:?}") != reference_bytes {
                 eprintln!("DIVERGENCE: {name} at {threads} threads differs from 1 thread");
                 bit_identical = false;
@@ -178,11 +179,15 @@ fn verify_mode(
     }
 }
 
-/// One thread count's point: wall time, measured speedup and events/sec,
-/// and the critical-path model.
+/// One thread count's point: best-of-reps wall time and the spread
+/// between its reps, measured speedup and events/sec, and the
+/// critical-path model.
 struct Point {
     threads: usize,
     wall_secs: f64,
+    /// `(slowest − fastest) / fastest` over the reps: how far this host
+    /// moved while the point was measured.
+    wall_spread: f64,
     measured_speedup: f64,
     events_per_sec: f64,
     modeled_speedup: f64,
@@ -190,15 +195,22 @@ struct Point {
 
 fn curve_of(m: &ModeResult) -> Vec<Point> {
     let gateway_items = m.reference.events_processed - m.profile.lane_events;
+    let best = |reps: &[f64]| reps.iter().copied().fold(f64::INFINITY, f64::min);
+    let one_thread = best(&m.wall_secs[0]);
     THREADS
         .iter()
         .zip(&m.wall_secs)
-        .map(|(&threads, &wall_secs)| Point {
-            threads,
-            wall_secs,
-            measured_speedup: m.wall_secs[0] / wall_secs,
-            events_per_sec: m.reference.events_processed as f64 / wall_secs,
-            modeled_speedup: m.profile.modeled_speedup(threads, gateway_items),
+        .map(|(&threads, reps)| {
+            let wall_secs = best(reps);
+            let worst = reps.iter().copied().fold(0.0, f64::max);
+            Point {
+                threads,
+                wall_secs,
+                wall_spread: (worst - wall_secs) / wall_secs,
+                measured_speedup: one_thread / wall_secs,
+                events_per_sec: m.reference.events_processed as f64 / wall_secs,
+                modeled_speedup: m.profile.modeled_speedup(threads, gateway_items),
+            }
         })
         .collect()
 }
@@ -206,7 +218,7 @@ fn curve_of(m: &ModeResult) -> Vec<Point> {
 fn main() {
     let opts = paris_bench::TrajectoryOpts::from_args(67);
     let duration_secs = opts.pick(1.0, 0.4, 0.05);
-    let reps = opts.pick(5, 3, 1);
+    let reps = opts.pick(15, 9, 1);
     let scenario = Scenario::new(duration_secs, opts.seed);
     println!(
         "megacluster: {} shards x {} GPUs (+{} pool), {:.0} qps offered for {:.2} s ({} queries)",
@@ -237,13 +249,14 @@ fn main() {
     let pe_curve = curve_of(&per_event);
     let la_curve = curve_of(&lookahead);
     // New/old single-thread events/sec against the artifact this run is
-    // about to overwrite (the first curve entry after each mode key is
-    // the threads=1 point).
+    // about to overwrite (the first curve entry after each mode object is
+    // the threads=1 point). The anchor includes the object's brace: the
+    // mode names also key `speedup_vs_prev`, which comes first.
     let prev = std::fs::read_to_string("BENCH_megacluster.json").ok();
     let vs_prev = |mode: &str, curve: &[Point]| -> String {
         prev.as_deref()
             .and_then(|p| {
-                paris_bench::scrape_number_after(p, &format!("\"{mode}\":"), "events_per_sec")
+                paris_bench::scrape_number_after(p, &format!("\"{mode}\": {{"), "events_per_sec")
             })
             .map_or("null".to_string(), |old| {
                 format!("{:.3}", curve[0].events_per_sec / old)
@@ -267,6 +280,7 @@ fn main() {
                 format!("{:.1}", pe.wall_secs * 1e3),
                 format!("{:.2}x", pe.measured_speedup),
                 format!("{:.1}", la.wall_secs * 1e3),
+                format!("{:.0}%", la.wall_spread * 1e2),
                 format!("{:.2}x", la.measured_speedup),
                 format!("{:.2}x", la.modeled_speedup),
             ]
@@ -281,6 +295,7 @@ fn main() {
             "per-event ms",
             "per-event speedup",
             "lookahead ms",
+            "lookahead spread",
             "lookahead speedup",
             "lookahead modeled",
         ],
@@ -305,16 +320,20 @@ fn main() {
             "megacluster scenario must offer 100k+ qps, got {:.0}",
             scenario.offered_qps
         );
-        for (name, curve) in [("per_event", &pe_curve), ("lookahead", &la_curve)] {
-            for p in curve.iter().filter(|p| p.threads <= host_cores) {
-                assert!(
-                    p.wall_secs <= 1.1 * curve[0].wall_secs,
-                    "{name} at {} threads took {:.4} s, more than 1.1x the 1-thread {:.4} s",
-                    p.threads,
-                    p.wall_secs,
-                    curve[0].wall_secs
-                );
-            }
+        // Only lookahead spreads lanes over threads; the per-event curve
+        // runs the same serial code at every count.
+        let one = &la_curve[0];
+        for p in la_curve.iter().filter(|p| p.threads <= host_cores) {
+            assert!(
+                p.wall_secs <= 1.1 * one.wall_secs,
+                "lookahead at {} threads took {:.4} s (rep spread {:.0}%), more than 1.1x \
+                 the 1-thread {:.4} s (rep spread {:.0}%)",
+                p.threads,
+                p.wall_secs,
+                p.wall_spread * 1e2,
+                one.wall_secs,
+                one.wall_spread * 1e2,
+            );
         }
     }
 
@@ -334,11 +353,13 @@ fn main() {
         for (i, p) in curve.iter().enumerate() {
             let _ = write!(
                 s,
-                "{}{{\"threads\": {}, \"wall_secs\": {:.4}, \"measured_speedup\": {:.4}, \
-                 \"events_per_sec\": {:.0}, \"modeled_speedup\": {:.4}}}",
+                "{}{{\"threads\": {}, \"wall_secs\": {:.4}, \"wall_spread\": {:.4}, \
+                 \"measured_speedup\": {:.4}, \"events_per_sec\": {:.0}, \
+                 \"modeled_speedup\": {:.4}}}",
                 if i == 0 { "" } else { ", " },
                 p.threads,
                 p.wall_secs,
+                p.wall_spread,
                 p.measured_speedup,
                 p.events_per_sec,
                 p.modeled_speedup,
@@ -371,10 +392,10 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"timing_basis\": \"wall clock on this host, best of reps per thread count \
-         (interleaved, rotating which count runs first); measured_speedup = 1-thread \
-         wall / wall; modeled_speedup is the conservative-window critical-path model \
-         (lane events per window bucketed by the pool's contiguous chunks), listed for \
-         reference\","
+         (interleaved, rotating which count runs first); wall_spread = (slowest - \
+         fastest) / fastest rep; measured_speedup = 1-thread wall / wall; \
+         modeled_speedup is the conservative-window critical-path model (lane events \
+         per window bucketed by the pool's contiguous chunks), listed for reference\","
     );
     let _ = writeln!(
         json,

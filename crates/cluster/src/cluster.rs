@@ -41,22 +41,6 @@ pub struct FaultRecord {
     pub requeued: u64,
 }
 
-/// The lane thread count [`Cluster::run_scenario`] (and everything built
-/// on it) asks for, taken from the `CLUSTER_THREADS` environment variable
-/// (default 1). Thread count never changes results — ARCHITECTURE.md
-/// invariant 11 — so this is purely a wall-clock knob. Those entry points
-/// run [`SyncWindow::PerEvent`], which always advances its lanes on the
-/// calling thread; only [`Cluster::run_windowed`] with
-/// [`SyncWindow::Lookahead`] spreads lanes over threads.
-#[must_use]
-pub fn cluster_threads_from_env() -> usize {
-    std::env::var("CLUSTER_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
-}
-
 /// A multi-server inference cluster: each *shard* is a full
 /// [`MultiModelServer`] (its own GPC budget, PARIS-planned groups, per-model
 /// schedulers, optional drift re-planning), and the cluster stacks N of
@@ -277,7 +261,7 @@ impl Cluster {
             self.shards[0].config().detail,
             &FaultTimeline::empty(),
             SyncWindow::PerEvent,
-            cluster_threads_from_env(),
+            1,
             ObsRequest::OFF,
             hints.as_deref(),
         )
@@ -312,8 +296,7 @@ impl Cluster {
     /// nothing until an event fires; the unit suite pins this.
     ///
     /// Runs per-event windows ([`SyncWindow::PerEvent`]), which advance
-    /// every lane on the calling thread; the [`cluster_threads_from_env`]
-    /// count is passed along and cannot change the result.
+    /// every lane on the calling thread.
     #[must_use]
     pub fn run_scenario<I>(
         &self,
@@ -324,13 +307,7 @@ impl Cluster {
     where
         I: IntoIterator<Item = PinnedQuery>,
     {
-        self.run_windowed(
-            arrivals,
-            detail,
-            faults,
-            SyncWindow::PerEvent,
-            cluster_threads_from_env(),
-        )
+        self.run_windowed(arrivals, detail, faults, SyncWindow::PerEvent, 1)
     }
 
     /// The fully general entry point: simulates the cluster under a fault
@@ -757,10 +734,6 @@ struct Gateway<'a, I> {
     /// Per-shard planned capacity hints (router weights), reused by the
     /// shed policy's projected-delay estimate.
     cap_hint: Vec<f64>,
-    /// Per-shard capacity the shed policy divides outstanding load by
-    /// ([`shed_capacity_qps`](Self::shed_capacity_qps)), refreshed only when
-    /// a loan, failure, repair or degrade changes it.
-    shed_cap: Vec<f64>,
     /// Per-model count of queries the shed policy rejected at admission.
     shed_per_model: Vec<u64>,
     /// Shards owing a recovery re-plan that has not fired yet (a
@@ -841,12 +814,11 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             .as_ref()
             .filter(|lp| lp.demand_model == LoanDemandModel::MeasuredBusy)
             .map_or(0, |lp| lp.detector.window_ns);
-        let mut gw = Gateway {
+        Gateway {
             cluster,
             arrivals,
             sync,
             cap_hint: weights.clone(),
-            shed_cap: vec![0.0; n],
             router: RouterState::new(cluster.router, weights),
             detector,
             ledger,
@@ -892,11 +864,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             items_processed: 0,
             last_item_at: SimTime::ZERO,
             trace: None,
-        };
-        for s in 0..n {
-            gw.refresh_shed_capacity(s);
         }
-        gw
     }
 
     /// Primes the next routing item from the arrival stream (stamped with
@@ -1201,46 +1169,24 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     }
 
     /// Projected queueing delay on shard `s` for admission control:
-    /// outstanding queries over the shard's [`shed_capacity_qps`]
-    /// (cached in `shed_cap`). Deliberately coarse — the shed policy only
-    /// needs a monotone overload signal, and this one is O(1) per arrival.
-    /// A shard with no surviving capacity projects infinite delay
+    /// outstanding queries over the shard's planned capacity, scaled by
+    /// the fraction of its base GPUs still effective — where "effective"
+    /// is degrade-aware: a GPU throttled 4× contributes a quarter of a
+    /// GPU ([`degraded_capacity_gpus`]). Deliberately coarse — the shed
+    /// policy only needs a monotone overload signal, and this one is O(1)
+    /// per arrival. A shard with no surviving GPU projects infinite delay
     /// (everything sheddable sheds until repair).
-    ///
-    /// [`shed_capacity_qps`]: Self::shed_capacity_qps
     fn estimated_delay_ns(&self, lanes: &Lanes<'a>, s: usize) -> f64 {
-        let cap_qps = self.shed_cap[s];
-        debug_assert_eq!(
-            cap_qps.to_bits(),
-            self.shed_capacity_qps(s).to_bits(),
-            "stale shed capacity for shard {s}"
-        );
+        let Some(budget) = self.effective_budget(s) else {
+            return f64::INFINITY;
+        };
+        let base_gpus = self.cluster.shards[s].budget().num_gpus.max(1);
+        let cap_gpus = degraded_capacity_gpus(budget.num_gpus, self.active_degrades(s));
+        let cap_qps = self.cap_hint[s] * cap_gpus / base_gpus as f64;
         if cap_qps <= 0.0 {
             return f64::INFINITY;
         }
         self.outstanding(lanes, s) as f64 / cap_qps * 1e9
-    }
-
-    /// Shard `s`'s planned capacity scaled by the fraction of its base GPUs
-    /// still effective — where "effective" is degrade-aware: a GPU
-    /// throttled 4× contributes a quarter of a GPU
-    /// ([`degraded_capacity_gpus`]). Zero when no GPU survives.
-    fn shed_capacity_qps(&self, s: usize) -> f64 {
-        let Some(budget) = self.effective_budget(s) else {
-            return 0.0;
-        };
-        let base_gpus = self.cluster.shards[s].budget().num_gpus.max(1);
-        let cap_gpus = degraded_capacity_gpus(budget.num_gpus, self.active_degrades(s));
-        self.cap_hint[s] * cap_gpus / base_gpus as f64
-    }
-
-    /// Recomputes shard `s`'s cached [`shed_capacity_qps`] — called
-    /// wherever its inputs change: a loan transfer, a GPU failure or
-    /// repair, a degrade or restore.
-    ///
-    /// [`shed_capacity_qps`]: Self::shed_capacity_qps
-    fn refresh_shed_capacity(&mut self, s: usize) {
-        self.shed_cap[s] = self.shed_capacity_qps(s);
     }
 
     /// Per-shard demand in full-GPU equivalents under the policy's
@@ -1382,7 +1328,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         let ledger = self.ledger.as_mut().expect("ledger exists with policy");
         let held = ledger.transfer(s, delta);
         let pool_free_after = ledger.pool_free;
-        self.refresh_shed_capacity(s);
         let budget = self
             .minus_failed(s, held)
             .expect("feasibility was checked before the transfer");
@@ -1498,7 +1443,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                     && self.degraded[shard][gpu].is_none()
                 {
                     self.degraded[shard][gpu] = Some(factor_milli);
-                    self.refresh_shed_capacity(shard);
                     self.deliver(
                         lanes,
                         shard,
@@ -1513,7 +1457,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                     && gpu < self.degraded[shard].len()
                     && self.degraded[shard][gpu].take().is_some()
                 {
-                    self.refresh_shed_capacity(shard);
                     self.deliver(lanes, shard, now, key, Command::Restore { gpu });
                 }
             }
@@ -1554,7 +1497,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             return false;
         }
         self.failed_gpus[s][gpu] = true;
-        self.refresh_shed_capacity(s);
         true
     }
 
@@ -1568,7 +1510,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             return false;
         }
         self.failed_gpus[s][gpu] = false;
-        self.refresh_shed_capacity(s);
         true
     }
 

@@ -35,7 +35,7 @@ mod parallel;
 mod router;
 mod shed;
 
-pub use cluster::{cluster_threads_from_env, Cluster, ClusterReport, FaultRecord, PinnedQuery};
+pub use cluster::{Cluster, ClusterReport, FaultRecord, PinnedQuery};
 pub use faults::{FaultEvent, FaultTimeline};
 pub use loan::{degrade_inflated_demand, LoanDemandModel, LoanEvent, LoanPolicy};
 pub use parallel::{SyncWindow, WindowProfile};

@@ -714,10 +714,10 @@ where
 }
 
 /// [`run_with_faults`] with an explicit [`SyncWindow`] mode and lane
-/// worker thread count — the entry point scenario benches use to compare
-/// per-event and lookahead synchronization, or to pin a thread count
-/// independent of `CLUSTER_THREADS`. For a fixed window mode the result
-/// is bit-for-bit identical at any thread count (invariant 11).
+/// thread count — the entry point scenario benches use to compare
+/// per-event and lookahead synchronization, or to spread lookahead
+/// windows over threads. For a fixed window mode the result is
+/// bit-for-bit identical at any thread count (invariant 11).
 #[must_use]
 pub fn run_with_faults_windowed<I>(
     cluster: &Cluster,
@@ -752,14 +752,7 @@ pub fn run_with_faults_traced<I>(
 where
     I: IntoIterator<Item = PinnedQuery>,
 {
-    run_with_faults_windowed_traced(
-        cluster,
-        arrivals,
-        detail,
-        plan,
-        SyncWindow::PerEvent,
-        inference_cluster::cluster_threads_from_env(),
-    )
+    run_with_faults_windowed_traced(cluster, arrivals, detail, plan, SyncWindow::PerEvent, 1)
 }
 
 /// [`run_with_faults_windowed`] with the flight recorder attached — the
