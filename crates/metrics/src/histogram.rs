@@ -77,7 +77,22 @@ fn bucket_high(bucket: usize) -> u64 {
     if exp == 0 {
         bucket_low(bucket)
     } else {
-        bucket_low(bucket) + (1u64 << (exp - 1)) - 1
+        // Parenthesized so the top bucket's bound, u64::MAX, never
+        // overflows on the way.
+        bucket_low(bucket) + ((1u64 << (exp - 1)) - 1)
+    }
+}
+
+/// The lowest bucket whose samples violate `sla_ns`: buckets above the
+/// SLA's own bucket always do, and the SLA's own bucket does when its
+/// midpoint exceeds the SLA. May be `BUCKETS` (nothing violates).
+#[inline]
+fn first_violating_bucket(sla_ns: u64) -> usize {
+    let boundary = bucket_of(sla_ns);
+    if bucket_low(boundary).midpoint(bucket_high(boundary)) > sla_ns {
+        boundary
+    } else {
+        boundary + 1
     }
 }
 
@@ -203,13 +218,17 @@ impl LatencyHistogram {
     /// the threshold may be mis-attributed.
     #[must_use]
     pub fn violations(&self, sla_ns: u64) -> u64 {
-        let boundary = bucket_of(sla_ns);
-        self.counts[boundary + 1..].iter().sum::<u64>()
-            + if bucket_low(boundary).midpoint(bucket_high(boundary)) > sla_ns {
-                self.counts[boundary]
-            } else {
-                0
-            }
+        self.counts[first_violating_bucket(sla_ns)..].iter().sum()
+    }
+
+    /// Whether one `latency_ns` sample counts as a violation of `sla_ns`
+    /// under the bucket rule [`violations`](Self::violations) applies —
+    /// so per-sample judgements summed over any partition of the samples
+    /// equal `violations` of their histogram exactly.
+    #[must_use]
+    #[inline]
+    pub fn exceeds(latency_ns: u64, sla_ns: u64) -> bool {
+        bucket_of(latency_ns) >= first_violating_bucket(sla_ns)
     }
 
     /// Fraction of samples exceeding `sla_ns` (0 if empty), to bucket
@@ -379,6 +398,55 @@ mod tests {
         let rate = h.violation_rate(500_000_000);
         assert!((rate - 0.5).abs() < 0.02, "rate {rate}");
         assert_eq!(h.violation_rate(u64::MAX / 2), 0.0);
+    }
+
+    #[test]
+    fn exceeds_agrees_with_violations() {
+        let slas = [
+            0,
+            1,
+            31,
+            63,
+            64,
+            65,
+            100,
+            1_000,
+            1_500_000,
+            (1 << 40) + 12_345,
+            u64::MAX / 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for sla in slas {
+            let bucket = bucket_of(sla);
+            let (low, high) = (bucket_low(bucket), bucket_high(bucket));
+            let edges = [
+                low.saturating_sub(1),
+                low,
+                low.midpoint(high),
+                low.midpoint(high) + 1,
+                high,
+                high.saturating_add(1),
+                sla,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            let samples: Vec<u64> = (0..SUB_BUCKETS as u64).chain(edges).collect();
+            for &v in &samples {
+                let one: LatencyHistogram = [v].into_iter().collect();
+                assert_eq!(
+                    LatencyHistogram::exceeds(v, sla),
+                    one.violations(sla) == 1,
+                    "sample {v} vs sla {sla}"
+                );
+            }
+            let all: LatencyHistogram = samples.iter().copied().collect();
+            let judged = samples
+                .iter()
+                .filter(|&&v| LatencyHistogram::exceeds(v, sla))
+                .count() as u64;
+            assert_eq!(judged, all.violations(sla), "sla {sla}");
+        }
     }
 
     #[test]

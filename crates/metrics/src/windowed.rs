@@ -56,13 +56,7 @@ impl WindowedTail {
     /// Records one completion: `completed_ns` picks the window,
     /// `latency_ns` is the sample.
     pub fn record(&mut self, completed_ns: u64, latency_ns: u64) {
-        self.record_at((completed_ns / self.window_ns) as usize, latency_ns);
-    }
-
-    /// [`record`](Self::record) with the window index already computed —
-    /// for callers that track their current window incrementally (the
-    /// online telemetry lane) and can skip the division.
-    pub fn record_at(&mut self, idx: usize, latency_ns: u64) {
+        let idx = (completed_ns / self.window_ns) as usize;
         if idx >= self.histograms.len() {
             self.histograms.resize_with(idx + 1, LatencyHistogram::new);
         }
@@ -75,46 +69,6 @@ impl WindowedTail {
     #[must_use]
     pub fn windows(&self) -> usize {
         self.histograms.iter().filter(|h| !h.is_empty()).count()
-    }
-
-    /// Number of windows allocated so far — the index one past the last
-    /// window that received a sample, **including** empty interior windows.
-    /// This is the grid length a fixed-step sampler (the observability
-    /// metric registry) iterates over.
-    #[must_use]
-    pub fn allocated_windows(&self) -> usize {
-        self.histograms.len()
-    }
-
-    /// The histogram behind window `idx`, if that window has been
-    /// allocated. Empty interior windows return an empty histogram, so a
-    /// grid sampler can read rates off every bin uniformly.
-    #[must_use]
-    pub fn histogram(&self, idx: usize) -> Option<&LatencyHistogram> {
-        self.histograms.get(idx)
-    }
-
-    /// Merges `other` into `self` window-by-window, as if every sample had
-    /// been recorded into one tracker. All histogram state is integer
-    /// counts, so the merge is exact and commutative — the shard-parallel
-    /// online telemetry plane relies on this to combine per-lane partial
-    /// tails into the same bytes a single-lane pass would produce.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two trackers disagree on `window_ns`.
-    pub fn merge(&mut self, other: &WindowedTail) {
-        assert_eq!(
-            self.window_ns, other.window_ns,
-            "cannot merge tails with different window widths"
-        );
-        if other.histograms.len() > self.histograms.len() {
-            self.histograms
-                .resize_with(other.histograms.len(), LatencyHistogram::new);
-        }
-        for (mine, theirs) in self.histograms.iter_mut().zip(&other.histograms) {
-            mine.merge(theirs);
-        }
     }
 
     /// The worst window's `p`-percentile latency in milliseconds, over
@@ -250,41 +204,6 @@ mod tests {
     #[should_panic(expected = "window must be positive")]
     fn zero_window_panics() {
         let _ = WindowedTail::new(0);
-    }
-
-    #[test]
-    fn merge_equals_single_tracker() {
-        let mut whole = WindowedTail::new(1_000);
-        let mut a = WindowedTail::new(1_000);
-        let mut b = WindowedTail::new(1_000);
-        for i in 0..40u64 {
-            let (at, lat) = (i * 137 % 5_000, 100 + i * 31);
-            whole.record(at, lat);
-            if i % 2 == 0 {
-                a.record(at, lat);
-            } else {
-                b.record(at, lat);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.allocated_windows(), whole.allocated_windows());
-        for idx in 0..whole.allocated_windows() {
-            let (m, w) = (a.histogram(idx).unwrap(), whole.histogram(idx).unwrap());
-            assert_eq!(m.count(), w.count(), "window {idx} count");
-            assert_eq!(
-                m.percentile_ms(0.99),
-                w.percentile_ms(0.99),
-                "window {idx} p99"
-            );
-        }
-        assert_eq!(a.worst_p99_ms(), whole.worst_p99_ms());
-    }
-
-    #[test]
-    #[should_panic(expected = "different window widths")]
-    fn merge_rejects_mismatched_windows() {
-        let mut a = WindowedTail::new(1_000);
-        a.merge(&WindowedTail::new(2_000));
     }
 
     #[test]

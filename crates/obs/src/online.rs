@@ -2,11 +2,10 @@
 //!
 //! [`OnlineLane`] is a [`TraceSink`] that folds every observation into
 //! windowed aggregates *as it is recorded*, instead of buffering the record
-//! for post-hoc analysis the way [`FlightRecorder`] does. Memory is O(1)
-//! per (series, window) — growable per-bin vectors, a bounded
-//! in-flight-query map, and fixed-footprint latency histograms — so a lane
-//! can stream telemetry for an arbitrarily long run without retaining the
-//! trace.
+//! for post-hoc analysis the way [`FlightRecorder`] does. Memory is a few
+//! words per (series, window) — growable per-bin vectors and a bounded
+//! in-flight-query map — so a lane can stream telemetry for a long run
+//! without retaining the trace.
 //!
 //! **Invariant 13 (ARCHITECTURE.md): the online registry IS the oracle
 //! registry.** [`MetricRegistry::from_trace`] feeds the merged trace
@@ -19,16 +18,17 @@
 //!
 //! - counter/gauge bins sum exactly-representable integers in `f64`
 //!   (magnitudes ≪ 2⁵³), so addition order cannot change a single bit;
-//! - latency tails merge all-integer [`WindowedTail`] histograms;
-//! - first-seen SLA attribution keeps a per-lane `(time, key)` minimum and
-//!   resolves cross-lane ties by `(time, key, lane)` — exactly the global
-//!   merged-trace order `from_trace` used to walk.
+//! - SLA violations are judged per completion, when it is folded, against
+//!   the SLA its own arrival carried
+//!   ([`LatencyHistogram::exceeds`], the bucket rule of
+//!   [`LatencyHistogram::violations`]), into integer completed/violated
+//!   counters per (model, bin) that sum exactly in any order.
 //!
 //! Within one lane, the engine's push order and the merged trace's
 //! `(time, key, lane, seq)` order differ only in the ordering of
 //! same-instant records, and every per-lane fold above is invariant under
 //! same-instant reordering (bin sums are commutative; a gauge bin keeps
-//! only the net level; the SLA candidate is a stamp minimum).
+//! only the net level; a completion always follows its own arrival).
 //!
 //! [`MetricRegistry::from_trace`]: crate::registry::MetricRegistry::from_trace
 
@@ -36,9 +36,9 @@ use crate::event::TraceEvent;
 use crate::recorder::{FlightRecorder, TraceSink};
 use crate::registry::{MetricRegistry, MetricSeries};
 use des_engine::SimTime;
-use server_metrics::WindowedTail;
+use server_metrics::LatencyHistogram;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What a run should observe: a retained trace, a live metric plane, both,
 /// or (the default) nothing.
@@ -153,8 +153,9 @@ impl TraceSink for ObsSink {
 /// Feed it records through [`TraceSink::record`] in non-decreasing stamp
 /// order (what every engine lane and every merged trace guarantees), then
 /// hand all lanes to [`merge_online`]. State per lane: one `f64` per
-/// touched (series, bin), per-model `WindowedTail`s, and a dense
-/// in-flight-query → model map that shrinks as queries complete.
+/// touched (series, bin), two integer SLA counters per (model, bin), and
+/// a dense in-flight-query → (model, SLA) map that shrinks as queries
+/// complete.
 #[derive(Debug, Clone)]
 pub struct OnlineLane {
     lane: u32,
@@ -185,20 +186,30 @@ pub struct OnlineLane {
     routed: Vec<f64>,
     shed: Vec<f64>,
     loaned: Vec<f64>,
-    /// model → windowed latency histograms (merged histogram-wise later),
-    /// indexed by group id — model ids are small and dense, so a direct
-    /// vector keeps the per-completion hot path to one bounds check.
-    tails: Vec<Option<WindowedTail>>,
-    /// model → `(at_ns, key, sla_ns)` of the earliest-stamped SLA-carrying
-    /// arrival this lane saw, indexed by group id.
-    slas: Vec<Option<(u64, u64, u64)>>,
-    /// In-flight query → model, indexed by `query - groups_base`
-    /// (`usize::MAX` = consumed/unknown). Completions punch holes and the
-    /// base advances past the consumed prefix, so the deque tracks the
-    /// outstanding window, not the whole run.
-    groups: VecDeque<usize>,
+    /// model → SLA counters, indexed by group id — model ids are small
+    /// and dense, so a direct vector keeps the per-completion hot path to
+    /// one bounds check.
+    sla: Vec<SlaBins>,
+    /// In-flight query → `(model, sla_ns)` of its arrival, indexed by
+    /// `query - groups_base` (model `usize::MAX` = consumed/unknown).
+    /// Completions punch holes and the base advances past the consumed
+    /// prefix, so the deque tracks the outstanding window, not the whole
+    /// run.
+    groups: VecDeque<(usize, u64)>,
     groups_base: u64,
 }
+
+/// One model's SLA fold on one lane.
+#[derive(Debug, Clone, Default)]
+struct SlaBins {
+    /// Whether any arrival of the model carried a nonzero SLA.
+    has_sla: bool,
+    /// `(completed, violated)` per bin.
+    bins: Vec<(u64, u64)>,
+}
+
+/// The consumed/unknown marker in [`OnlineLane::groups`].
+const NO_GROUP: (usize, u64) = (usize::MAX, 0);
 
 impl OnlineLane {
     /// Creates an accumulator for `lane` on a `window_ns` grid.
@@ -237,8 +248,7 @@ impl OnlineLane {
             routed: Vec::new(),
             shed: Vec::new(),
             loaned: Vec::new(),
-            tails: Vec::new(),
-            slas: Vec::new(),
+            sla: Vec::new(),
             groups: VecDeque::new(),
             groups_base: 0,
         }
@@ -281,44 +291,39 @@ impl OnlineLane {
         self.out_touched = true;
     }
 
-    fn note_sla(&mut self, group: usize, at_ns: u64, key: u64, sla_ns: u64) {
-        if group >= self.slas.len() {
-            self.slas.resize(group + 1, None);
+    fn model(&mut self, group: usize) -> &mut SlaBins {
+        if group >= self.sla.len() {
+            self.sla.resize_with(group + 1, SlaBins::default);
         }
-        let slot = &mut self.slas[group];
-        let keep =
-            matches!(*slot, Some((prev_at, prev_key, _)) if (prev_at, prev_key) <= (at_ns, key));
-        if !keep {
-            *slot = Some((at_ns, key, sla_ns));
-        }
+        &mut self.sla[group]
     }
 
-    fn set_group(&mut self, query: u64, group: usize) {
+    fn set_group(&mut self, query: u64, group: usize, sla_ns: u64) {
         if query < self.groups_base {
             return; // malformed re-arrival of a consumed id
         }
         let idx = (query - self.groups_base) as usize;
         if idx >= self.groups.len() {
-            self.groups.resize(idx + 1, usize::MAX);
+            self.groups.resize(idx + 1, NO_GROUP);
         }
-        self.groups[idx] = group;
+        self.groups[idx] = (group, sla_ns);
     }
 
-    fn take_group(&mut self, query: u64) -> Option<usize> {
+    fn take_group(&mut self, query: u64) -> Option<(usize, u64)> {
         if query < self.groups_base {
             return None;
         }
         let idx = (query - self.groups_base) as usize;
-        let group = *self.groups.get(idx)?;
-        if group == usize::MAX {
+        let entry = *self.groups.get(idx)?;
+        if entry.0 == usize::MAX {
             return None;
         }
-        self.groups[idx] = usize::MAX;
-        while self.groups.front() == Some(&usize::MAX) {
+        self.groups[idx] = NO_GROUP;
+        while self.groups.front().is_some_and(|g| g.0 == usize::MAX) {
             self.groups.pop_front();
             self.groups_base += 1;
         }
-        Some(group)
+        Some(entry)
     }
 
     fn service(&mut self, at_ns: u64, gpcs: u32, actual_ns: u64) {
@@ -380,7 +385,7 @@ impl TraceSink for OnlineLane {
     /// composite [`ObsSink`] dispatch stays small: trace-only and disabled
     /// sinks never pay this body in their instruction stream.
     #[inline(never)]
-    fn record(&mut self, at: SimTime, key: u64, event: TraceEvent) {
+    fn record(&mut self, at: SimTime, _key: u64, event: TraceEvent) {
         let at_ns = at.as_nanos();
         // Stamps are non-decreasing per lane (debug-asserted in `bin`), so
         // the latest stamp IS the horizon — no compare needed.
@@ -396,9 +401,9 @@ impl TraceSink for OnlineLane {
                 self.out_level += 1;
                 self.sample_out(bin);
                 if sla_ns > 0 {
-                    self.note_sla(group, at_ns, key, sla_ns);
+                    self.model(group).has_sla = true;
                 }
-                self.set_group(query, group);
+                self.set_group(query, group, sla_ns);
             }
             TraceEvent::Complete {
                 query, latency_ns, ..
@@ -406,14 +411,15 @@ impl TraceSink for OnlineLane {
                 let bin = self.bin(at_ns);
                 self.out_level -= 1;
                 self.sample_out(bin);
-                if let Some(group) = self.take_group(query) {
-                    if group >= self.tails.len() {
-                        self.tails.resize_with(group + 1, || None);
+                if let Some((group, sla_ns)) = self.take_group(query) {
+                    // A zero SLA means the query had none: it cannot violate.
+                    let violated = sla_ns > 0 && LatencyHistogram::exceeds(latency_ns, sla_ns);
+                    let bins = &mut self.model(group).bins;
+                    if bin >= bins.len() {
+                        bins.resize(bin + 1, (0, 0));
                     }
-                    let window_ns = self.window_ns;
-                    self.tails[group]
-                        .get_or_insert_with(|| WindowedTail::new(window_ns))
-                        .record_at(bin, latency_ns);
+                    bins[bin].0 += 1;
+                    bins[bin].1 += u64::from(violated);
                 }
             }
             TraceEvent::ServiceStart {
@@ -448,6 +454,16 @@ impl TraceSink for OnlineLane {
 /// series only depend on their own lane, and cross-lane sums combine
 /// exactly-representable integers.
 ///
+/// `model{m}/sla_violation_rate` is, per bin, the model's violated over
+/// completed queries (0.0 for a bin without completions), where each
+/// completion was judged against the SLA its own arrival carried. The
+/// series exists once some completion of the model was folded and some
+/// arrival of it carried a nonzero SLA. This equals
+/// `LatencyHistogram::violation_rate` of the bin's latencies whenever all
+/// arrivals of a model carry the same SLA — which holds for every cluster
+/// and trace the repo builds, since `ModelSpec::new` derives the SLA from
+/// the model's profile table and shards share tables.
+///
 /// [`MetricRegistry::from_trace`]: crate::registry::MetricRegistry::from_trace
 #[must_use]
 pub fn merge_online(
@@ -465,9 +481,7 @@ pub fn merge_online(
     let mut routed = vec![0.0f64; windows];
     let mut shed = vec![0.0f64; windows];
     let mut loan_deltas = vec![0.0f64; windows];
-    let mut tails: BTreeMap<usize, WindowedTail> = BTreeMap::new();
-    // model → (at, key, lane, sla): cross-lane first-seen resolution.
-    let mut slas: BTreeMap<usize, (u64, u64, u32, u64)> = BTreeMap::new();
+    let mut sla: Vec<SlaBins> = Vec::new();
 
     for lane in &mut lanes {
         debug_assert_eq!(lane.window_ns, window_ns, "lanes must share the grid");
@@ -517,33 +531,17 @@ pub fn merge_online(
         for (b, &v) in lane.loaned.iter().enumerate() {
             loan_deltas[b] += v;
         }
-        for (model, tail) in lane
-            .tails
-            .iter()
-            .enumerate()
-            .filter_map(|(m, t)| t.as_ref().map(|t| (m, t)))
-        {
-            tails
-                .entry(model)
-                .or_insert_with(|| WindowedTail::new(window_ns))
-                .merge(tail);
+        if lane.sla.len() > sla.len() {
+            sla.resize_with(lane.sla.len(), SlaBins::default);
         }
-        for (model, &(at, key, sla)) in lane
-            .slas
-            .iter()
-            .enumerate()
-            .filter_map(|(m, s)| s.as_ref().map(|s| (m, s)))
-        {
-            match slas.entry(model) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert((at, key, lane.lane, sla));
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let (pa, pk, pl, _) = *o.get();
-                    if (at, key, lane.lane) < (pa, pk, pl) {
-                        o.insert((at, key, lane.lane, sla));
-                    }
-                }
+        for (merged, part) in sla.iter_mut().zip(&lane.sla) {
+            merged.has_sla |= part.has_sla;
+            if part.bins.len() > merged.bins.len() {
+                merged.bins.resize(part.bins.len(), (0, 0));
+            }
+            for (m, p) in merged.bins.iter_mut().zip(&part.bins) {
+                m.0 += p.0;
+                m.1 += p.1;
             }
         }
     }
@@ -577,14 +575,14 @@ pub fn merge_online(
         });
     }
 
-    // Per-model SLA violation rate off the merged WindowedTail bins.
-    for (&model, tail) in &tails {
-        let Some(&(_, _, _, sla)) = slas.get(&model) else {
+    // Per-model SLA violation rate off the merged counters.
+    for (model, counts) in sla.iter().enumerate() {
+        if !counts.has_sla || counts.bins.is_empty() {
             continue;
-        };
+        }
         let values = (0..windows)
-            .map(|idx| match tail.histogram(idx) {
-                Some(h) if !h.is_empty() => h.violation_rate(sla),
+            .map(|idx| match counts.bins.get(idx) {
+                Some(&(completed, violated)) if completed > 0 => violated as f64 / completed as f64,
                 _ => 0.0,
             })
             .collect();
@@ -606,6 +604,33 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    /// A lane that sees one model-0 query arrive at `at` carrying `sla_ns`
+    /// and complete `latency_ns` later.
+    fn one_query(lane: u32, at: u64, sla_ns: u64, latency_ns: u64) -> OnlineLane {
+        let mut l = OnlineLane::new(lane, 1_000);
+        l.record(
+            t(at),
+            0,
+            TraceEvent::Arrival {
+                query: 0,
+                group: 0,
+                batch: 1,
+                dispatched_ns: at,
+                sla_ns,
+            },
+        );
+        l.record(
+            t(at + latency_ns),
+            0,
+            TraceEvent::Complete {
+                query: 0,
+                worker: 0,
+                latency_ns,
+            },
+        );
+        l
+    }
+
     #[test]
     fn obs_sink_feeds_both_halves() {
         let mut sink = ObsSink::for_request(ObsRequest::instrumented(1_000), 3, 0);
@@ -619,10 +644,10 @@ mod tests {
     fn groups_deque_reclaims_completed_prefix() {
         let mut lane = OnlineLane::new(0, 1_000);
         for q in 0..100u64 {
-            lane.set_group(q, (q % 2) as usize);
+            lane.set_group(q, (q % 2) as usize, q);
         }
         for q in 0..99u64 {
-            assert_eq!(lane.take_group(q), Some((q % 2) as usize));
+            assert_eq!(lane.take_group(q), Some(((q % 2) as usize, q)));
         }
         assert_eq!(lane.groups_base, 99, "consumed prefix reclaimed");
         assert!(lane.groups.len() <= 1);
@@ -648,34 +673,39 @@ mod tests {
 
     #[test]
     fn merge_is_lane_order_independent() {
-        let mk = |lane: u32, base: u64| {
-            let mut l = OnlineLane::new(lane, 1_000);
-            l.record(
-                t(base),
-                0,
-                TraceEvent::Arrival {
-                    query: 0,
-                    group: 0,
-                    batch: 1,
-                    dispatched_ns: base,
-                    sla_ns: 500,
-                },
-            );
-            l.record(
-                t(base + 700),
-                0,
-                TraceEvent::Complete {
-                    query: 0,
-                    worker: 0,
-                    latency_ns: 700,
-                },
-            );
-            l
-        };
-        let fwd = merge_online(1_000, [mk(0, 100), mk(1, 2_100)], &[]);
-        let rev = merge_online(1_000, [mk(1, 2_100), mk(0, 100)], &[]);
+        let fwd = merge_online(
+            1_000,
+            [one_query(0, 100, 500, 700), one_query(1, 2_100, 500, 700)],
+            &[],
+        );
+        let rev = merge_online(
+            1_000,
+            [one_query(1, 2_100, 500, 700), one_query(0, 100, 500, 700)],
+            &[],
+        );
         assert_eq!(fwd, rev);
         assert_eq!(fwd.windows(), 3);
         assert!(fwd.get("model0/sla_violation_rate").is_some());
+    }
+
+    #[test]
+    fn each_completion_is_judged_against_its_own_arrivals_sla() {
+        // Same model, same bin, same 700 ns latency: lane 0's query (the
+        // earlier arrival) has a 1 µs SLA and meets it, lane 1's has a
+        // 500 ns SLA and misses it.
+        let reg = merge_online(
+            1_000,
+            [one_query(0, 100, 1_000, 700), one_query(1, 200, 500, 700)],
+            &[],
+        );
+        let rate = reg.get("model0/sla_violation_rate").expect("series");
+        assert_eq!(rate.values, vec![0.5]);
+    }
+
+    #[test]
+    fn model_without_an_sla_emits_no_series() {
+        let reg = merge_online(1_000, [one_query(0, 100, 0, 5_000)], &[]);
+        assert!(reg.get("shard0/outstanding").is_some());
+        assert!(reg.get("model0/sla_violation_rate").is_none());
     }
 }

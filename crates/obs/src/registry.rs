@@ -11,9 +11,9 @@
 //! Invariant 13 (ARCHITECTURE.md) says the two are byte-for-byte identical
 //! on the same run at any thread count; `from_trace` is the oracle the
 //! property suite and `bench_obs` compare the online plane against. Every
-//! series shares one tumbling grid of `window_ns` bins, the same shape as
-//! [`server_metrics::WindowedTail`] windows, which the per-model
-//! SLA-violation series reuses directly.
+//! series shares one tumbling grid of `window_ns` bins; the per-model
+//! SLA-violation series divides integer violated/completed counters per
+//! bin, judged with [`server_metrics::LatencyHistogram::exceeds`].
 //!
 //! [`OnlineLane`]: crate::online::OnlineLane
 

@@ -8,7 +8,8 @@
 //! (full `Debug` rendering) to the untraced run, and the live metric
 //! registry must equal `MetricRegistry::from_trace` of the same run byte
 //! for byte, for any router policy, sampled fault plan, sync-window mode
-//! and lane thread count. The unit tests pin what the trace itself must
+//! and lane thread count — and both must equal per-model SLA-violation
+//! series computed straight from the trace, with no `OnlineLane` fold. The unit tests pin what the trace itself must
 //! satisfy: offered = routed + shed, arrivals = completed, and per-class
 //! latency components that sum to the measured end-to-end latency in
 //! integer nanoseconds with no residual.
@@ -19,11 +20,13 @@ use paris_elsa::faults::{
     run_with_faults_windowed, run_with_faults_windowed_instrumented,
     run_with_faults_windowed_traced, FaultPlan, FaultTopology,
 };
+use paris_elsa::metrics::LatencyHistogram;
 use paris_elsa::obs::{
     alert_records, analyze, check_conservation, evaluate_slos, MetricRegistry, QueryTrace, SloSpec,
 };
 use paris_elsa::prelude::*;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
 
 fn mobilenet_table() -> ProfileTable {
     let perf = PerfModel::new(DeviceSpec::a100());
@@ -90,6 +93,69 @@ fn traced_outage_run(
         window,
         threads,
     )
+}
+
+/// `(name, value bits)` of a registry's per-model SLA-violation series.
+fn sla_series(registry: &MetricRegistry) -> Vec<(String, Vec<u64>)> {
+    registry
+        .series()
+        .iter()
+        .filter(|s| s.name.ends_with("/sla_violation_rate"))
+        .map(|s| {
+            (
+                s.name.clone(),
+                s.values.iter().map(|v| v.to_bits()).collect(),
+            )
+        })
+        .collect()
+}
+
+/// Every `model{m}/sla_violation_rate` series computed directly from the
+/// trace records, sharing no code with the online fold: a dense
+/// `LatencyHistogram` of completion latencies per (model, bin), each
+/// completion's model and SLA taken from the same lane's arrival, read out
+/// with `violation_rate`. Assumes — and checks — one SLA per model, which
+/// every cluster the repo builds satisfies.
+fn sla_violation_oracle(trace: &QueryTrace, window_ns: u64) -> Vec<(String, Vec<u64>)> {
+    let windows = (trace.horizon().as_nanos() / window_ns + 1) as usize;
+    let mut in_flight: HashMap<(u32, u64), (usize, u64)> = HashMap::new();
+    let mut models: BTreeMap<usize, (u64, Vec<LatencyHistogram>)> = BTreeMap::new();
+    for r in trace.records() {
+        match r.event {
+            TraceEvent::Arrival {
+                query,
+                group,
+                sla_ns,
+                ..
+            } => {
+                in_flight.insert((r.lane, query), (group, sla_ns));
+            }
+            TraceEvent::Complete {
+                query, latency_ns, ..
+            } => {
+                let (group, sla_ns) = in_flight
+                    .remove(&(r.lane, query))
+                    .expect("a completion follows its arrival on the same lane");
+                let (sla, bins) = models
+                    .entry(group)
+                    .or_insert_with(|| (sla_ns, vec![LatencyHistogram::new(); windows]));
+                assert_eq!(*sla, sla_ns, "model {group} carries one SLA");
+                bins[(r.at.as_nanos() / window_ns) as usize].record(latency_ns);
+            }
+            _ => {}
+        }
+    }
+    models
+        .into_iter()
+        .filter(|(_, (sla, _))| *sla > 0)
+        .map(|(model, (sla, bins))| {
+            let values = bins
+                .iter()
+                .map(|h| h.violation_rate(sla).to_bits())
+                .collect();
+            (format!("model{model}/sla_violation_rate"), values)
+        })
+        .collect()
 }
 
 #[test]
@@ -289,6 +355,9 @@ proptest! {
     /// equal `MetricRegistry::from_trace` of the same run **byte for byte**,
     /// for any router policy, fault plan, sync-window mode and thread count,
     /// and the registry itself must be identical across thread counts.
+    /// Because `from_trace` replays the same fold, the per-model
+    /// SLA-violation series of both are also checked bit for bit against
+    /// [`sla_violation_oracle`], which recomputes them from the raw trace.
     #[test]
     fn online_registry_matches_from_trace_oracle(
         seed in 0u64..8,
@@ -338,6 +407,22 @@ proptest! {
                 &registry,
                 &oracle,
                 "online registry diverged from the trace oracle at {} threads ({:?})",
+                threads,
+                window
+            );
+            let direct = sla_violation_oracle(&trace, window_ns);
+            prop_assert_eq!(direct.len(), 2, "both models complete queries");
+            prop_assert_eq!(
+                &sla_series(&registry),
+                &direct,
+                "live SLA series diverged from the direct oracle at {} threads ({:?})",
+                threads,
+                window
+            );
+            prop_assert_eq!(
+                &sla_series(&oracle),
+                &direct,
+                "replayed SLA series diverged from the direct oracle at {} threads ({:?})",
                 threads,
                 window
             );
