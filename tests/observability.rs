@@ -9,10 +9,11 @@
 //! registry must equal `MetricRegistry::from_trace` of the same run byte
 //! for byte, for any router policy, sampled fault plan, sync-window mode
 //! and lane thread count — and both must equal per-model SLA-violation
-//! series computed straight from the trace, with no `OnlineLane` fold. The unit tests pin what the trace itself must
-//! satisfy: offered = routed + shed, arrivals = completed, and per-class
-//! latency components that sum to the measured end-to-end latency in
-//! integer nanoseconds with no residual.
+//! series computed straight from the trace, with no `OnlineLane` fold.
+//! The unit tests pin what the trace itself must satisfy: offered =
+//! routed + shed, arrivals = completed, and per-class latency components
+//! that sum to the measured end-to-end latency in integer nanoseconds
+//! with no residual.
 
 use paris_elsa::cluster::{Cluster, RouterPolicy, ShedPolicy, SyncWindow};
 use paris_elsa::dnn::ModelKind;
