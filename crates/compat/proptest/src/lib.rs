@@ -5,11 +5,13 @@
 //! re-implements the pieces the test-suite needs: the [`proptest!`] macro,
 //! the [`Strategy`] trait with range/tuple/collection/select strategies,
 //! [`ProptestConfig`], and the `prop_assert*` macros. Unlike the real
-//! proptest there is **no shrinking** — a failing case panics with the
-//! sampled inputs embedded in the panic message so it can be replayed by
-//! hand. Sampling is deterministic per test (seeded from the test name), so
+//! proptest there is **no shrinking** — when a case panics, the test prints
+//! its name, the case index and every sampled input (`Debug`) to stderr
+//! and then resumes the panic, so the case can be replayed by hand.
+//! Sampling is deterministic per test (seeded from the test name), so
 //! failures reproduce across runs.
 
+use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
 
 /// Runner configuration. Only `cases` is honoured.
@@ -295,6 +297,18 @@ macro_rules! prop_assert_ne {
     };
 }
 
+/// The text a failing case prints: the test, the case index and each
+/// sampled input.
+#[doc(hidden)]
+#[must_use]
+pub fn __case_report(test: &str, case: u32, inputs: &[(&str, &dyn Debug)]) -> String {
+    let mut out = format!("proptest: {test} failed at case {case} with inputs:");
+    for (name, value) in inputs {
+        out.push_str(&format!("\n    {name} = {value:?}"));
+    }
+    out
+}
+
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_body {
@@ -303,10 +317,21 @@ macro_rules! __proptest_body {
             $(#[$meta])*
             fn $name() {
                 let __cfg: $crate::ProptestConfig = $cfg;
-                let mut __rng = $crate::TestRng::deterministic(concat!(module_path!(), "::", stringify!($name)));
-                for _ in 0..__cfg.cases {
+                let __test = concat!(module_path!(), "::", stringify!($name));
+                let mut __rng = $crate::TestRng::deterministic(__test);
+                for __case in 0..__cfg.cases {
                     $( let $arg = $crate::Strategy::sample(&($strat), &mut __rng); )+
-                    $body
+                    // Formatted before the body runs, which may move the inputs.
+                    let __report = $crate::__case_report(
+                        __test,
+                        __case,
+                        &[$( (stringify!($arg), &$arg as &dyn ::std::fmt::Debug) ),+],
+                    );
+                    let __outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| $body));
+                    if let Err(__panic) = __outcome {
+                        eprintln!("{__report}");
+                        ::std::panic::resume_unwind(__panic);
+                    }
                 }
             }
         )*
@@ -353,6 +378,29 @@ mod tests {
         #[test]
         fn tuples_compose(pair in (0u64..10, 10u64..20)) {
             prop_assert!(pair.0 < 10 && (10..20).contains(&pair.1));
+        }
+    }
+
+    #[test]
+    fn a_failing_case_reports_its_test_index_and_inputs() {
+        let report = crate::__case_report("m::prop", 3, &[("x", &7u64), ("v", &vec![1, 2])]);
+        assert_eq!(
+            report,
+            "proptest: m::prop failed at case 3 with inputs:\n    x = 7\n    v = [1, 2]"
+        );
+    }
+
+    mod failing {
+        use crate::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(8))]
+
+            #[test]
+            #[should_panic(expected = "property failed")]
+            fn a_failing_property_still_panics(x in 0u64..4) {
+                prop_assert!(x > 100);
+            }
         }
     }
 

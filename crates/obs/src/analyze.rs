@@ -13,10 +13,15 @@
 //! unioned first, so overlap never exceeds the wait), `degrade_inflation` is
 //! the degrade-scaled minus clean service time of the final execution, and
 //! `noise_delta` (signed) is whatever service noise added or removed.
+//!
+//! Both passes read the trace one lane at a time, in place
+//! ([`QueryTrace::lanes`]), into a dense per-lane query table: query ids
+//! are per lane, so no record needs a global order or a hash lookup. The
+//! lifecycle fold here is shared with [`crate::attribute`].
 
 use crate::event::TraceEvent;
-use crate::recorder::QueryTrace;
-use std::collections::HashMap;
+use crate::recorder::{FlightRecorder, QueryTrace, TraceRecord};
+use std::collections::BTreeMap;
 
 /// Aggregate exact breakdown for one query class (model/group index).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,17 +78,167 @@ pub struct TraceAnalysis {
     pub completed: u64,
 }
 
-#[derive(Default, Clone, Copy)]
-struct QueryState {
-    group: usize,
-    arrival_ns: u64,
-    dispatched_ns: u64,
-    last_start_ns: u64,
-    clean_ns: u64,
-    base_ns: u64,
-    actual_ns: u64,
-    started: bool,
-    arrived: bool,
+/// A per-lane table keyed by query id: a dense slot for each id below the
+/// lane's record count — every id an engine lane assigns — and an ordered
+/// map for the larger ids a hand-built lane may use, so no allocation is
+/// ever sized by an id. Untouched dense slots read as `T::default()`.
+pub(crate) struct QueryTable<T> {
+    limit: u64,
+    dense: Vec<T>,
+    sparse: BTreeMap<u64, T>,
+}
+
+impl<T: Default + Clone> QueryTable<T> {
+    /// An empty table for a lane of `lane_records` records.
+    pub(crate) fn new(lane_records: usize) -> Self {
+        QueryTable {
+            limit: lane_records as u64,
+            dense: Vec::new(),
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    /// The slot of `query`, created on first touch.
+    #[inline]
+    pub(crate) fn entry(&mut self, query: u64) -> &mut T {
+        if query < self.limit {
+            let i = query as usize;
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, T::default());
+            }
+            &mut self.dense[i]
+        } else {
+            self.sparse.entry(query).or_default()
+        }
+    }
+
+    /// The slot of `query`, if it exists.
+    #[inline]
+    pub(crate) fn get(&self, query: u64) -> Option<&T> {
+        if query < self.limit {
+            self.dense.get(query as usize)
+        } else {
+            self.sparse.get(&query)
+        }
+    }
+
+    /// Every slot, ascending by query id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        let dense = self.dense.iter().enumerate().map(|(i, v)| (i as u64, v));
+        dense.chain(self.sparse.iter().map(|(&q, v)| (q, v)))
+    }
+}
+
+/// One query's lifecycle as its lane's fold has seen it so far.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct QueryState {
+    pub(crate) group: usize,
+    pub(crate) arrival_ns: u64,
+    pub(crate) dispatched_ns: u64,
+    pub(crate) last_start_ns: u64,
+    pub(crate) clean_ns: u64,
+    pub(crate) base_ns: u64,
+    pub(crate) arrived: bool,
+    pub(crate) started: bool,
+}
+
+/// A completion whose arrival and service start its lane recorded, with
+/// the exact integer split the breakdown and attribution both use:
+/// `latency = frontend + wait + clean + inflation + noise`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Completion {
+    pub(crate) lane: u32,
+    pub(crate) query: u64,
+    pub(crate) latency_ns: u64,
+    pub(crate) complete_ns: u64,
+    pub(crate) state: QueryState,
+}
+
+impl Completion {
+    /// Serialized frontend overhead: arrival → dispatched.
+    pub(crate) fn frontend_ns(&self) -> u64 {
+        self.state.dispatched_ns - self.state.arrival_ns
+    }
+
+    /// Wait: dispatched → the completing execution's start.
+    pub(crate) fn wait_ns(&self) -> u64 {
+        self.state.last_start_ns - self.state.dispatched_ns
+    }
+
+    /// Degrade inflation: degrade-scaled base − clean service time.
+    pub(crate) fn inflation_ns(&self) -> u64 {
+        self.state.base_ns - self.state.clean_ns
+    }
+
+    /// Signed service noise: measured service − degrade-scaled base.
+    pub(crate) fn noise_ns(&self) -> i128 {
+        i128::from(self.complete_ns - self.state.last_start_ns) - i128::from(self.state.base_ns)
+    }
+}
+
+/// The per-lane lifecycle fold `analyze` and attribution share: it keeps
+/// each query's arrival and latest service start and hands back the
+/// [`Completion`] when the query completes. Feed it one lane's records in
+/// the order [`QueryTrace::lanes`] yields them.
+pub(crate) struct LifecycleFold {
+    lane: u32,
+    states: QueryTable<QueryState>,
+}
+
+impl LifecycleFold {
+    pub(crate) fn new(lane: &FlightRecorder) -> Self {
+        LifecycleFold {
+            lane: lane.lane(),
+            states: QueryTable::new(lane.len()),
+        }
+    }
+
+    /// Folds one record; a `Complete` of a query whose arrival and start
+    /// were folded before yields its [`Completion`].
+    #[inline]
+    pub(crate) fn fold(&mut self, r: &TraceRecord) -> Option<Completion> {
+        match r.event {
+            TraceEvent::Arrival {
+                query,
+                group,
+                dispatched_ns,
+                ..
+            } => {
+                let st = self.states.entry(query);
+                st.group = group;
+                st.arrival_ns = r.at.as_nanos();
+                st.dispatched_ns = dispatched_ns;
+                st.arrived = true;
+                None
+            }
+            TraceEvent::ServiceStart {
+                query,
+                clean_ns,
+                base_ns,
+                ..
+            } => {
+                let st = self.states.entry(query);
+                st.last_start_ns = r.at.as_nanos();
+                st.clean_ns = clean_ns;
+                st.base_ns = base_ns;
+                st.started = true;
+                None
+            }
+            TraceEvent::Complete {
+                query, latency_ns, ..
+            } => {
+                let state = *self.states.get(query)?;
+                (state.arrived && state.started).then_some(Completion {
+                    lane: self.lane,
+                    query,
+                    latency_ns,
+                    complete_ns: r.at.as_nanos(),
+                    state,
+                })
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Unions possibly-overlapping `[start, end)` intervals in place.
@@ -117,101 +272,58 @@ pub(crate) fn overlap_ns(intervals: &[(u64, u64)], s: u64, e: u64) -> u64 {
 /// Computes the exact per-class latency breakdown and admission totals.
 #[must_use]
 pub fn analyze(trace: &QueryTrace) -> TraceAnalysis {
-    // Reconfig downtime windows per lane, unioned so overlap accounting
-    // never double-counts when steps of different groups coincide.
-    let mut downtime: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
-    for r in trace.records() {
-        if let TraceEvent::ReconfigStep { downtime_ns, .. } = r.event {
-            downtime
-                .entry(r.lane)
-                .or_default()
-                .push((r.at.as_nanos(), r.at.as_nanos() + downtime_ns));
-        }
-    }
-    for intervals in downtime.values_mut() {
-        union_intervals(intervals);
-    }
-
-    let mut states: HashMap<(u32, u64), QueryState> = HashMap::new();
-    let mut classes: HashMap<usize, ClassBreakdown> = HashMap::new();
+    let mut classes: BTreeMap<usize, ClassBreakdown> = BTreeMap::new();
     let mut out = TraceAnalysis::default();
-    let empty: Vec<(u64, u64)> = Vec::new();
-
-    for r in trace.records() {
-        match r.event {
-            TraceEvent::RouteDecision { .. } => {
-                out.offered += 1;
-                out.routed += 1;
-            }
-            TraceEvent::Shed { .. } => {
-                out.offered += 1;
-                out.shed += 1;
-            }
-            TraceEvent::Arrival {
-                query,
-                group,
-                dispatched_ns,
-                ..
-            } => {
-                out.arrivals += 1;
-                let st = states.entry((r.lane, query)).or_default();
-                st.group = group;
-                st.arrival_ns = r.at.as_nanos();
-                st.dispatched_ns = dispatched_ns;
-                st.arrived = true;
-            }
-            TraceEvent::ServiceStart {
-                query,
-                clean_ns,
-                base_ns,
-                actual_ns,
-                ..
-            } => {
-                let st = states.entry((r.lane, query)).or_default();
-                st.last_start_ns = r.at.as_nanos();
-                st.clean_ns = clean_ns;
-                st.base_ns = base_ns;
-                st.actual_ns = actual_ns;
-                st.started = true;
-            }
-            TraceEvent::Complete {
-                query, latency_ns, ..
-            } => {
-                out.completed += 1;
-                let Some(st) = states.get(&(r.lane, query)) else {
-                    continue;
-                };
-                if !(st.arrived && st.started) {
-                    continue;
+    for lane in trace.lanes() {
+        // The lane's reconfig downtime windows, unioned so overlap
+        // accounting never double-counts when steps of different groups
+        // coincide.
+        let mut downtime: Vec<(u64, u64)> = lane
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::ReconfigStep { downtime_ns, .. } => {
+                    Some((r.at.as_nanos(), r.at.as_nanos() + downtime_ns))
                 }
-                let complete_ns = r.at.as_nanos();
-                let row = classes.entry(st.group).or_insert(ClassBreakdown {
-                    group: st.group,
-                    ..ClassBreakdown::default()
-                });
-                let frontend = st.dispatched_ns - st.arrival_ns;
-                let wait = st.last_start_ns - st.dispatched_ns;
-                let lanes = downtime.get(&r.lane).unwrap_or(&empty);
-                let reconfig = overlap_ns(lanes, st.dispatched_ns, st.last_start_ns);
-                let service = complete_ns - st.last_start_ns;
-                let inflation = st.base_ns - st.clean_ns;
-                let noise = service as i128 - st.base_ns as i128;
-                row.completed += 1;
-                row.total_latency_ns += u128::from(latency_ns);
-                row.frontend_ns += u128::from(frontend);
-                row.queue_ns += u128::from(wait - reconfig);
-                row.reconfig_wait_ns += u128::from(reconfig);
-                row.service_clean_ns += u128::from(st.clean_ns);
-                row.degrade_inflation_ns += u128::from(inflation);
-                row.noise_delta_ns += noise;
+                _ => None,
+            })
+            .collect();
+        union_intervals(&mut downtime);
+
+        let mut fold = LifecycleFold::new(lane);
+        for r in lane.iter() {
+            match r.event {
+                TraceEvent::RouteDecision { .. } => {
+                    out.offered += 1;
+                    out.routed += 1;
+                }
+                TraceEvent::Shed { .. } => {
+                    out.offered += 1;
+                    out.shed += 1;
+                }
+                TraceEvent::Arrival { .. } => out.arrivals += 1,
+                TraceEvent::Complete { .. } => out.completed += 1,
+                _ => {}
             }
-            _ => {}
+            let Some(c) = fold.fold(r) else {
+                continue;
+            };
+            let group = c.state.group;
+            let row = classes.entry(group).or_insert(ClassBreakdown {
+                group,
+                ..ClassBreakdown::default()
+            });
+            let reconfig = overlap_ns(&downtime, c.state.dispatched_ns, c.state.last_start_ns);
+            row.completed += 1;
+            row.total_latency_ns += u128::from(c.latency_ns);
+            row.frontend_ns += u128::from(c.frontend_ns());
+            row.queue_ns += u128::from(c.wait_ns() - reconfig);
+            row.reconfig_wait_ns += u128::from(reconfig);
+            row.service_clean_ns += u128::from(c.state.clean_ns);
+            row.degrade_inflation_ns += u128::from(c.inflation_ns());
+            row.noise_delta_ns += c.noise_ns();
         }
     }
-
-    let mut rows: Vec<ClassBreakdown> = classes.into_values().collect();
-    rows.sort_by_key(|c| c.group);
-    out.classes = rows;
+    out.classes = classes.into_values().collect();
     out
 }
 
@@ -236,42 +348,50 @@ pub struct ConservationStats {
 ///
 /// # Errors
 ///
-/// Returns a description of the first violation found.
+/// Returns a description of the first violation found: the lowest
+/// `(lane, query)` whose lifecycle does not balance, else the first
+/// mismatched total.
 pub fn check_conservation(trace: &QueryTrace) -> Result<ConservationStats, String> {
     let mut stats = ConservationStats::default();
-    // (lane, query) -> (arrivals, completes)
-    let mut per_query: HashMap<(u32, u64), (u64, u64)> = HashMap::new();
-    for r in trace.records() {
-        match r.event {
-            TraceEvent::RouteDecision { .. } => {
-                stats.offered += 1;
-                stats.routed += 1;
+    for lane in trace.lanes() {
+        // query -> (arrivals, completes)
+        let mut per_query: QueryTable<(u64, u64)> = QueryTable::new(lane.len());
+        for r in lane.iter() {
+            match r.event {
+                TraceEvent::RouteDecision { .. } => {
+                    stats.offered += 1;
+                    stats.routed += 1;
+                }
+                TraceEvent::Shed { .. } => {
+                    stats.offered += 1;
+                    stats.shed += 1;
+                }
+                TraceEvent::Arrival { query, .. } => {
+                    stats.arrivals += 1;
+                    per_query.entry(query).0 += 1;
+                }
+                TraceEvent::Complete { query, .. } => {
+                    stats.completed += 1;
+                    per_query.entry(query).1 += 1;
+                }
+                _ => {}
             }
-            TraceEvent::Shed { .. } => {
-                stats.offered += 1;
-                stats.shed += 1;
-            }
-            TraceEvent::Arrival { query, .. } => {
-                stats.arrivals += 1;
-                per_query.entry((r.lane, query)).or_default().0 += 1;
-            }
-            TraceEvent::Complete { query, .. } => {
-                stats.completed += 1;
-                per_query.entry((r.lane, query)).or_default().1 += 1;
-            }
-            _ => {}
         }
-    }
-    for (&(lane, query), &(arrivals, completes)) in &per_query {
-        if arrivals != 1 {
-            return Err(format!(
-                "lane {lane} query {query}: {arrivals} arrivals (want exactly 1)"
-            ));
-        }
-        if completes != 1 {
-            return Err(format!(
-                "lane {lane} query {query}: {completes} terminal completes (want exactly 1)"
-            ));
+        let lane = lane.lane();
+        for (query, &(arrivals, completes)) in per_query.iter() {
+            if (arrivals, completes) == (0, 0) {
+                continue; // an id the lane never mentioned
+            }
+            if arrivals != 1 {
+                return Err(format!(
+                    "lane {lane} query {query}: {arrivals} arrivals (want exactly 1)"
+                ));
+            }
+            if completes != 1 {
+                return Err(format!(
+                    "lane {lane} query {query}: {completes} terminal completes (want exactly 1)"
+                ));
+            }
         }
     }
     if stats.completed != stats.arrivals {
@@ -392,6 +512,91 @@ mod tests {
         );
         let trace = QueryTrace::merge([r]);
         assert!(check_conservation(&trace).is_err());
+    }
+
+    #[test]
+    fn a_lane_recorded_out_of_order_analyses_like_the_sorted_one() {
+        let sorted = one_query_recorder().into_records();
+        let mut backwards = FlightRecorder::new(0);
+        for r in sorted.iter().rev() {
+            backwards.record(r.at, r.key, r.event);
+        }
+        let (a, b) = (
+            QueryTrace::merge([one_query_recorder()]),
+            QueryTrace::merge([backwards]),
+        );
+        assert_eq!(analyze(&a), analyze(&b));
+        assert_eq!(check_conservation(&a), check_conservation(&b));
+        assert_eq!(analyze(&b).classes[0].reconfig_wait_ns, 40);
+    }
+
+    #[test]
+    fn query_ids_near_u64_max_need_no_id_sized_table() {
+        let q = u64::MAX - 1;
+        let mut r = one_query_recorder();
+        r.record(
+            t(500),
+            q,
+            TraceEvent::Arrival {
+                query: q,
+                group: 2,
+                batch: 1,
+                dispatched_ns: 500,
+                sla_ns: 0,
+            },
+        );
+        r.record(
+            t(600),
+            q,
+            TraceEvent::ServiceStart {
+                query: q,
+                worker: 0,
+                gpcs: 7,
+                clean_ns: 50,
+                base_ns: 50,
+                actual_ns: 50,
+            },
+        );
+        r.record(
+            t(650),
+            q,
+            TraceEvent::Complete {
+                query: q,
+                worker: 0,
+                latency_ns: 150,
+            },
+        );
+        let trace = QueryTrace::merge([r]);
+        let c = analyze(&trace).classes[0];
+        assert_eq!(c.completed, 2);
+        assert_eq!(c.total_latency_ns, 425 + 150);
+        assert_eq!(c.components_sum(), c.total_latency_ns as i128);
+        let stats = check_conservation(&trace).expect("balanced");
+        assert_eq!((stats.arrivals, stats.completed), (2, 2));
+    }
+
+    #[test]
+    fn conservation_names_the_lowest_unbalanced_query() {
+        let arrive = |r: &mut FlightRecorder, q: u64| {
+            r.record(
+                t(q),
+                q,
+                TraceEvent::Arrival {
+                    query: q,
+                    group: 0,
+                    batch: 1,
+                    dispatched_ns: q,
+                    sla_ns: 0,
+                },
+            );
+        };
+        let mut lane0 = one_query_recorder();
+        arrive(&mut lane0, 7);
+        arrive(&mut lane0, 3);
+        let mut lane1 = FlightRecorder::new(1);
+        arrive(&mut lane1, 0);
+        let err = check_conservation(&QueryTrace::merge([lane1, lane0])).unwrap_err();
+        assert_eq!(err, "lane 0 query 3: 0 terminal completes (want exactly 1)");
     }
 
     #[test]

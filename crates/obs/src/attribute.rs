@@ -26,10 +26,15 @@
 //! noise`), so [`WindowAttribution::causes_sum`] equals
 //! [`WindowAttribution::excess_ns`] with **zero residual** — enforced by
 //! `bench_obs` on a live fault scenario.
+//!
+//! Lifecycles fold per lane in place, through the analyzer's shared fold,
+//! and only the completions of the requested windows are kept. The loan,
+//! fault and reconfig annotations that relate lanes to each other are
+//! replayed in global `(time, key, lane, seq)` order.
 
-use crate::analyze::{overlap_ns, union_intervals};
+use crate::analyze::{overlap_ns, union_intervals, Completion, LifecycleFold};
 use crate::event::{FaultKind, TraceEvent};
-use crate::recorder::QueryTrace;
+use crate::recorder::{QueryTrace, TraceRecord};
 use crate::slo::Alert;
 use std::collections::HashMap;
 
@@ -79,27 +84,6 @@ impl WindowAttribution {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct QueryState {
-    group: usize,
-    arrival_ns: u64,
-    dispatched_ns: u64,
-    last_start_ns: u64,
-    clean_ns: u64,
-    base_ns: u64,
-    arrived: bool,
-    started: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Completion {
-    latency_ns: u64,
-    lane: u32,
-    query: u64,
-    complete_ns: u64,
-    state: QueryState,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Trigger {
     Loan,
@@ -115,11 +99,13 @@ struct TailContext {
     reconfig_drift: HashMap<u32, Vec<(u64, u64)>>,
     fault_windows: HashMap<u32, Vec<(u64, u64)>>,
     degrade_windows: HashMap<u32, Vec<(u64, u64)>>,
-    /// All completions with full per-query state, in trace order.
+    /// The completions the caller asked for, with full per-query state.
     completions: Vec<Completion>,
 }
 
-fn build_context(trace: &QueryTrace) -> TailContext {
+/// Builds the context, keeping only the completions `wanted(group,
+/// complete_ns)` accepts.
+fn build_context(trace: &QueryTrace, wanted: impl Fn(usize, u64) -> bool) -> TailContext {
     let horizon = trace.horizon().as_nanos();
     let mut ctx = TailContext {
         reconfig_loan: HashMap::new(),
@@ -129,6 +115,26 @@ fn build_context(trace: &QueryTrace) -> TailContext {
         degrade_windows: HashMap::new(),
         completions: Vec::new(),
     };
+    // Lifecycles fold per lane; the few records that relate lanes (a loan
+    // or fault names a shard whose later reconfig it triggers) are set
+    // aside and replayed below in global order.
+    let mut annotations: Vec<&TraceRecord> = Vec::new();
+    for lane in trace.lanes() {
+        let mut fold = LifecycleFold::new(lane);
+        for r in lane.iter() {
+            match r.event {
+                TraceEvent::Loan { .. }
+                | TraceEvent::Fault { .. }
+                | TraceEvent::ReconfigStep { .. } => annotations.push(r),
+                _ => ctx.completions.extend(
+                    fold.fold(r)
+                        .filter(|c| wanted(c.state.group, c.complete_ns)),
+                ),
+            }
+        }
+    }
+    annotations.sort_by_key(|r| (r.at, r.key, r.lane, r.seq));
+
     // Latest loan/fault annotation per shard, in global trace order — the
     // classifier for reconfig downtime that follows it.
     let mut last_trigger: HashMap<usize, Trigger> = HashMap::new();
@@ -136,50 +142,9 @@ fn build_context(trace: &QueryTrace) -> TailContext {
     // degrade windows keyed by (shard, gpu).
     let mut open_fail: HashMap<(usize, usize, bool), u64> = HashMap::new();
     let mut open_degrade: HashMap<(usize, usize), u64> = HashMap::new();
-    let mut states: HashMap<(u32, u64), QueryState> = HashMap::new();
-
-    for r in trace.records() {
+    for r in annotations {
         let at = r.at.as_nanos();
         match r.event {
-            TraceEvent::Arrival {
-                query,
-                group,
-                dispatched_ns,
-                ..
-            } => {
-                let st = states.entry((r.lane, query)).or_default();
-                st.group = group;
-                st.arrival_ns = at;
-                st.dispatched_ns = dispatched_ns;
-                st.arrived = true;
-            }
-            TraceEvent::ServiceStart {
-                query,
-                clean_ns,
-                base_ns,
-                ..
-            } => {
-                let st = states.entry((r.lane, query)).or_default();
-                st.last_start_ns = at;
-                st.clean_ns = clean_ns;
-                st.base_ns = base_ns;
-                st.started = true;
-            }
-            TraceEvent::Complete {
-                query, latency_ns, ..
-            } => {
-                if let Some(&state) = states.get(&(r.lane, query)) {
-                    if state.arrived && state.started {
-                        ctx.completions.push(Completion {
-                            latency_ns,
-                            lane: r.lane,
-                            query,
-                            complete_ns: at,
-                            state,
-                        });
-                    }
-                }
-            }
             TraceEvent::Loan { shard, .. } => {
                 last_trigger.insert(shard, Trigger::Loan);
             }
@@ -266,6 +231,11 @@ fn p99_index(n: usize) -> usize {
     (99 * n).div_ceil(100) - 1
 }
 
+/// The grid bin a completion at `complete_ns` lands in.
+fn bin_of(complete_ns: u64, window_ns: u64) -> usize {
+    (complete_ns / window_ns) as usize
+}
+
 fn attribute_completion(ctx: &TailContext, c: &Completion, bin: usize) -> WindowAttribution {
     let st = &c.state;
     let lane = c.lane;
@@ -274,7 +244,7 @@ fn attribute_completion(ctx: &TailContext, c: &Completion, bin: usize) -> Window
         set.get(&lane).unwrap_or(&empty).clone()
     };
     let (d, s) = (st.dispatched_ns, st.last_start_ns);
-    let wait = s - d;
+    let wait = c.wait_ns();
 
     // Telescoping unions: each cause = overlap(union so far) − previous
     // running total, so the six wait-side causes sum to `wait` exactly.
@@ -292,10 +262,6 @@ fn attribute_completion(ctx: &TailContext, c: &Completion, bin: usize) -> Window
     acc.extend(get(&ctx.degrade_windows));
     union_intervals(&mut acc);
     let o_all = overlap_ns(&acc, d, s);
-
-    let service = c.complete_ns - st.last_start_ns;
-    let inflation = st.base_ns - st.clean_ns;
-    let noise = i128::from(service) - i128::from(st.base_ns);
 
     let mut causes = vec![
         CauseRow {
@@ -324,16 +290,16 @@ fn attribute_completion(ctx: &TailContext, c: &Completion, bin: usize) -> Window
         },
         CauseRow {
             cause: "degrade_inflation",
-            share_ns: i128::from(inflation),
+            share_ns: i128::from(c.inflation_ns()),
         },
         CauseRow {
             cause: "service_noise",
-            share_ns: noise,
+            share_ns: c.noise_ns(),
         },
     ];
     causes.sort_by(|a, b| b.share_ns.cmp(&a.share_ns).then(a.cause.cmp(b.cause)));
 
-    let frontend = st.dispatched_ns - st.arrival_ns;
+    let frontend = c.frontend_ns();
     WindowAttribution {
         group: st.group,
         bin,
@@ -348,26 +314,6 @@ fn attribute_completion(ctx: &TailContext, c: &Completion, bin: usize) -> Window
     }
 }
 
-/// Completions of `group` whose terminal event landed in `bin`, sorted by
-/// `(latency, lane, query)` so the p99 pick is deterministic.
-fn window_completions(
-    ctx: &TailContext,
-    window_ns: u64,
-    bin: usize,
-    group: usize,
-) -> Vec<Completion> {
-    let lo = bin as u64 * window_ns;
-    let hi = lo + window_ns;
-    let mut rows: Vec<Completion> = ctx
-        .completions
-        .iter()
-        .filter(|c| c.state.group == group && c.complete_ns >= lo && c.complete_ns < hi)
-        .copied()
-        .collect();
-    rows.sort_by_key(|c| (c.latency_ns, c.lane, c.query));
-    rows
-}
-
 /// Attributes the p99 completion of `group` in grid window `bin`. Returns
 /// `None` when the window saw no completions of that class.
 #[must_use]
@@ -378,7 +324,7 @@ pub fn attribute_window(
     group: usize,
 ) -> Option<WindowAttribution> {
     assert!(window_ns > 0, "window must be positive");
-    let ctx = build_context(trace);
+    let ctx = build_context(trace, |g, at| g == group && bin_of(at, window_ns) == bin);
     attribute_window_in(&ctx, window_ns, bin, group)
 }
 
@@ -388,10 +334,18 @@ fn attribute_window_in(
     bin: usize,
     group: usize,
 ) -> Option<WindowAttribution> {
-    let rows = window_completions(ctx, window_ns, bin, group);
+    let mut rows: Vec<Completion> = ctx
+        .completions
+        .iter()
+        .filter(|c| c.state.group == group && bin_of(c.complete_ns, window_ns) == bin)
+        .copied()
+        .collect();
     if rows.is_empty() {
         return None;
     }
+    // `(latency, lane, query)` is unique, so the p99 pick does not depend
+    // on the order completions were collected in.
+    rows.sort_by_key(|c| (c.latency_ns, c.lane, c.query));
     let pick = &rows[p99_index(rows.len())];
     let mut out = attribute_completion(ctx, pick, bin);
     out.completions = rows.len();
@@ -403,21 +357,13 @@ fn attribute_window_in(
 #[must_use]
 pub fn worst_window(trace: &QueryTrace, window_ns: u64, group: usize) -> Option<usize> {
     assert!(window_ns > 0, "window must be positive");
-    let ctx = build_context(trace);
-    let bins = ctx
-        .completions
-        .iter()
-        .filter(|c| c.state.group == group)
-        .map(|c| (c.complete_ns / window_ns) as usize)
-        .max()?
-        + 1;
+    let bin = |c: &Completion| bin_of(c.complete_ns, window_ns);
+    let mut rows = build_context(trace, |g, _| g == group).completions;
+    rows.sort_by_key(|c| (bin(c), c.latency_ns, c.lane, c.query));
     let mut best: Option<(u64, usize)> = None;
-    for bin in 0..bins {
-        let rows = window_completions(&ctx, window_ns, bin, group);
-        if rows.is_empty() {
-            continue;
-        }
-        let p99 = rows[p99_index(rows.len())].latency_ns;
+    for bin_rows in rows.chunk_by(|a, b| bin(a) == bin(b)) {
+        let p99 = bin_rows[p99_index(bin_rows.len())].latency_ns;
+        let bin = bin(&bin_rows[0]);
         match best {
             Some((b, _)) if p99 <= b => {}
             _ => best = Some((p99, bin)),
@@ -436,7 +382,15 @@ pub fn attribute_alerts(
     alerts: &[Alert],
 ) -> Vec<WindowAttribution> {
     assert!(window_ns > 0, "window must be positive");
-    let ctx = build_context(trace);
+    if alerts.is_empty() {
+        return Vec::new();
+    }
+    let ctx = build_context(trace, |group, at| {
+        let bin = bin_of(at, window_ns);
+        alerts
+            .iter()
+            .any(|a| a.group == group && a.worst_bin == bin)
+    });
     alerts
         .iter()
         .filter_map(|a| attribute_window_in(&ctx, window_ns, a.worst_bin, a.group))

@@ -8,8 +8,9 @@
 //!   events for the full query lifecycle (arrival → route/shed →
 //!   queue wait → service start/abort/requeue → complete) plus annotations
 //!   for re-plans, loans, faults, and degrades, buffered per shard lane and
-//!   merged deterministically by `(time, key, lane, seq)` into a
-//!   [`QueryTrace`];
+//!   kept per lane in a [`QueryTrace`]. The analyses below read each lane
+//!   in place ([`QueryTrace::lanes`]); the exporters read the global
+//!   `(time, key, lane, seq)` order ([`QueryTrace::records`]);
 //! - an **online telemetry plane** ([`ObsSink`], [`OnlineLane`],
 //!   [`merge_online`]): the same hook stream folded into windowed aggregates
 //!   *live* on the DES clock, O(1) memory per (series, window) with no trace
@@ -17,10 +18,11 @@
 //! - a **metric registry** ([`MetricRegistry`]): fixed-grid counters,
 //!   gauges, and rates (per-shard outstanding, busy GPC fraction, pool GPUs
 //!   loaned, shed rate, per-model SLA-violation rate). Two producers, one
-//!   code path: [`MetricRegistry::from_trace`] replays a retained trace
-//!   through the same [`OnlineLane`] fold the live plane uses, making it the
-//!   oracle for **invariant 13** — online registry ≡ `from_trace` registry,
-//!   byte for byte, on the same run at any thread count;
+//!   code path: [`MetricRegistry::from_trace`] replays each lane of a
+//!   retained trace, in its append order, through the same [`OnlineLane`]
+//!   fold the live plane uses, making it the oracle for **invariant 13** —
+//!   online registry ≡ `from_trace` registry, byte for byte, on the same
+//!   run at any thread count;
 //! - an **SLO engine** ([`SloSpec`], [`evaluate_slos`]): declarative
 //!   per-class objectives with multiwindow burn-rate alerting, producing a
 //!   deterministic [`Alert`] log that can be stamped back onto the trace as

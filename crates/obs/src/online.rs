@@ -8,12 +8,12 @@
 //! without retaining the trace.
 //!
 //! **Invariant 13 (ARCHITECTURE.md): the online registry IS the oracle
-//! registry.** [`MetricRegistry::from_trace`] feeds the merged trace
-//! through these same per-lane accumulators, so by construction the
-//! registry an instrumented run streams live is byte-for-byte the registry
-//! a retained trace reproduces after the fact — at any thread count,
-//! because each lane only ever folds its own records (in its own push
-//! order) and [`merge_online`] combines the per-lane partials with
+//! registry.** [`MetricRegistry::from_trace`] feeds each lane of a retained
+//! trace, in its push order, through these same per-lane accumulators, so
+//! by construction the registry an instrumented run streams live is
+//! byte-for-byte the registry a retained trace reproduces after the fact —
+//! at any thread count, because each lane only ever folds its own records
+//! and [`merge_online`] combines the per-lane partials with
 //! order-independent arithmetic:
 //!
 //! - counter/gauge bins sum exactly-representable integers in `f64`
@@ -24,11 +24,13 @@
 //!   [`LatencyHistogram::violations`]), into integer completed/violated
 //!   counters per (model, bin) that sum exactly in any order.
 //!
-//! Within one lane, the engine's push order and the merged trace's
+//! Within one lane, the engine's push order and the trace's global
 //! `(time, key, lane, seq)` order differ only in the ordering of
-//! same-instant records, and every per-lane fold above is invariant under
-//! same-instant reordering (bin sums are commutative; a gauge bin keeps
-//! only the net level; a completion always follows its own arrival).
+//! same-instant records of different queries, and every per-lane fold
+//! above is invariant under that reordering (bin sums are commutative; a
+//! gauge bin keeps only the net level; a completion always follows its own
+//! arrival). `tests/observability.rs` checks it on every sampled run by
+//! replaying the global order through the same fold.
 //!
 //! [`MetricRegistry::from_trace`]: crate::registry::MetricRegistry::from_trace
 

@@ -2,15 +2,20 @@
 //!
 //! A registry comes from one of two producers that share one code path:
 //!
-//! - **post-hoc**: [`MetricRegistry::from_trace`] replays a merged
-//!   [`QueryTrace`] through per-lane [`OnlineLane`] accumulators — a pure
-//!   function of the trace, exactly as deterministic as the trace itself;
+//! - **post-hoc**: [`MetricRegistry::from_trace`] replays each lane of a
+//!   [`QueryTrace`], in the order the lane recorded it, through its own
+//!   [`OnlineLane`] accumulator — a pure function of the trace, exactly as
+//!   deterministic as the trace itself;
 //! - **online**: an instrumented run streams the same events into the same
 //!   accumulators live, no trace retention.
 //!
 //! Invariant 13 (ARCHITECTURE.md) says the two are byte-for-byte identical
 //! on the same run at any thread count; `from_trace` is the oracle the
-//! property suite and `bench_obs` compare the online plane against. Every
+//! property suite and `bench_obs` compare the online plane against. The
+//! replay feeds each accumulator exactly the records the live run fed it,
+//! so the identity holds by construction; the property suite also replays
+//! the trace's global order, to check that the fold ignores how
+//! same-instant records interleave. Every
 //! series shares one tumbling grid of `window_ns` bins; the per-model
 //! SLA-violation series divides integer violated/completed counters per
 //! bin, judged with [`server_metrics::LatencyHistogram::exceeds`].
@@ -19,7 +24,6 @@
 
 use crate::online::OnlineLane;
 use crate::recorder::{QueryTrace, TraceSink};
-use std::collections::BTreeMap;
 
 /// One named time series on the shared grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +43,7 @@ pub struct MetricRegistry {
 }
 
 impl MetricRegistry {
-    /// Builds the registry from a merged trace.
+    /// Builds the registry from a retained trace.
     ///
     /// `lane_gpcs[s]` is shard `s`'s total GPC capacity, the denominator of
     /// its `busy_gpc_fraction` series; lanes beyond the slice (or a zero
@@ -52,18 +56,18 @@ impl MetricRegistry {
     #[must_use]
     pub fn from_trace(trace: &QueryTrace, window_ns: u64, lane_gpcs: &[u32]) -> Self {
         assert!(window_ns > 0, "window must be positive");
-        // Replay through the SAME per-lane accumulators an instrumented run
-        // streams into (invariant 13 by construction): the merged global
-        // order visits each lane's records as a time-sorted subsequence,
-        // which is all OnlineLane requires.
-        let mut lanes: BTreeMap<u32, OnlineLane> = BTreeMap::new();
-        for r in trace.records() {
-            lanes
-                .entry(r.lane)
-                .or_insert_with(|| OnlineLane::new(r.lane, window_ns))
-                .record(r.at, r.key, r.event);
-        }
-        crate::online::merge_online(window_ns, lanes.into_values(), lane_gpcs)
+        // Replay each lane, in the order its engine appended it, through
+        // the SAME per-lane accumulator an instrumented run streams into:
+        // the replay is the live fold record for record (invariant 13 by
+        // construction).
+        let lanes = trace.lanes().map(|lane| {
+            let mut online = OnlineLane::new(lane.lane(), window_ns);
+            for r in lane.iter() {
+                online.record(r.at, r.key, r.event);
+            }
+            online
+        });
+        crate::online::merge_online(window_ns, lanes, lane_gpcs)
     }
 
     /// Assembles a registry from already-built series (the back half of

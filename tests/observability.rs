@@ -9,11 +9,12 @@
 //! registry must equal `MetricRegistry::from_trace` of the same run byte
 //! for byte, for any router policy, sampled fault plan, sync-window mode
 //! and lane thread count — and both must equal per-model SLA-violation
-//! series computed straight from the trace, with no `OnlineLane` fold.
-//! The unit tests pin what the trace itself must satisfy: offered =
-//! routed + shed, arrivals = completed, and per-class latency components
-//! that sum to the measured end-to-end latency in integer nanoseconds
-//! with no residual.
+//! series computed straight from the trace, with no `OnlineLane` fold, and
+//! the registry replayed from the trace's global order. The unit tests pin
+//! what the trace itself must satisfy: offered = routed + shed, arrivals =
+//! completed, per-class latency components that sum to the measured
+//! end-to-end latency in integer nanoseconds with no residual, and
+//! per-class totals equal to the report's own per-query records.
 
 use paris_elsa::cluster::{Cluster, RouterPolicy, ShedPolicy, SyncWindow};
 use paris_elsa::dnn::ModelKind;
@@ -23,7 +24,8 @@ use paris_elsa::faults::{
 };
 use paris_elsa::metrics::LatencyHistogram;
 use paris_elsa::obs::{
-    alert_records, analyze, check_conservation, evaluate_slos, MetricRegistry, QueryTrace, SloSpec,
+    alert_records, analyze, check_conservation, evaluate_slos, merge_online, MetricRegistry,
+    OnlineLane, QueryTrace, SloSpec,
 };
 use paris_elsa::prelude::*;
 use proptest::prelude::*;
@@ -76,11 +78,13 @@ fn arrivals(cluster: &Cluster, duration_s: f64, frac: f64, seed: u64) -> Vec<Tag
 }
 
 /// The unit suite's fixture: a mid-run rack outage on shard 0 under
-/// moderate overload, traced at the given sync window and thread count.
+/// moderate overload, traced at the given sync window, thread count and
+/// report detail.
 fn traced_outage_run(
     table: &ProfileTable,
     window: SyncWindow,
     threads: usize,
+    detail: ReportDetail,
 ) -> (paris_elsa::faults::FaultReport, QueryTrace) {
     let cluster = small_cluster(table, RouterPolicy::JoinShortestQueue);
     let trace_in = arrivals(&cluster, 1.0, 0.8, 7);
@@ -89,7 +93,7 @@ fn traced_outage_run(
     run_with_faults_windowed_traced(
         &cluster,
         trace_in.iter().copied().map(|tq| (None, tq)),
-        ReportDetail::Summary,
+        detail,
         &plan,
         window,
         threads,
@@ -159,10 +163,29 @@ fn sla_violation_oracle(trace: &QueryTrace, window_ns: u64) -> Vec<(String, Vec<
         .collect()
 }
 
+/// The registry replayed from the trace's global `(time, key, lane, seq)`
+/// order instead of each lane's append order. The two differ only in how
+/// same-instant records of different queries interleave, which no
+/// `OnlineLane` fold may notice.
+fn registry_from_global_order(
+    trace: &QueryTrace,
+    window_ns: u64,
+    lane_gpcs: &[u32],
+) -> MetricRegistry {
+    let mut lanes: BTreeMap<u32, OnlineLane> = BTreeMap::new();
+    for r in trace.records() {
+        lanes
+            .entry(r.lane)
+            .or_insert_with(|| OnlineLane::new(r.lane, window_ns))
+            .record(r.at, r.key, r.event);
+    }
+    merge_online(window_ns, lanes.into_values(), lane_gpcs)
+}
+
 #[test]
 fn flight_recorder_conserves_queries() {
     let table = mobilenet_table();
-    let (report, trace) = traced_outage_run(&table, SyncWindow::PerEvent, 1);
+    let (report, trace) = traced_outage_run(&table, SyncWindow::PerEvent, 1, ReportDetail::Summary);
     assert!(!trace.is_empty(), "outage run must record events");
 
     let stats = check_conservation(&trace).expect("per-query lifecycle balances");
@@ -179,7 +202,7 @@ fn flight_recorder_conserves_queries() {
 #[test]
 fn breakdown_components_sum_exactly() {
     let table = mobilenet_table();
-    let (_, trace) = traced_outage_run(&table, SyncWindow::PerEvent, 1);
+    let (_, trace) = traced_outage_run(&table, SyncWindow::PerEvent, 1, ReportDetail::Summary);
     let analysis = analyze(&trace);
     assert_eq!(analysis.classes.len(), 2, "premium and batch rows");
     for class in &analysis.classes {
@@ -203,6 +226,42 @@ fn breakdown_components_sum_exactly() {
     );
 }
 
+/// An oracle for `analyze` that shares no code with its fold: each class's
+/// completion count and total latency, read from the report's own
+/// per-query records (`ReportDetail::Full`) — the records of the class's
+/// model and their sum of `completed − arrival`.
+#[test]
+fn breakdown_totals_match_the_reports_per_query_records() {
+    let table = mobilenet_table();
+    for window in [
+        SyncWindow::PerEvent,
+        SyncWindow::Lookahead(SimDuration::from_nanos(2_000_000)),
+    ] {
+        for threads in [1usize, 4] {
+            let (report, trace) = traced_outage_run(&table, window, threads, ReportDetail::Full);
+            let mut expected: BTreeMap<usize, (u64, u128)> = BTreeMap::new();
+            for shard in &report.cluster.per_shard {
+                assert_eq!(shard.records.len(), shard.record_models.len());
+                for (record, &model) in shard.records.iter().zip(&shard.record_models) {
+                    let class = expected.entry(model).or_default();
+                    class.0 += 1;
+                    class.1 += u128::from((record.completed - record.arrival).as_nanos());
+                }
+            }
+            assert_eq!(expected.len(), 2, "both classes complete queries");
+            let analysed: BTreeMap<usize, (u64, u128)> = analyze(&trace)
+                .classes
+                .iter()
+                .map(|c| (c.group, (c.completed, c.total_latency_ns)))
+                .collect();
+            assert_eq!(
+                analysed, expected,
+                "breakdown totals diverged from the report at {threads} threads ({window:?})"
+            );
+        }
+    }
+}
+
 #[test]
 fn trace_is_thread_count_invariant() {
     let table = mobilenet_table();
@@ -210,8 +269,8 @@ fn trace_is_thread_count_invariant() {
         SyncWindow::PerEvent,
         SyncWindow::Lookahead(SimDuration::from_nanos(2_000_000)),
     ] {
-        let (report1, trace1) = traced_outage_run(&table, window, 1);
-        let (report4, trace4) = traced_outage_run(&table, window, 4);
+        let (report1, trace1) = traced_outage_run(&table, window, 1, ReportDetail::Summary);
+        let (report4, trace4) = traced_outage_run(&table, window, 4, ReportDetail::Summary);
         assert_eq!(
             format!("{report1:?}"),
             format!("{report4:?}"),
@@ -227,7 +286,7 @@ fn trace_is_thread_count_invariant() {
 #[test]
 fn metric_registry_covers_the_run() {
     let table = mobilenet_table();
-    let (_, trace) = traced_outage_run(&table, SyncWindow::PerEvent, 1);
+    let (_, trace) = traced_outage_run(&table, SyncWindow::PerEvent, 1, ReportDetail::Summary);
     let window_ns = 100_000_000;
     let registry = MetricRegistry::from_trace(&trace, window_ns, &[14, 14]);
     for s in 0..2 {
@@ -257,7 +316,7 @@ fn metric_registry_covers_the_run() {
 #[test]
 fn alert_annotations_are_registry_neutral() {
     let table = mobilenet_table();
-    let (_, trace) = traced_outage_run(&table, SyncWindow::PerEvent, 1);
+    let (_, trace) = traced_outage_run(&table, SyncWindow::PerEvent, 1, ReportDetail::Summary);
     let window_ns = 100_000_000;
     let registry = MetricRegistry::from_trace(&trace, window_ns, &[14, 14]);
     let specs = [
@@ -356,9 +415,12 @@ proptest! {
     /// equal `MetricRegistry::from_trace` of the same run **byte for byte**,
     /// for any router policy, fault plan, sync-window mode and thread count,
     /// and the registry itself must be identical across thread counts.
-    /// Because `from_trace` replays the same fold, the per-model
-    /// SLA-violation series of both are also checked bit for bit against
-    /// [`sla_violation_oracle`], which recomputes them from the raw trace.
+    /// Because `from_trace` replays the same fold in the same per-lane
+    /// order, the per-model SLA-violation series of both are also checked
+    /// bit for bit against [`sla_violation_oracle`], which recomputes them
+    /// from the raw trace, and the whole registry against
+    /// [`registry_from_global_order`], which replays the fold with
+    /// same-instant records reordered.
     #[test]
     fn online_registry_matches_from_trace_oracle(
         seed in 0u64..8,
@@ -424,6 +486,13 @@ proptest! {
                 &sla_series(&oracle),
                 &direct,
                 "replayed SLA series diverged from the direct oracle at {} threads ({:?})",
+                threads,
+                window
+            );
+            prop_assert_eq!(
+                &registry,
+                &registry_from_global_order(&trace, window_ns, &[14, 14]),
+                "global-order replay diverged from the live registry at {} threads ({:?})",
                 threads,
                 window
             );
