@@ -58,7 +58,7 @@ fn main() {
         println!("  {model:<11} {layouts}");
     }
     println!(
-        "\nDeviations from the paper's Table I (recorded in EXPERIMENTS.md): \
+        "\nDeviations from the paper's Table I (see README, Deviations from the paper): \
          BERT GPU(2)=18 and GPU(3)=12 instances (paper lists 21/14, which \
          exceed real A100 MIG placement limits of 3×2g and 2×3g per GPU)."
     );

@@ -726,8 +726,8 @@ mod tests {
         // Paper lists 14×GPU(3) and 21×GPU(2) for BERT (42 GPCs, 6 A100s).
         // Real MIG placement caps 3g at 2/GPU and 2g at 3/GPU, so 6 GPUs
         // host at most 12 and 18 respectively. Our geometry-faithful build
-        // reflects that; recorded in EXPERIMENTS.md as deliberate
-        // deviations.
+        // reflects that; README's "Deviations from the paper" records the
+        // deliberate deviations.
         let g3 = homogeneous_plan(ProfileSize::G3, GpcBudget::new(42, 6)).unwrap();
         assert_eq!(g3.count(ProfileSize::G3), 12);
         let g2 = homogeneous_plan(ProfileSize::G2, GpcBudget::new(42, 6)).unwrap();

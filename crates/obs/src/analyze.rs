@@ -14,13 +14,13 @@
 //! the degrade-scaled minus clean service time of the final execution, and
 //! `noise_delta` (signed) is whatever service noise added or removed.
 //!
-//! Both passes read the trace one lane at a time, in place
-//! ([`QueryTrace::lanes`]), into a dense per-lane query table: query ids
-//! are per lane, so no record needs a global order or a hash lookup. The
-//! lifecycle fold here is shared with [`crate::attribute`].
+//! Both passes read the trace one lane at a time ([`QueryTrace::lanes`]),
+//! through the span assembler shared with [`crate::attribute`]: a lane
+//! the recorder kept as spans is folded span by span, with no per-query
+//! table, and its per-kind counts were kept while recording.
 
 use crate::event::TraceEvent;
-use crate::recorder::{FlightRecorder, QueryTrace, TraceRecord};
+use crate::recorder::QueryTrace;
 use std::collections::BTreeMap;
 
 /// Aggregate exact breakdown for one query class (model/group index).
@@ -78,169 +78,6 @@ pub struct TraceAnalysis {
     pub completed: u64,
 }
 
-/// A per-lane table keyed by query id: a dense slot for each id below the
-/// lane's record count — every id an engine lane assigns — and an ordered
-/// map for the larger ids a hand-built lane may use, so no allocation is
-/// ever sized by an id. Untouched dense slots read as `T::default()`.
-pub(crate) struct QueryTable<T> {
-    limit: u64,
-    dense: Vec<T>,
-    sparse: BTreeMap<u64, T>,
-}
-
-impl<T: Default + Clone> QueryTable<T> {
-    /// An empty table for a lane of `lane_records` records.
-    pub(crate) fn new(lane_records: usize) -> Self {
-        QueryTable {
-            limit: lane_records as u64,
-            dense: Vec::new(),
-            sparse: BTreeMap::new(),
-        }
-    }
-
-    /// The slot of `query`, created on first touch.
-    #[inline]
-    pub(crate) fn entry(&mut self, query: u64) -> &mut T {
-        if query < self.limit {
-            let i = query as usize;
-            if i >= self.dense.len() {
-                self.dense.resize(i + 1, T::default());
-            }
-            &mut self.dense[i]
-        } else {
-            self.sparse.entry(query).or_default()
-        }
-    }
-
-    /// The slot of `query`, if it exists.
-    #[inline]
-    pub(crate) fn get(&self, query: u64) -> Option<&T> {
-        if query < self.limit {
-            self.dense.get(query as usize)
-        } else {
-            self.sparse.get(&query)
-        }
-    }
-
-    /// Every slot, ascending by query id.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        let dense = self.dense.iter().enumerate().map(|(i, v)| (i as u64, v));
-        dense.chain(self.sparse.iter().map(|(&q, v)| (q, v)))
-    }
-}
-
-/// One query's lifecycle as its lane's fold has seen it so far.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct QueryState {
-    pub(crate) group: usize,
-    pub(crate) arrival_ns: u64,
-    pub(crate) dispatched_ns: u64,
-    pub(crate) last_start_ns: u64,
-    pub(crate) clean_ns: u64,
-    pub(crate) base_ns: u64,
-    pub(crate) arrived: bool,
-    pub(crate) started: bool,
-}
-
-/// A completion whose arrival and service start its lane recorded, with
-/// the exact integer split the breakdown and attribution both use:
-/// `latency = frontend + wait + clean + inflation + noise`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Completion {
-    pub(crate) lane: u32,
-    pub(crate) query: u64,
-    pub(crate) latency_ns: u64,
-    pub(crate) complete_ns: u64,
-    pub(crate) state: QueryState,
-}
-
-impl Completion {
-    /// Serialized frontend overhead: arrival → dispatched.
-    pub(crate) fn frontend_ns(&self) -> u64 {
-        self.state.dispatched_ns - self.state.arrival_ns
-    }
-
-    /// Wait: dispatched → the completing execution's start.
-    pub(crate) fn wait_ns(&self) -> u64 {
-        self.state.last_start_ns - self.state.dispatched_ns
-    }
-
-    /// Degrade inflation: degrade-scaled base − clean service time.
-    pub(crate) fn inflation_ns(&self) -> u64 {
-        self.state.base_ns - self.state.clean_ns
-    }
-
-    /// Signed service noise: measured service − degrade-scaled base.
-    pub(crate) fn noise_ns(&self) -> i128 {
-        i128::from(self.complete_ns - self.state.last_start_ns) - i128::from(self.state.base_ns)
-    }
-}
-
-/// The per-lane lifecycle fold `analyze` and attribution share: it keeps
-/// each query's arrival and latest service start and hands back the
-/// [`Completion`] when the query completes. Feed it one lane's records in
-/// the order [`QueryTrace::lanes`] yields them.
-pub(crate) struct LifecycleFold {
-    lane: u32,
-    states: QueryTable<QueryState>,
-}
-
-impl LifecycleFold {
-    pub(crate) fn new(lane: &FlightRecorder) -> Self {
-        LifecycleFold {
-            lane: lane.lane(),
-            states: QueryTable::new(lane.len()),
-        }
-    }
-
-    /// Folds one record; a `Complete` of a query whose arrival and start
-    /// were folded before yields its [`Completion`].
-    #[inline]
-    pub(crate) fn fold(&mut self, r: &TraceRecord) -> Option<Completion> {
-        match r.event {
-            TraceEvent::Arrival {
-                query,
-                group,
-                dispatched_ns,
-                ..
-            } => {
-                let st = self.states.entry(query);
-                st.group = group;
-                st.arrival_ns = r.at.as_nanos();
-                st.dispatched_ns = dispatched_ns;
-                st.arrived = true;
-                None
-            }
-            TraceEvent::ServiceStart {
-                query,
-                clean_ns,
-                base_ns,
-                ..
-            } => {
-                let st = self.states.entry(query);
-                st.last_start_ns = r.at.as_nanos();
-                st.clean_ns = clean_ns;
-                st.base_ns = base_ns;
-                st.started = true;
-                None
-            }
-            TraceEvent::Complete {
-                query, latency_ns, ..
-            } => {
-                let state = *self.states.get(query)?;
-                (state.arrived && state.started).then_some(Completion {
-                    lane: self.lane,
-                    query,
-                    latency_ns,
-                    complete_ns: r.at.as_nanos(),
-                    state,
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
 /// Unions possibly-overlapping `[start, end)` intervals in place.
 pub(crate) fn union_intervals(intervals: &mut Vec<(u64, u64)>) {
     intervals.sort_unstable();
@@ -256,17 +93,13 @@ pub(crate) fn union_intervals(intervals: &mut Vec<(u64, u64)>) {
 
 /// Length of `[s, e)` ∩ the unioned `intervals`.
 pub(crate) fn overlap_ns(intervals: &[(u64, u64)], s: u64, e: u64) -> u64 {
-    let mut total = 0;
-    for &(is, ie) in intervals {
-        if ie <= s {
-            continue;
-        }
-        if is >= e {
-            break;
-        }
-        total += ie.min(e) - is.max(s);
-    }
-    total
+    // Unioned intervals are sorted and disjoint, so their ends rise too.
+    let first = intervals.partition_point(|&(_, ie)| ie <= s);
+    intervals[first..]
+        .iter()
+        .take_while(|&&(is, _)| is < e)
+        .map(|&(is, ie)| ie.min(e) - is.max(s))
+        .sum()
 }
 
 /// Computes the exact per-class latency breakdown and admission totals.
@@ -279,7 +112,7 @@ pub fn analyze(trace: &QueryTrace) -> TraceAnalysis {
         // accounting never double-counts when steps of different groups
         // coincide.
         let mut downtime: Vec<(u64, u64)> = lane
-            .iter()
+            .annotations()
             .filter_map(|r| match r.event {
                 TraceEvent::ReconfigStep { downtime_ns, .. } => {
                     Some((r.at.as_nanos(), r.at.as_nanos() + downtime_ns))
@@ -289,39 +122,27 @@ pub fn analyze(trace: &QueryTrace) -> TraceAnalysis {
             .collect();
         union_intervals(&mut downtime);
 
-        let mut fold = LifecycleFold::new(lane);
-        for r in lane.iter() {
-            match r.event {
-                TraceEvent::RouteDecision { .. } => {
-                    out.offered += 1;
-                    out.routed += 1;
-                }
-                TraceEvent::Shed { .. } => {
-                    out.offered += 1;
-                    out.shed += 1;
-                }
-                TraceEvent::Arrival { .. } => out.arrivals += 1,
-                TraceEvent::Complete { .. } => out.completed += 1,
-                _ => {}
-            }
-            let Some(c) = fold.fold(r) else {
-                continue;
-            };
-            let group = c.state.group;
-            let row = classes.entry(group).or_insert(ClassBreakdown {
-                group,
+        let counts = lane.counts();
+        out.offered += counts.routed + counts.shed;
+        out.routed += counts.routed;
+        out.shed += counts.shed;
+        out.arrivals += counts.arrivals;
+        out.completed += counts.completed;
+        lane.for_each_completion(|c| {
+            let row = classes.entry(c.group).or_insert(ClassBreakdown {
+                group: c.group,
                 ..ClassBreakdown::default()
             });
-            let reconfig = overlap_ns(&downtime, c.state.dispatched_ns, c.state.last_start_ns);
+            let reconfig = overlap_ns(&downtime, c.dispatched_ns, c.start_ns);
             row.completed += 1;
             row.total_latency_ns += u128::from(c.latency_ns);
             row.frontend_ns += u128::from(c.frontend_ns());
             row.queue_ns += u128::from(c.wait_ns() - reconfig);
             row.reconfig_wait_ns += u128::from(reconfig);
-            row.service_clean_ns += u128::from(c.state.clean_ns);
+            row.service_clean_ns += u128::from(c.clean_ns);
             row.degrade_inflation_ns += u128::from(c.inflation_ns());
             row.noise_delta_ns += c.noise_ns();
-        }
+        });
     }
     out.classes = classes.into_values().collect();
     out
@@ -354,44 +175,21 @@ pub struct ConservationStats {
 pub fn check_conservation(trace: &QueryTrace) -> Result<ConservationStats, String> {
     let mut stats = ConservationStats::default();
     for lane in trace.lanes() {
-        // query -> (arrivals, completes)
-        let mut per_query: QueryTable<(u64, u64)> = QueryTable::new(lane.len());
-        for r in lane.iter() {
-            match r.event {
-                TraceEvent::RouteDecision { .. } => {
-                    stats.offered += 1;
-                    stats.routed += 1;
-                }
-                TraceEvent::Shed { .. } => {
-                    stats.offered += 1;
-                    stats.shed += 1;
-                }
-                TraceEvent::Arrival { query, .. } => {
-                    stats.arrivals += 1;
-                    per_query.entry(query).0 += 1;
-                }
-                TraceEvent::Complete { query, .. } => {
-                    stats.completed += 1;
-                    per_query.entry(query).1 += 1;
-                }
-                _ => {}
-            }
-        }
-        let lane = lane.lane();
-        for (query, &(arrivals, completes)) in per_query.iter() {
-            if (arrivals, completes) == (0, 0) {
-                continue; // an id the lane never mentioned
-            }
-            if arrivals != 1 {
-                return Err(format!(
-                    "lane {lane} query {query}: {arrivals} arrivals (want exactly 1)"
-                ));
-            }
-            if completes != 1 {
-                return Err(format!(
+        let counts = lane.counts();
+        stats.offered += counts.routed + counts.shed;
+        stats.routed += counts.routed;
+        stats.shed += counts.shed;
+        stats.arrivals += counts.arrivals;
+        stats.completed += counts.completed;
+        if let Some((query, arrivals, completes)) = lane.unbalanced() {
+            let lane = lane.lane();
+            return Err(if arrivals != 1 {
+                format!("lane {lane} query {query}: {arrivals} arrivals (want exactly 1)")
+            } else {
+                format!(
                     "lane {lane} query {query}: {completes} terminal completes (want exactly 1)"
-                ));
-            }
+                )
+            });
         }
     }
     if stats.completed != stats.arrivals {

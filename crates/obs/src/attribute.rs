@@ -27,15 +27,16 @@
 //! [`WindowAttribution::excess_ns`] with **zero residual** — enforced by
 //! `bench_obs` on a live fault scenario.
 //!
-//! Lifecycles fold per lane in place, through the analyzer's shared fold,
+//! Lifecycles come per lane from the span assembler the analyzer shares,
 //! and only the completions of the requested windows are kept. The loan,
 //! fault and reconfig annotations that relate lanes to each other are
 //! replayed in global `(time, key, lane, seq)` order.
 
-use crate::analyze::{overlap_ns, union_intervals, Completion, LifecycleFold};
+use crate::analyze::{overlap_ns, union_intervals};
 use crate::event::{FaultKind, TraceEvent};
 use crate::recorder::{QueryTrace, TraceRecord};
 use crate::slo::Alert;
+use crate::span::Completion;
 use std::collections::HashMap;
 
 /// One ranked cause share of a window's p99 excess.
@@ -118,20 +119,21 @@ fn build_context(trace: &QueryTrace, wanted: impl Fn(usize, u64) -> bool) -> Tai
     // Lifecycles fold per lane; the few records that relate lanes (a loan
     // or fault names a shard whose later reconfig it triggers) are set
     // aside and replayed below in global order.
-    let mut annotations: Vec<&TraceRecord> = Vec::new();
+    let mut annotations: Vec<TraceRecord> = Vec::new();
     for lane in trace.lanes() {
-        let mut fold = LifecycleFold::new(lane);
-        for r in lane.iter() {
-            match r.event {
+        annotations.extend(lane.annotations().filter(|r| {
+            matches!(
+                r.event,
                 TraceEvent::Loan { .. }
-                | TraceEvent::Fault { .. }
-                | TraceEvent::ReconfigStep { .. } => annotations.push(r),
-                _ => ctx.completions.extend(
-                    fold.fold(r)
-                        .filter(|c| wanted(c.state.group, c.complete_ns)),
-                ),
+                    | TraceEvent::Fault { .. }
+                    | TraceEvent::ReconfigStep { .. }
+            )
+        }));
+        lane.for_each_completion(|c| {
+            if wanted(c.group, c.complete_ns) {
+                ctx.completions.push(c);
             }
-        }
+        });
     }
     annotations.sort_by_key(|r| (r.at, r.key, r.lane, r.seq));
 
@@ -237,13 +239,12 @@ fn bin_of(complete_ns: u64, window_ns: u64) -> usize {
 }
 
 fn attribute_completion(ctx: &TailContext, c: &Completion, bin: usize) -> WindowAttribution {
-    let st = &c.state;
     let lane = c.lane;
     let empty: Vec<(u64, u64)> = Vec::new();
     let get = |set: &HashMap<u32, Vec<(u64, u64)>>| -> Vec<(u64, u64)> {
         set.get(&lane).unwrap_or(&empty).clone()
     };
-    let (d, s) = (st.dispatched_ns, st.last_start_ns);
+    let (d, s) = (c.dispatched_ns, c.start_ns);
     let wait = c.wait_ns();
 
     // Telescoping unions: each cause = overlap(union so far) − previous
@@ -301,15 +302,15 @@ fn attribute_completion(ctx: &TailContext, c: &Completion, bin: usize) -> Window
 
     let frontend = c.frontend_ns();
     WindowAttribution {
-        group: st.group,
+        group: c.group,
         bin,
         completions: 0, // caller fills in
         p99_lane: lane,
         p99_query: c.query,
         p99_latency_ns: c.latency_ns,
         frontend_ns: frontend,
-        service_clean_ns: st.clean_ns,
-        excess_ns: i128::from(c.latency_ns) - i128::from(frontend) - i128::from(st.clean_ns),
+        service_clean_ns: c.clean_ns,
+        excess_ns: i128::from(c.latency_ns) - i128::from(frontend) - i128::from(c.clean_ns),
         causes,
     }
 }
@@ -337,7 +338,7 @@ fn attribute_window_in(
     let mut rows: Vec<Completion> = ctx
         .completions
         .iter()
-        .filter(|c| c.state.group == group && bin_of(c.complete_ns, window_ns) == bin)
+        .filter(|c| c.group == group && bin_of(c.complete_ns, window_ns) == bin)
         .copied()
         .collect();
     if rows.is_empty() {

@@ -8,9 +8,11 @@
 //!   events for the full query lifecycle (arrival → route/shed →
 //!   queue wait → service start/abort/requeue → complete) plus annotations
 //!   for re-plans, loans, faults, and degrades, buffered per shard lane and
-//!   kept per lane in a [`QueryTrace`]. The analyses below read each lane
-//!   in place ([`QueryTrace::lanes`]); the exporters read the global
-//!   `(time, key, lane, seq)` order ([`QueryTrace::records`]);
+//!   kept per lane in a [`QueryTrace`]. A served query is stored as one
+//!   packed span; the analyses below fold each lane's spans in place
+//!   ([`QueryTrace::lanes`]), and the exporters read every record back,
+//!   exactly as recorded, in the global `(time, key, lane, seq)` order
+//!   ([`QueryTrace::records`]);
 //! - an **online telemetry plane** ([`ObsSink`], [`OnlineLane`],
 //!   [`merge_online`]): the same hook stream folded into windowed aggregates
 //!   *live* on the DES clock, O(1) memory per (series, window) with no trace
@@ -48,10 +50,12 @@ pub mod analyze;
 pub mod attribute;
 pub mod event;
 pub mod export;
+mod inflight;
 pub mod online;
 pub mod recorder;
 pub mod registry;
 pub mod slo;
+mod span;
 
 pub use analyze::{analyze, check_conservation, ClassBreakdown, ConservationStats, TraceAnalysis};
 pub use attribute::{
@@ -63,6 +67,6 @@ pub use export::{
     write_alert_rows, write_query_trace, ChromeTraceWriter,
 };
 pub use online::{merge_online, ObsRequest, ObsSink, OnlineLane};
-pub use recorder::{FlightRecorder, QueryTrace, TraceRecord, TraceSink, ANNOTATION_KEY};
+pub use recorder::{FlightRecorder, LaneView, QueryTrace, TraceRecord, TraceSink, ANNOTATION_KEY};
 pub use registry::{MetricRegistry, MetricSeries};
 pub use slo::{alert_records, evaluate_slos, Alert, SloSpec, ALERT_LANE};

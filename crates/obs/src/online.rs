@@ -8,13 +8,14 @@
 //! without retaining the trace.
 //!
 //! **Invariant 13 (ARCHITECTURE.md): the online registry IS the oracle
-//! registry.** [`MetricRegistry::from_trace`] feeds each lane of a retained
-//! trace, in its push order, through these same per-lane accumulators, so
-//! by construction the registry an instrumented run streams live is
-//! byte-for-byte the registry a retained trace reproduces after the fact —
-//! at any thread count, because each lane only ever folds its own records
-//! and [`merge_online`] combines the per-lane partials with
-//! order-independent arithmetic:
+//! registry.** [`MetricRegistry::from_trace`] builds these same per-lane
+//! accumulators from a retained trace — from a lane's spans directly
+//! (`OnlineLane::from_spans` computes the state this fold leaves behind),
+//! or by replaying the lane's records in push order — so the registry an
+//! instrumented run streams live is byte-for-byte the registry a retained
+//! trace reproduces after the fact, at any thread count, because each lane
+//! only ever folds its own records and [`merge_online`] combines the
+//! per-lane partials with order-independent arithmetic:
 //!
 //! - counter/gauge bins sum exactly-representable integers in `f64`
 //!   (magnitudes ≪ 2⁵³), so addition order cannot change a single bit;
@@ -35,12 +36,13 @@
 //! [`MetricRegistry::from_trace`]: crate::registry::MetricRegistry::from_trace
 
 use crate::event::TraceEvent;
+use crate::inflight::InFlight;
 use crate::recorder::{FlightRecorder, TraceSink};
 use crate::registry::{MetricRegistry, MetricSeries};
 use des_engine::SimTime;
 use server_metrics::LatencyHistogram;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// What a run should observe: a retained trace, a live metric plane, both,
 /// or (the default) nothing.
@@ -156,7 +158,7 @@ impl TraceSink for ObsSink {
 /// order (what every engine lane and every merged trace guarantees), then
 /// hand all lanes to [`merge_online`]. State per lane: one `f64` per
 /// touched (series, bin), two integer SLA counters per (model, bin), and
-/// a dense in-flight-query → (model, SLA) map that shrinks as queries
+/// an in-flight-query → (model, SLA) table that shrinks as queries
 /// complete.
 #[derive(Debug, Clone)]
 pub struct OnlineLane {
@@ -192,13 +194,10 @@ pub struct OnlineLane {
     /// and dense, so a direct vector keeps the per-completion hot path to
     /// one bounds check.
     sla: Vec<SlaBins>,
-    /// In-flight query → `(model, sla_ns)` of its arrival, indexed by
-    /// `query - groups_base` (model `usize::MAX` = consumed/unknown).
-    /// Completions punch holes and the base advances past the consumed
-    /// prefix, so the deque tracks the outstanding window, not the whole
-    /// run.
-    groups: VecDeque<(usize, u64)>,
-    groups_base: u64,
+    /// In-flight query → `(model, sla_ns)` of its arrival: dense slots
+    /// from the oldest id still in flight, an ordered map for ids far past
+    /// them, so the table tracks the outstanding window, not the whole run.
+    groups: InFlight<(usize, u64)>,
 }
 
 /// One model's SLA fold on one lane.
@@ -209,9 +208,6 @@ struct SlaBins {
     /// `(completed, violated)` per bin.
     bins: Vec<(u64, u64)>,
 }
-
-/// The consumed/unknown marker in [`OnlineLane::groups`].
-const NO_GROUP: (usize, u64) = (usize::MAX, 0);
 
 impl OnlineLane {
     /// Creates an accumulator for `lane` on a `window_ns` grid.
@@ -251,8 +247,7 @@ impl OnlineLane {
             shed: Vec::new(),
             loaned: Vec::new(),
             sla: Vec::new(),
-            groups: VecDeque::new(),
-            groups_base: 0,
+            groups: InFlight::default(),
         }
     }
 
@@ -301,31 +296,11 @@ impl OnlineLane {
     }
 
     fn set_group(&mut self, query: u64, group: usize, sla_ns: u64) {
-        if query < self.groups_base {
-            return; // malformed re-arrival of a consumed id
-        }
-        let idx = (query - self.groups_base) as usize;
-        if idx >= self.groups.len() {
-            self.groups.resize(idx + 1, NO_GROUP);
-        }
-        self.groups[idx] = (group, sla_ns);
+        self.groups.insert(query, (group, sla_ns));
     }
 
     fn take_group(&mut self, query: u64) -> Option<(usize, u64)> {
-        if query < self.groups_base {
-            return None;
-        }
-        let idx = (query - self.groups_base) as usize;
-        let entry = *self.groups.get(idx)?;
-        if entry.0 == usize::MAX {
-            return None;
-        }
-        self.groups[idx] = NO_GROUP;
-        while self.groups.front().is_some_and(|g| g.0 == usize::MAX) {
-            self.groups.pop_front();
-            self.groups_base += 1;
-        }
-        Some(entry)
+        self.groups.take(query)
     }
 
     fn service(&mut self, at_ns: u64, gpcs: u32, actual_ns: u64) {
@@ -347,13 +322,20 @@ impl OnlineLane {
             self.gpc_peak = self.gpc_peak.max(self.gpc_level);
             self.active.push(Reverse((end, gpcs)));
         }
-        // Spread the execution's GPC·ns across the bins it covers. No grid
-        // clamp here: bins beyond the final horizon are truncated at merge,
-        // which reproduces the oracle's clamp bytes exactly (a clamped
-        // overflow segment contributed `+0.0` to the last bin — a no-op).
-        // Fast path: the whole span lands in the (cached) current bin.
         let first = self.bin(at_ns);
-        if end <= self.cur_bin_end {
+        self.spread_busy(first, self.cur_bin_end, at_ns, gpcs, actual_ns);
+    }
+
+    /// Spreads an execution's GPC·ns across the bins it covers; `first` is
+    /// the bin of `at_ns` and `first_end` where it ends. No grid clamp
+    /// here: bins beyond the final horizon are truncated at merge, which
+    /// reproduces the oracle's clamp bytes exactly (a clamped overflow
+    /// segment contributed `+0.0` to the last bin — a no-op).
+    #[inline]
+    fn spread_busy(&mut self, first: usize, first_end: u64, at_ns: u64, gpcs: u32, actual_ns: u64) {
+        let end = at_ns + actual_ns;
+        // Fast path: the whole span lands in its first bin.
+        if end <= first_end {
             if first >= self.busy.len() {
                 self.busy.resize(first + 1, 0.0);
             }
@@ -371,6 +353,107 @@ impl OnlineLane {
             self.busy[b] += seg as f64 * f64::from(gpcs);
             s = bin_end;
         }
+    }
+
+    /// The accumulator that folding every record of `rec`, in append
+    /// order, through [`TraceSink::record`] leaves behind — computed from
+    /// the recorder's spans directly. `rec` must read as spans (stamps
+    /// never go backwards; every arrival and completion is part of a span).
+    /// Then no result depends on the order records are folded in: the
+    /// busy, routed, shed and loan bins and the SLA counters sum exact
+    /// integers, and an outstanding-gauge bin holds the level after the
+    /// bin's last lifecycle event, which is the net count of arrivals and
+    /// completions up to the bin's end. The peak-concurrency sweep runs
+    /// only when `track_peak`: the merge reads it only for a lane whose
+    /// capacity it is not given.
+    pub(crate) fn from_spans(rec: &FlightRecorder, window_ns: u64, track_peak: bool) -> Self {
+        let w = window_ns;
+        let bin = |at_ns: u64| (at_ns / w) as usize;
+        let mut lane = OnlineLane::new(rec.lane(), w);
+        lane.horizon_ns = rec.horizon_ns();
+        // Net arrivals − completions per bin; `None` where no lifecycle
+        // event landed (the gauge carries the last level through).
+        let mut net: Vec<Option<i64>> = Vec::new();
+        let mut note = |b: usize, delta: i64| {
+            if b >= net.len() {
+                net.resize(b + 1, None);
+            }
+            *net[b].get_or_insert(0) += delta;
+        };
+        // `(stamp, ±gpcs)` edges of every execution, for the peak sweep.
+        let mut edges: Vec<(u64, i64)> = Vec::new();
+        let mut start = |lane: &mut OnlineLane, at_ns: u64, gpcs: u32, actual_ns: u64| {
+            lane.busy_touched = true;
+            let first = bin(at_ns);
+            let first_end = (first as u64 + 1).saturating_mul(w);
+            lane.spread_busy(first, first_end, at_ns, gpcs, actual_ns);
+            if track_peak && actual_ns > 0 {
+                edges.push((at_ns, i64::from(gpcs)));
+                edges.push((at_ns + actual_ns, -i64::from(gpcs)));
+            }
+        };
+        for s in rec.spans().filter(|s| !s.is_void()) {
+            let at = s.arrival_ns;
+            let group = usize::from(s.group);
+            let sla_ns = u64::from(s.sla_ns);
+            note(bin(at), 1);
+            if sla_ns > 0 {
+                lane.model(group).has_sla = true;
+            }
+            if s.is_started() {
+                let (gpcs, actual) = (u32::from(s.gpcs), u64::from(s.actual_ns));
+                start(&mut lane, at + u64::from(s.start_ns), gpcs, actual);
+            }
+            if s.is_complete() {
+                let latency_ns = u64::from(s.latency_ns);
+                let b = bin(at + latency_ns);
+                note(b, -1);
+                let violated = sla_ns > 0 && LatencyHistogram::exceeds(latency_ns, sla_ns);
+                let bins = &mut lane.model(group).bins;
+                if b >= bins.len() {
+                    bins.resize(b + 1, (0, 0));
+                }
+                bins[b].0 += 1;
+                bins[b].1 += u64::from(violated);
+            }
+        }
+        for r in rec.plain().iter().copied().chain(rec.packed()) {
+            let at_ns = r.at.as_nanos();
+            match r.event {
+                TraceEvent::ServiceStart {
+                    gpcs, actual_ns, ..
+                } => start(&mut lane, at_ns, gpcs, actual_ns),
+                TraceEvent::RouteDecision { .. } => bump(&mut lane.routed, bin(at_ns), 1.0),
+                TraceEvent::Shed { .. } => bump(&mut lane.shed, bin(at_ns), 1.0),
+                TraceEvent::Loan { gpus_delta, .. } => {
+                    bump(&mut lane.loaned, bin(at_ns), gpus_delta as f64);
+                }
+                _ => {}
+            }
+        }
+        lane.out_touched = !net.is_empty();
+        let mut level = 0;
+        lane.out = net
+            .iter()
+            .map(|n| match n {
+                Some(delta) => {
+                    level += delta;
+                    level as f64
+                }
+                None => f64::NAN,
+            })
+            .collect();
+        if track_peak {
+            // Ends sort before starts at equal stamps, as the streaming
+            // tracker retires them first.
+            edges.sort_unstable();
+            let mut level = 0;
+            for (_, delta) in edges {
+                level += delta;
+                lane.gpc_peak = lane.gpc_peak.max(level);
+            }
+        }
+        lane
     }
 }
 
@@ -651,8 +734,8 @@ mod tests {
         for q in 0..99u64 {
             assert_eq!(lane.take_group(q), Some(((q % 2) as usize, q)));
         }
-        assert_eq!(lane.groups_base, 99, "consumed prefix reclaimed");
-        assert!(lane.groups.len() <= 1);
+        assert_eq!(lane.groups.base(), 99, "consumed prefix reclaimed");
+        assert!(lane.groups.dense_len() <= 1);
         assert_eq!(lane.take_group(5), None, "completions consume");
     }
 

@@ -1,14 +1,30 @@
-//! The flight recorder: per-lane `(time, key)`-stamped buffers that every
-//! analysis reads in place.
+//! The flight recorder: one packed span per served query, per-lane buffers
+//! that every analysis reads in place.
 //!
 //! Each engine lane (a shard's dispatch core, or the cluster gateway) owns a
-//! private [`FlightRecorder`]. Recording is a bounds-checked `Vec` push — no
+//! private [`FlightRecorder`]. Recording touches only the recorder — no
 //! locks, no clocks, no I/O — so a lane's buffer is exactly as deterministic
 //! as the lane itself, which invariant 11 already guarantees is thread-count
 //! invariant. At run end the buffers become one [`QueryTrace`] without being
-//! copied: the analyses fold one lane at a time in append order
-//! ([`QueryTrace::lanes`]), and only [`QueryTrace::records`] builds the
-//! global `(time, key, lane, seq)` order, a pure function of the stamps.
+//! copied.
+//!
+//! A served query's `Arrival`, latest `ServiceStart` and `Complete` are
+//! kept as one 64-byte `QuerySpan`, opened at the arrival and filled in
+//! as the query starts and completes; an in-flight table maps each open
+//! query to its span. The lifecycle exceptions (`Enqueue`, `Stash`,
+//! `ServiceAbort`, `Requeue`) and the gateway's `RouteDecision` and `Shed`
+//! are 24-byte packed events. Everything else — annotations, a start that
+//! an abort or a later start displaced, and any record too wide for its
+//! packed field — is kept as a plain [`TraceRecord`]. Every record keeps
+//! its `seq`, so [`FlightRecorder::iter`] gives back each record exactly
+//! as it was recorded, in append order.
+//!
+//! A lifecycle that cannot form a span stays plain records: a duplicate or
+//! missing arrival, a complete without a start, stamps that go backwards,
+//! a key that is not its own query, or a value wider than its packed
+//! field. The recorder notes while recording whether its lane's spans
+//! tell the whole story, and the analyses fall back to re-folding the
+//! lane's records when they do not (see [`LaneView`]).
 //!
 //! **Invariant 12 (zero observer effect):** recording must never touch engine
 //! state — no RNG draws, no report fields, no event keys. Hooks are
@@ -16,6 +32,7 @@
 //! property suite pins byte-identical reports with tracing on vs off.
 
 use crate::event::TraceEvent;
+use crate::inflight::InFlight;
 use des_engine::SimTime;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -48,25 +65,306 @@ pub trait TraceSink {
     fn record(&mut self, at: SimTime, key: u64, event: TraceEvent);
 }
 
-/// Records per arena chunk: large enough to amortize the chunk-list
-/// bookkeeping, small enough that a quiet lane wastes little.
+/// A span seq not filled in yet; as the arrival seq, a void span.
+const NONE: u32 = u32::MAX;
+
+/// Whether `v` fits a `u32` packed field.
+#[inline]
+fn fits32(v: u64) -> bool {
+    v <= u64::from(u32::MAX)
+}
+
+/// Whether `v` fits a `u16` packed field.
+#[inline]
+fn fits16(v: usize) -> bool {
+    v <= usize::from(u16::MAX)
+}
+
+/// One query's `Arrival`, latest `ServiceStart` and `Complete`, packed.
+/// Stamps after the arrival are 32-bit offsets from it, and each record's
+/// `seq` is kept, so the span gives back its records exactly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QuerySpan {
+    pub(crate) arrival_ns: u64,
+    pub(crate) query: u32,
+    /// `dispatched_ns − arrival`.
+    pub(crate) dispatch_ns: u32,
+    /// Latest service start − arrival.
+    pub(crate) start_ns: u32,
+    /// Completion − arrival, which is the recorded `latency_ns`.
+    pub(crate) latency_ns: u32,
+    pub(crate) clean_ns: u32,
+    pub(crate) base_ns: u32,
+    pub(crate) actual_ns: u32,
+    pub(crate) sla_ns: u32,
+    /// The arrival's, the latest start's and the completion's `seq`
+    /// ([`NONE`] while not recorded; a void span's arrival seq is
+    /// [`NONE`]).
+    pub(crate) seq: [u32; 3],
+    pub(crate) group: u16,
+    pub(crate) batch: u16,
+    pub(crate) gpcs: u16,
+    /// The starting and the completing worker.
+    pub(crate) worker: [u16; 2],
+}
+
+impl QuerySpan {
+    pub(crate) fn is_void(&self) -> bool {
+        self.seq[0] == NONE
+    }
+
+    pub(crate) fn is_started(&self) -> bool {
+        self.seq[1] != NONE
+    }
+
+    pub(crate) fn is_complete(&self) -> bool {
+        self.seq[2] != NONE
+    }
+
+    fn arrival_record(&self, lane: u32) -> TraceRecord {
+        TraceRecord {
+            at: SimTime::from_nanos(self.arrival_ns),
+            key: u64::from(self.query),
+            lane,
+            seq: u64::from(self.seq[0]),
+            event: TraceEvent::Arrival {
+                query: u64::from(self.query),
+                group: usize::from(self.group),
+                batch: usize::from(self.batch),
+                dispatched_ns: self.arrival_ns + u64::from(self.dispatch_ns),
+                sla_ns: u64::from(self.sla_ns),
+            },
+        }
+    }
+
+    fn start_record(&self, lane: u32) -> TraceRecord {
+        TraceRecord {
+            at: SimTime::from_nanos(self.arrival_ns + u64::from(self.start_ns)),
+            key: u64::from(self.query),
+            lane,
+            seq: u64::from(self.seq[1]),
+            event: TraceEvent::ServiceStart {
+                query: u64::from(self.query),
+                worker: usize::from(self.worker[0]),
+                gpcs: u32::from(self.gpcs),
+                clean_ns: u64::from(self.clean_ns),
+                base_ns: u64::from(self.base_ns),
+                actual_ns: u64::from(self.actual_ns),
+            },
+        }
+    }
+
+    fn complete_record(&self, lane: u32) -> TraceRecord {
+        TraceRecord {
+            at: SimTime::from_nanos(self.arrival_ns + u64::from(self.latency_ns)),
+            key: u64::from(self.query),
+            lane,
+            seq: u64::from(self.seq[2]),
+            event: TraceEvent::Complete {
+                query: u64::from(self.query),
+                worker: usize::from(self.worker[1]),
+                latency_ns: u64::from(self.latency_ns),
+            },
+        }
+    }
+}
+
+/// What a [`PackedEvent`] records. Lifecycle kinds take their query id from
+/// the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PackedKind {
+    /// `RouteDecision { model: a, shard: b, pinned }`.
+    Route { pinned: bool },
+    /// `Shed { model: a, shard: b }`.
+    Shed,
+    /// `Enqueue { group: a }`.
+    Enqueue,
+    /// `Stash { group: a }`.
+    Stash,
+    /// `ServiceAbort { worker: a }`.
+    Abort,
+    /// `Requeue`.
+    Requeue,
+}
+
+/// A routing decision, shed or lifecycle exception, packed into 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct PackedEvent {
+    at: u64,
+    seq: u32,
+    key: u32,
+    a: u16,
+    b: u16,
+    kind: PackedKind,
+}
+
+impl PackedEvent {
+    fn record(&self, lane: u32) -> TraceRecord {
+        let query = u64::from(self.key);
+        let (a, b) = (usize::from(self.a), usize::from(self.b));
+        let event = match self.kind {
+            PackedKind::Route { pinned } => TraceEvent::RouteDecision {
+                model: a,
+                shard: b,
+                pinned,
+            },
+            PackedKind::Shed => TraceEvent::Shed { model: a, shard: b },
+            PackedKind::Enqueue => TraceEvent::Enqueue { query, group: a },
+            PackedKind::Stash => TraceEvent::Stash { query, group: a },
+            PackedKind::Abort => TraceEvent::ServiceAbort { query, worker: a },
+            PackedKind::Requeue => TraceEvent::Requeue { query },
+        };
+        TraceRecord {
+            at: SimTime::from_nanos(self.at),
+            key: u64::from(self.key),
+            lane,
+            seq: u64::from(self.seq),
+            event,
+        }
+    }
+}
+
+/// Items per arena chunk: large enough to amortize the chunk-list
+/// bookkeeping; a quiet lane's first chunk grows by doubling up to it.
 const CHUNK: usize = 1024;
 
-/// A per-lane append-only trace buffer.
-///
-/// Storage is a chunked arena (like the server's `Gantt`): appending never
-/// moves earlier records, so a hot lane recording tens of thousands of
-/// events never pays the doubling-growth memcpy of a flat `Vec` — the push
-/// is the recorder's entire hot-path cost.
-#[derive(Debug, Clone, Default)]
+/// An append-only chunked arena: appending never moves a filled chunk, so
+/// a hot lane never pays the doubling-growth memcpy of a flat `Vec`, and
+/// item `i` sits at a fixed place for in-place updates.
+#[derive(Debug, Clone)]
+struct Chunked<T> {
+    /// The chunk being appended to — kept separate from `full` so the push
+    /// is a direct `Vec::push`.
+    current: Vec<T>,
+    /// Filled chunks of exactly [`CHUNK`] items, in append order.
+    full: Vec<Vec<T>>,
+}
+
+impl<T> Default for Chunked<T> {
+    fn default() -> Self {
+        Chunked {
+            current: Vec::new(),
+            full: Vec::new(),
+        }
+    }
+}
+
+impl<T> Chunked<T> {
+    fn len(&self) -> usize {
+        self.full.len() * CHUNK + self.current.len()
+    }
+
+    /// Appends `item` and returns its index.
+    #[inline]
+    fn push(&mut self, item: T) -> usize {
+        if self.current.len() == self.current.capacity() {
+            self.grow();
+        }
+        self.current.push(item);
+        self.len() - 1
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<&T> {
+        match self.full.get(i / CHUNK) {
+            Some(chunk) => chunk.get(i % CHUNK),
+            None => self.current.get(i - self.full.len() * CHUNK),
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        let filled = self.full.len() * CHUNK;
+        if i < filled {
+            &mut self.full[i / CHUNK][i % CHUNK]
+        } else {
+            &mut self.current[i - filled]
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        self.full.iter().flatten().chain(&self.current)
+    }
+
+    /// Gives back the unfilled tail of the last chunk.
+    fn shrink(&mut self) {
+        self.current.shrink_to_fit();
+    }
+
+    /// Doubles a short first chunk, or rolls a full one into `full` — out
+    /// of line so the inlined push stays small.
+    #[cold]
+    fn grow(&mut self) {
+        let len = self.current.len();
+        if len < CHUNK {
+            self.current.reserve_exact((2 * len).clamp(16, CHUNK) - len);
+        } else {
+            let filled = std::mem::replace(&mut self.current, Vec::with_capacity(CHUNK));
+            self.full.push(filled);
+        }
+    }
+}
+
+/// Per-kind record counts a lane keeps as it records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Counts {
+    pub(crate) arrivals: u64,
+    pub(crate) completed: u64,
+    pub(crate) routed: u64,
+    pub(crate) shed: u64,
+}
+
+impl Counts {
+    fn note(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::Arrival { .. } => self.arrivals += 1,
+            TraceEvent::Complete { .. } => self.completed += 1,
+            TraceEvent::RouteDecision { .. } => self.routed += 1,
+            TraceEvent::Shed { .. } => self.shed += 1,
+            _ => {}
+        }
+    }
+
+    fn add(mut self, other: Counts) -> Counts {
+        self.arrivals += other.arrivals;
+        self.completed += other.completed;
+        self.routed += other.routed;
+        self.shed += other.shed;
+        self
+    }
+}
+
+/// A per-lane trace buffer: spans, packed events and plain records.
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
     lane: u32,
+    /// Records so far: the next record's `seq`.
     seq: u64,
-    /// The chunk being appended to — kept separate from `full` so the push
-    /// is a direct `Vec::push`, not a `last_mut()` double indirection.
-    current: Vec<TraceRecord>,
-    /// Filled chunks, in append order.
-    full: Vec<Vec<TraceRecord>>,
+    /// One span per arrival, in arrival order.
+    spans: Chunked<QuerySpan>,
+    events: Chunked<PackedEvent>,
+    /// Every other record, ascending by `seq` (a recorder built from
+    /// records holds them here as handed in).
+    plain: Vec<TraceRecord>,
+    /// Open query → the index of its span.
+    open: InFlight<u32>,
+    /// A span's query id must be at least this: ids of spans rise
+    /// strictly, so no two spans share a query.
+    next_query: u64,
+    /// Latest stamp so far.
+    horizon_ns: u64,
+    counts: Counts,
+    /// Stamps never went backwards, `seq` rose, and every lifecycle record
+    /// was keyed by its own query.
+    in_place: bool,
+    /// Every `Arrival` and `Complete` is part of a span.
+    whole_spans: bool,
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        FlightRecorder::new(0)
+    }
 }
 
 impl FlightRecorder {
@@ -76,19 +374,36 @@ impl FlightRecorder {
         FlightRecorder {
             lane,
             seq: 0,
-            current: Vec::new(),
-            full: Vec::new(),
+            spans: Chunked::default(),
+            events: Chunked::default(),
+            plain: Vec::new(),
+            open: InFlight::default(),
+            next_query: 0,
+            horizon_ns: 0,
+            counts: Counts::default(),
+            in_place: true,
+            whole_spans: true,
         }
     }
 
     /// A finished buffer holding `records` as they are (stamps included).
     fn from_records(lane: u32, records: Vec<TraceRecord>) -> Self {
-        FlightRecorder {
-            lane,
-            seq: records.len() as u64,
-            current: records,
-            full: Vec::new(),
+        let mut out = FlightRecorder::new(lane);
+        out.seq = records.len() as u64;
+        let mut prev: Option<&TraceRecord> = None;
+        for r in &records {
+            out.in_place &= prev.is_none_or(|p| p.at <= r.at && p.seq < r.seq)
+                && r.event.query().is_none_or(|q| q == r.key);
+            out.whole_spans &= !matches!(
+                r.event,
+                TraceEvent::Arrival { .. } | TraceEvent::Complete { .. }
+            );
+            out.horizon_ns = out.horizon_ns.max(r.at.as_nanos());
+            out.counts.note(&r.event);
+            prev = Some(r);
         }
+        out.plain = records;
+        out
     }
 
     /// The lane this recorder stamps onto its records.
@@ -97,7 +412,7 @@ impl FlightRecorder {
         self.lane
     }
 
-    /// Number of records buffered so far.
+    /// Number of records buffered so far (a span holds up to three).
     #[must_use]
     pub fn len(&self) -> usize {
         self.seq as usize
@@ -109,137 +424,546 @@ impl FlightRecorder {
         self.seq == 0
     }
 
-    /// The buffered records in append order.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> + '_ {
-        self.full.iter().flatten().chain(&self.current)
+    /// Every buffered record, exactly as recorded, in append order.
+    pub fn iter(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        Records::new(self)
     }
 
-    /// The most recently appended record.
-    fn last(&self) -> Option<&TraceRecord> {
-        self.current
-            .last()
-            .or_else(|| self.full.last().and_then(|chunk| chunk.last()))
-    }
-
-    /// Consumes the recorder, yielding its buffer in append order.
+    /// Consumes the recorder, yielding its records in append order.
     #[must_use]
     pub fn into_records(self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.len());
-        for chunk in self.full {
-            out.extend(chunk);
+        self.iter().collect()
+    }
+
+    /// The spans, in arrival order (void ones included).
+    pub(crate) fn spans(&self) -> impl Iterator<Item = &QuerySpan> + '_ {
+        self.spans.iter()
+    }
+
+    /// The plain records, ascending by `seq`.
+    pub(crate) fn plain(&self) -> &[TraceRecord] {
+        &self.plain
+    }
+
+    /// The packed events as records, in append order.
+    pub(crate) fn packed(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        self.events.iter().map(|e| e.record(self.lane))
+    }
+
+    /// The latest stamp recorded.
+    pub(crate) fn horizon_ns(&self) -> u64 {
+        self.horizon_ns
+    }
+
+    pub(crate) fn counts(&self) -> Counts {
+        self.counts
+    }
+
+    /// Whether the spans and the plain records tell the whole story of
+    /// every lifecycle in append order: the lane reads in place, and every
+    /// arrival and completion is part of a span.
+    pub(crate) fn reads_as_spans(&self) -> bool {
+        self.in_place && self.whole_spans
+    }
+
+    /// Frees what only recording needs, and the unfilled buffer tails.
+    fn seal(&mut self) {
+        self.open = InFlight::default();
+        self.spans.shrink();
+        self.events.shrink();
+        self.plain.shrink_to_fit();
+    }
+
+    /// Opens a span for an arrival, if it packs.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn arrive(
+        &mut self,
+        at_ns: u64,
+        key: u64,
+        seq: u64,
+        query: u64,
+        group: usize,
+        batch: usize,
+        dispatched_ns: u64,
+        sla_ns: u64,
+    ) -> bool {
+        if key != query {
+            self.in_place = false;
+            return false;
         }
-        out.extend(self.current);
-        out
+        let packs = query >= self.next_query
+            && fits32(query)
+            && seq < u64::from(NONE)
+            && fits16(group)
+            && fits16(batch)
+            && dispatched_ns >= at_ns
+            && fits32(dispatched_ns - at_ns)
+            && fits32(sla_ns);
+        if !packs {
+            return false;
+        }
+        self.next_query = query + 1;
+        let span = self.spans.push(QuerySpan {
+            arrival_ns: at_ns,
+            query: query as u32,
+            dispatch_ns: (dispatched_ns - at_ns) as u32,
+            start_ns: 0,
+            latency_ns: 0,
+            clean_ns: 0,
+            base_ns: 0,
+            actual_ns: 0,
+            sla_ns: sla_ns as u32,
+            seq: [seq as u32, NONE, NONE],
+            group: group as u16,
+            batch: batch as u16,
+            gpcs: 0,
+            worker: [0, 0],
+        });
+        self.open.insert(query, span as u32);
+        true
     }
 
-    /// Whether append order can stand in for `(time, key, seq)` order in
-    /// every per-lane fold: stamps never go backwards, `seq` rises, and each
-    /// lifecycle record is keyed by its own query id. One query's records
-    /// then keep their relative order, and only same-instant records of
-    /// different queries can move — which no fold notices (see
-    /// [`QueryTrace`]). Every engine lane passes.
-    fn reads_in_place(&self) -> bool {
-        let mut prev: Option<&TraceRecord> = None;
-        self.iter().all(|r| {
-            let in_order = prev.is_none_or(|p| p.at <= r.at && p.seq < r.seq);
-            prev = Some(r);
-            in_order && r.event.query().is_none_or(|q| q == r.key)
-        })
+    /// Sets an open query's latest start, if it packs; an earlier start
+    /// becomes a plain record.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn start(
+        &mut self,
+        at_ns: u64,
+        key: u64,
+        seq: u64,
+        query: u64,
+        worker: usize,
+        gpcs: u32,
+        clean_ns: u64,
+        base_ns: u64,
+        actual_ns: u64,
+    ) -> bool {
+        if key != query {
+            self.in_place = false;
+            return false;
+        }
+        let Some(i) = self.open.get(query) else {
+            return false;
+        };
+        let span = *self.spans.get_mut(i as usize);
+        let packs = seq < u64::from(NONE)
+            && at_ns >= span.arrival_ns
+            && fits32(at_ns - span.arrival_ns)
+            && fits16(worker)
+            && gpcs <= u32::from(u16::MAX)
+            && fits32(clean_ns)
+            && fits32(base_ns)
+            && fits32(actual_ns);
+        if !packs {
+            self.void(query);
+            return false;
+        }
+        if span.is_started() {
+            self.keep_plain(span.start_record(self.lane));
+        }
+        let span = self.spans.get_mut(i as usize);
+        span.start_ns = (at_ns - span.arrival_ns) as u32;
+        span.clean_ns = clean_ns as u32;
+        span.base_ns = base_ns as u32;
+        span.actual_ns = actual_ns as u32;
+        span.gpcs = gpcs as u16;
+        span.worker[0] = worker as u16;
+        span.seq[1] = seq as u32;
+        true
     }
 
-    /// Rolls a filled `current` chunk into `full` — out of line so the
-    /// inlined push stays small.
+    /// Closes an open query's span, if the completion packs.
+    #[inline]
+    fn complete(
+        &mut self,
+        at_ns: u64,
+        key: u64,
+        seq: u64,
+        query: u64,
+        worker: usize,
+        latency_ns: u64,
+    ) -> bool {
+        if key != query {
+            self.in_place = false;
+            return false;
+        }
+        let Some(i) = self.open.get(query) else {
+            return false;
+        };
+        let span = self.spans.get_mut(i as usize);
+        let packs = seq < u64::from(NONE)
+            && span.is_started()
+            && at_ns >= span.arrival_ns
+            && at_ns - span.arrival_ns == latency_ns
+            && fits32(latency_ns)
+            && fits16(worker);
+        if !packs {
+            self.void(query);
+            return false;
+        }
+        span.latency_ns = latency_ns as u32;
+        span.worker[1] = worker as u16;
+        span.seq[2] = seq as u32;
+        self.open.take(query);
+        true
+    }
+
+    /// An abort ends the open query's current execution: its start becomes
+    /// a plain record.
+    #[inline]
+    fn abort(&mut self, key: u64, query: u64) {
+        let Some(i) = self.open.get(query).filter(|_| key == query) else {
+            return;
+        };
+        let span = *self.spans.get_mut(i as usize);
+        if span.is_started() {
+            self.keep_plain(span.start_record(self.lane));
+            self.spans.get_mut(i as usize).seq[1] = NONE;
+        }
+    }
+
+    /// Packs a routing decision, shed or lifecycle exception, if it fits.
+    #[inline]
+    fn pack(
+        &mut self,
+        at_ns: u64,
+        key: u64,
+        seq: u64,
+        kind: PackedKind,
+        a: usize,
+        b: usize,
+    ) -> bool {
+        let packs = fits32(key) && seq < u64::from(NONE) && fits16(a) && fits16(b);
+        if packs {
+            self.events.push(PackedEvent {
+                at: at_ns,
+                seq: seq as u32,
+                key: key as u32,
+                a: a as u16,
+                b: b as u16,
+                kind,
+            });
+        }
+        packs
+    }
+
+    /// [`pack`](Self::pack) for a lifecycle exception of `query`.
+    #[inline]
+    fn pack_own(
+        &mut self,
+        at_ns: u64,
+        key: u64,
+        seq: u64,
+        query: u64,
+        kind: PackedKind,
+        a: usize,
+    ) -> bool {
+        if key != query {
+            self.in_place = false;
+            return false;
+        }
+        self.pack(at_ns, key, seq, kind, a, 0)
+    }
+
+    /// Gives up on `query`'s span: the lifecycle so far becomes plain
+    /// records.
     #[cold]
-    fn grow(&mut self) {
-        let filled = std::mem::replace(&mut self.current, Vec::with_capacity(CHUNK));
-        if !filled.is_empty() {
-            self.full.push(filled);
+    fn void(&mut self, query: u64) {
+        let Some(i) = self.open.take(query) else {
+            return;
+        };
+        let span = *self.spans.get_mut(i as usize);
+        self.keep_plain(span.arrival_record(self.lane));
+        if span.is_started() {
+            self.keep_plain(span.start_record(self.lane));
+        }
+        self.spans.get_mut(i as usize).seq = [NONE; 3];
+    }
+
+    /// Keeps `r` as a plain record, in `seq` order.
+    #[inline(never)]
+    fn keep_plain(&mut self, r: TraceRecord) {
+        if matches!(
+            r.event,
+            TraceEvent::Arrival { .. } | TraceEvent::Complete { .. }
+        ) {
+            self.whole_spans = false;
+        }
+        match self.plain.last() {
+            Some(last) if last.seq > r.seq => {
+                let at = self.plain.partition_point(|p| p.seq < r.seq);
+                self.plain.insert(at, r);
+            }
+            _ => self.plain.push(r),
         }
     }
 }
 
 impl TraceSink for FlightRecorder {
-    // Inlined into the engines' hook sites (cross-crate): the push IS the
-    // traced hot path, and a call frame per record roughly doubles it.
-    #[inline]
+    // Out of line: inlined, the packing would grow every engine hook site,
+    // and with it the untraced hot paths that only test the `Option`
+    // around the call.
+    #[inline(never)]
     fn record(&mut self, at: SimTime, key: u64, event: TraceEvent) {
-        if self.current.len() == self.current.capacity() {
-            self.grow();
+        let at_ns = at.as_nanos();
+        if at_ns < self.horizon_ns {
+            self.in_place = false;
+        } else {
+            self.horizon_ns = at_ns;
         }
-        self.current.push(TraceRecord {
-            at,
-            key,
-            lane: self.lane,
-            seq: self.seq,
-            event,
-        });
+        let seq = self.seq;
         self.seq += 1;
+        self.counts.note(&event);
+        let packed = match event {
+            TraceEvent::Arrival {
+                query,
+                group,
+                batch,
+                dispatched_ns,
+                sla_ns,
+            } => self.arrive(at_ns, key, seq, query, group, batch, dispatched_ns, sla_ns),
+            TraceEvent::ServiceStart {
+                query,
+                worker,
+                gpcs,
+                clean_ns,
+                base_ns,
+                actual_ns,
+            } => self.start(
+                at_ns, key, seq, query, worker, gpcs, clean_ns, base_ns, actual_ns,
+            ),
+            TraceEvent::Complete {
+                query,
+                worker,
+                latency_ns,
+            } => self.complete(at_ns, key, seq, query, worker, latency_ns),
+            TraceEvent::RouteDecision {
+                model,
+                shard,
+                pinned,
+            } => self.pack(at_ns, key, seq, PackedKind::Route { pinned }, model, shard),
+            TraceEvent::Shed { model, shard } => {
+                self.pack(at_ns, key, seq, PackedKind::Shed, model, shard)
+            }
+            TraceEvent::Enqueue { query, group } => {
+                self.pack_own(at_ns, key, seq, query, PackedKind::Enqueue, group)
+            }
+            TraceEvent::Stash { query, group } => {
+                self.pack_own(at_ns, key, seq, query, PackedKind::Stash, group)
+            }
+            TraceEvent::ServiceAbort { query, worker } => {
+                self.abort(key, query);
+                self.pack_own(at_ns, key, seq, query, PackedKind::Abort, worker)
+            }
+            TraceEvent::Requeue { query } => {
+                self.pack_own(at_ns, key, seq, query, PackedKind::Requeue, 0)
+            }
+            _ => false,
+        };
+        if !packed {
+            self.keep_plain(TraceRecord {
+                at,
+                key,
+                lane: self.lane,
+                seq,
+                event,
+            });
+        }
+    }
+}
+
+/// Where record `seq` of a recorder is kept: `index << 3 | part`.
+const AT_ARRIVAL: u64 = 0;
+const AT_START: u64 = 1;
+const AT_COMPLETE: u64 = 2;
+const AT_EVENT: u64 = 3;
+const AT_PLAIN: u64 = 4;
+
+/// A recorder's records in append order ([`FlightRecorder::iter`]).
+#[derive(Debug, Clone)]
+struct Records<'a> {
+    rec: &'a FlightRecorder,
+    /// Where each record is kept, indexed by `seq`; empty for a recorder
+    /// built from records, which yields its plain records as handed in.
+    order: Vec<u64>,
+    next: usize,
+}
+
+impl<'a> Records<'a> {
+    fn new(rec: &'a FlightRecorder) -> Self {
+        let mut order = Vec::new();
+        if rec.spans.len() + rec.events.len() > 0 {
+            // Every recorded seq below `rec.seq` is kept in exactly one
+            // place: a span, a packed event or a plain record.
+            order = vec![0; rec.len()];
+            for (i, s) in rec.spans.iter().enumerate() {
+                let at = (i as u64) << 3;
+                for (part, seq) in [AT_ARRIVAL, AT_START, AT_COMPLETE].into_iter().zip(s.seq) {
+                    if seq != NONE {
+                        order[seq as usize] = at | part;
+                    }
+                }
+            }
+            for (i, e) in rec.events.iter().enumerate() {
+                order[e.seq as usize] = (i as u64) << 3 | AT_EVENT;
+            }
+            for (i, p) in rec.plain.iter().enumerate() {
+                order[p.seq as usize] = (i as u64) << 3 | AT_PLAIN;
+            }
+            debug_assert_eq!(
+                rec.spans
+                    .iter()
+                    .flat_map(|s| s.seq)
+                    .filter(|&q| q != NONE)
+                    .count()
+                    + rec.events.len()
+                    + rec.plain.len(),
+                rec.len(),
+                "every seq is kept once"
+            );
+        }
+        Records {
+            rec,
+            order,
+            next: 0,
+        }
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = TraceRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceRecord> {
+        let rec = self.rec;
+        let i = self.next;
+        self.next += 1;
+        if self.order.is_empty() {
+            return rec.plain.get(i).copied();
+        }
+        let code = *self.order.get(i)?;
+        let at = (code >> 3) as usize;
+        Some(match code & 7 {
+            AT_ARRIVAL => rec.spans.get(at)?.arrival_record(rec.lane),
+            AT_START => rec.spans.get(at)?.start_record(rec.lane),
+            AT_COMPLETE => rec.spans.get(at)?.complete_record(rec.lane),
+            AT_EVENT => rec.events.get(at)?.record(rec.lane),
+            _ => rec.plain[at],
+        })
     }
 }
 
 /// A finished trace: the recorders' buffers, kept per lane as recorded.
 ///
 /// The analyses (`analyze`, `check_conservation`,
-/// `MetricRegistry::from_trace`, attribution) fold one lane at a time
-/// through [`lanes`], in each lane's append order, into per-lane tables.
-/// That order serves them as well as the global `(time, key, lane, seq)`
-/// order: an engine lane appends its stamps in non-decreasing order and
-/// keys every lifecycle event by its own query id, so each query's records
-/// appear in the same relative order either way. Only same-instant records
-/// of different queries can trade places, and every fold is invariant
-/// under that — `tests/observability.rs` replays the global order through
-/// the online fold to check it.
+/// `MetricRegistry::from_trace`, attribution) read one lane at a time
+/// through [`lanes`]. A lane whose buffer reads as spans is folded span by
+/// span; its records, where a fold needs them, come in append order. That
+/// order serves as well as the global `(time, key, lane, seq)` order: an
+/// engine lane appends its stamps in non-decreasing order and keys every
+/// lifecycle event by its own query id, so each query's records appear in
+/// the same relative order either way. Only same-instant records of
+/// different queries can trade places, and every fold is invariant under
+/// that — `tests/observability.rs` replays the global order through the
+/// online fold to check it.
 ///
 /// A lane that does not read in place — a hand-built buffer whose stamps go
 /// backwards, or several buffers handed in under one lane id — is put in
-/// `(time, key, seq)` order on its first read, so it too gives the results
+/// `(time, key, seq)` order when it is read, so it too gives the results
 /// the global order would.
 ///
 /// The global order itself is built only on the first [`records`] call,
 /// for the exporters, `==` and tests. [`merge`] touches no record, so the
-/// traced run's own cost is the per-record push alone.
+/// traced run's own cost is the recording alone.
 ///
 /// [`lanes`]: QueryTrace::lanes
 /// [`merge`]: QueryTrace::merge
 /// [`records`]: QueryTrace::records
 #[derive(Debug, Clone, Default)]
 pub struct QueryTrace {
-    /// One entry per lane id, ascending.
-    lanes: Vec<Lane>,
+    /// One entry per lane id, ascending: the buffers handed in under it,
+    /// in hand-in order (exactly one for an engine lane).
+    lanes: Vec<Vec<FlightRecorder>>,
     /// Every record in global order, built on first use.
     global: OnceCell<Vec<TraceRecord>>,
 }
 
-/// The buffers a trace holds under one lane id, and the order its readers
-/// see.
-#[derive(Debug, Clone)]
-struct Lane {
-    /// In hand-in order; exactly one for an engine lane.
-    parts: Vec<FlightRecorder>,
-    /// Built on first read: `None` when the one buffer reads in place, else
-    /// the lane's records in `(time, key, seq)` order.
-    reordered: OnceCell<Option<FlightRecorder>>,
+/// One lane of a [`QueryTrace`], as the per-lane folds read it.
+#[derive(Debug)]
+pub struct LaneView<'a> {
+    parts: &'a [FlightRecorder],
+    /// The lane's records in `(time, key, seq)` order, unless its one
+    /// buffer reads in place.
+    sorted: Option<Vec<TraceRecord>>,
 }
 
-impl Lane {
-    fn view(&self) -> &FlightRecorder {
-        self.reordered
-            .get_or_init(|| match self.parts.as_slice() {
-                [only] if only.reads_in_place() => None,
-                parts => {
-                    let mut records: Vec<TraceRecord> = parts
-                        .iter()
-                        .flat_map(FlightRecorder::iter)
-                        .copied()
-                        .collect();
-                    // Stable, so records equal on every key keep hand-in
-                    // order, exactly as in the global sort.
-                    records.sort_by_key(|r| (r.at, r.key, r.seq));
-                    Some(FlightRecorder::from_records(parts[0].lane, records))
-                }
-            })
-            .as_ref()
-            .unwrap_or(&self.parts[0])
+impl<'a> LaneView<'a> {
+    fn new(parts: &'a [FlightRecorder]) -> Self {
+        let sorted = match parts {
+            [only] if only.in_place => None,
+            parts => {
+                let mut records: Vec<TraceRecord> =
+                    parts.iter().flat_map(FlightRecorder::iter).collect();
+                // Stable, so records equal on every key keep hand-in
+                // order, exactly as in the global sort.
+                records.sort_by_key(|r| (r.at, r.key, r.seq));
+                Some(records)
+            }
+        };
+        LaneView { parts, sorted }
+    }
+
+    /// The lane id.
+    #[must_use]
+    pub fn lane(&self) -> u32 {
+        self.parts[0].lane
+    }
+
+    /// The lane's records in an order every per-lane fold can read as if it
+    /// were the global one (see [`QueryTrace`]).
+    pub fn iter(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        match &self.sorted {
+            Some(records) => LaneRecords::Sorted(records.iter()),
+            None => LaneRecords::InPlace(Records::new(&self.parts[0])),
+        }
+    }
+
+    /// The lane's one buffer, when its spans can be folded directly.
+    pub(crate) fn as_spans(&self) -> Option<&'a FlightRecorder> {
+        match self.parts {
+            [only] if only.reads_as_spans() => Some(only),
+            _ => None,
+        }
+    }
+
+    /// Per-kind record counts over the whole lane.
+    pub(crate) fn counts(&self) -> Counts {
+        self.parts
+            .iter()
+            .fold(Counts::default(), |acc, p| acc.add(p.counts()))
+    }
+}
+
+/// The records of a [`LaneView`], in its read order.
+#[derive(Debug, Clone)]
+enum LaneRecords<'a> {
+    /// A buffer read in place, in append order.
+    InPlace(Records<'a>),
+    /// A lane put in `(time, key, seq)` order.
+    Sorted(std::slice::Iter<'a, TraceRecord>),
+}
+
+impl Iterator for LaneRecords<'_> {
+    type Item = TraceRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceRecord> {
+        match self {
+            LaneRecords::InPlace(records) => records.next(),
+            LaneRecords::Sorted(records) => records.next().copied(),
+        }
     }
 }
 
@@ -252,14 +976,12 @@ impl QueryTrace {
         let mut parts: Vec<FlightRecorder> = parts.into_iter().filter(|p| !p.is_empty()).collect();
         // Stable: buffers sharing an id keep their hand-in order.
         parts.sort_by_key(FlightRecorder::lane);
-        let mut lanes: Vec<Lane> = Vec::new();
-        for part in parts {
+        let mut lanes: Vec<Vec<FlightRecorder>> = Vec::new();
+        for mut part in parts {
+            part.seal();
             match lanes.last_mut() {
-                Some(lane) if lane.parts[0].lane == part.lane => lane.parts.push(part),
-                _ => lanes.push(Lane {
-                    parts: vec![part],
-                    reordered: OnceCell::new(),
-                }),
+                Some(lane) if lane[0].lane == part.lane => lane.push(part),
+                _ => lanes.push(vec![part]),
             }
         }
         QueryTrace {
@@ -268,11 +990,9 @@ impl QueryTrace {
         }
     }
 
-    /// Each lane's records, ascending by lane id, each in an order every
-    /// per-lane fold can read as if it were the global one (see the
-    /// type-level docs).
-    pub fn lanes(&self) -> impl Iterator<Item = &FlightRecorder> + '_ {
-        self.lanes.iter().map(Lane::view)
+    /// Each lane, ascending by lane id.
+    pub fn lanes(&self) -> impl Iterator<Item = LaneView<'_>> + '_ {
+        self.lanes.iter().map(|parts| LaneView::new(parts))
     }
 
     /// Every record in global `(time, key, lane, seq)` order (built on
@@ -281,7 +1001,7 @@ impl QueryTrace {
     pub fn records(&self) -> &[TraceRecord] {
         self.global.get_or_init(|| {
             let mut records: Vec<TraceRecord> = Vec::with_capacity(self.len());
-            for part in self.lanes.iter().flat_map(|lane| &lane.parts) {
+            for part in self.lanes.iter().flatten() {
                 records.extend(part.iter());
             }
             // The input is a handful of time-sorted runs, which the stable
@@ -294,11 +1014,7 @@ impl QueryTrace {
     /// Total number of records.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lanes
-            .iter()
-            .flat_map(|lane| &lane.parts)
-            .map(FlightRecorder::len)
-            .sum()
+        self.lanes.iter().flatten().map(FlightRecorder::len).sum()
     }
 
     /// Whether the trace is empty.
@@ -310,13 +1026,8 @@ impl QueryTrace {
     /// Latest stamp in the trace, or zero when empty.
     #[must_use]
     pub fn horizon(&self) -> SimTime {
-        // Every lane's view is in stamp order, so its last record is its
-        // latest.
-        self.lanes()
-            .filter_map(FlightRecorder::last)
-            .map(|r| r.at)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        let latest = self.lanes.iter().flatten().map(|p| p.horizon_ns()).max();
+        SimTime::from_nanos(latest.unwrap_or(0))
     }
 
     /// A copy of this trace with `extra` records (e.g. SLO alert
@@ -329,10 +1040,7 @@ impl QueryTrace {
         for r in extra {
             added.entry(r.lane).or_default().push(r);
         }
-        let own = self
-            .lanes
-            .iter()
-            .flat_map(|lane| lane.parts.iter().cloned());
+        let own = self.lanes.iter().flatten().cloned();
         let added = added
             .into_iter()
             .map(|(lane, records)| FlightRecorder::from_records(lane, records));

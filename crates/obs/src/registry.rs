@@ -1,21 +1,24 @@
 //! The metric registry: fixed-grid DES-clock time series.
 //!
-//! A registry comes from one of two producers that share one code path:
+//! A registry comes from one of two producers that share one accumulator
+//! type and one merge:
 //!
-//! - **post-hoc**: [`MetricRegistry::from_trace`] replays each lane of a
-//!   [`QueryTrace`], in the order the lane recorded it, through its own
-//!   [`OnlineLane`] accumulator — a pure function of the trace, exactly as
-//!   deterministic as the trace itself;
+//! - **post-hoc**: [`MetricRegistry::from_trace`] folds each lane of a
+//!   [`QueryTrace`] into its own [`OnlineLane`] accumulator — from the
+//!   recorder's spans directly when the lane reads as spans, else by
+//!   replaying the lane's records in the order it recorded them — a pure
+//!   function of the trace, exactly as deterministic as the trace itself;
 //! - **online**: an instrumented run streams the same events into the same
 //!   accumulators live, no trace retention.
 //!
 //! Invariant 13 (ARCHITECTURE.md) says the two are byte-for-byte identical
 //! on the same run at any thread count; `from_trace` is the oracle the
 //! property suite and `bench_obs` compare the online plane against. The
-//! replay feeds each accumulator exactly the records the live run fed it,
-//! so the identity holds by construction; the property suite also replays
-//! the trace's global order, to check that the fold ignores how
-//! same-instant records interleave. Every
+//! span fold computes what the live fold leaves behind without depending
+//! on record order (every bin sums exact integers; a gauge bin is a prefix
+//! count), and the property suites check it against the live plane and
+//! against a record replay; they also replay the trace's global order, to
+//! check that the fold ignores how same-instant records interleave. Every
 //! series shares one tumbling grid of `window_ns` bins; the per-model
 //! SLA-violation series divides integer violated/completed counters per
 //! bin, judged with [`server_metrics::LatencyHistogram::exceeds`].
@@ -56,11 +59,15 @@ impl MetricRegistry {
     #[must_use]
     pub fn from_trace(trace: &QueryTrace, window_ns: u64, lane_gpcs: &[u32]) -> Self {
         assert!(window_ns > 0, "window must be positive");
-        // Replay each lane, in the order its engine appended it, through
-        // the SAME per-lane accumulator an instrumented run streams into:
-        // the replay is the live fold record for record (invariant 13 by
-        // construction).
+        // A lane kept as spans folds from them directly; any other lane
+        // replays, in the order its engine appended it, through the same
+        // per-lane accumulator an instrumented run streams into. The peak
+        // concurrency is only needed for a lane without a known capacity.
         let lanes = trace.lanes().map(|lane| {
+            if let Some(rec) = lane.as_spans() {
+                let capacity_known = lane_gpcs.get(lane.lane() as usize).is_some_and(|&c| c > 0);
+                return OnlineLane::from_spans(rec, window_ns, !capacity_known);
+            }
             let mut online = OnlineLane::new(lane.lane(), window_ns);
             for r in lane.iter() {
                 online.record(r.at, r.key, r.event);
@@ -226,6 +233,39 @@ mod tests {
         assert_eq!(loans.values, vec![2.0, 2.0, 0.0]);
         let shed = reg.get("fleet/shed_rate").expect("shed");
         assert!((shed.values[0] - 0.5).abs() < 1e-9);
+    }
+
+    /// A lane numbering its queries near `u64::MAX` sizes no table by the
+    /// id: it yields the registry of the same lifecycles numbered from 0.
+    #[test]
+    fn query_ids_near_u64_max_yield_the_small_id_registry() {
+        let lane = |first: u64| {
+            let mut r = FlightRecorder::new(0);
+            for i in 0..4 {
+                let q = first + i;
+                arrive(&mut r, 100 * i, q, (i % 2) as usize, 1_000);
+                r.record(
+                    t(100 * i),
+                    q,
+                    TraceEvent::ServiceStart {
+                        query: q,
+                        worker: 0,
+                        gpcs: 7,
+                        clean_ns: 300,
+                        base_ns: 300,
+                        actual_ns: 300 * (i + 1),
+                    },
+                );
+            }
+            for i in 0..4 {
+                complete(&mut r, 1_400 + 10 * i, first + i, 1_400 - 90 * i);
+            }
+            QueryTrace::merge([r])
+        };
+        let small = MetricRegistry::from_trace(&lane(0), 1_000, &[14]);
+        let near_max = MetricRegistry::from_trace(&lane(u64::MAX - 4), 1_000, &[14]);
+        assert_eq!(small, near_max);
+        assert!(small.get("model1/sla_violation_rate").is_some());
     }
 
     #[test]

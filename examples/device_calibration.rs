@@ -1,6 +1,7 @@
 //! Device-calibration tour: print the analytical model's latency,
 //! utilization, knees and PARIS plans per model — the numbers behind the
-//! Figure 3/4 shapes and the sanity checks in EXPERIMENTS.md.
+//! Figure 3/4 shapes and the deviations README records ("Deviations from
+//! the paper").
 //!
 //! ```text
 //! cargo run --release --example device_calibration

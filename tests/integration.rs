@@ -20,7 +20,8 @@ fn paris_elsa_beats_or_matches_every_baseline_on_every_model() {
     // The Figure 12 headline: PARIS+ELSA leads all eight designs. On the
     // kernel-floor-bound Conformer, the all-small homogeneous server is a
     // statistical tie (PARIS trades a few instances for tail robustness) —
-    // see EXPERIMENTS.md — so that one row gets a looser tolerance.
+    // see README, "Deviations from the paper" — so that one row gets a
+    // looser tolerance.
     for model in ModelKind::ALL {
         let bed = Testbed::paper_default(model);
         let champion = lbt(&bed, DesignPoint::ParisElsa);
@@ -230,8 +231,9 @@ fn service_noise_degrades_gracefully() {
 
 #[test]
 fn table1_homogeneous_instance_counts() {
-    // The reproducible Table I rows (geometry-faithful; see EXPERIMENTS.md
-    // for the two deliberate deviations on BERT).
+    // The reproducible Table I rows (geometry-faithful; see README,
+    // "Deviations from the paper", for the two deliberate deviations on
+    // BERT).
     let cases = [
         (ModelKind::ShuffleNet, ProfileSize::G1, 24),
         (ModelKind::MobileNet, ProfileSize::G2, 12),

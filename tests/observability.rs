@@ -24,7 +24,7 @@ use paris_elsa::faults::{
 };
 use paris_elsa::metrics::LatencyHistogram;
 use paris_elsa::obs::{
-    alert_records, analyze, check_conservation, evaluate_slos, merge_online, MetricRegistry,
+    alert_records, analyze, check_conservation, evaluate_slos, jsonl, merge_online, MetricRegistry,
     OnlineLane, QueryTrace, SloSpec,
 };
 use paris_elsa::prelude::*;
@@ -332,6 +332,58 @@ fn alert_annotations_are_registry_neutral() {
     assert!(annotated.len() > trace.len(), "annotations were merged");
     let replayed = MetricRegistry::from_trace(&annotated, window_ns, &[14, 14]);
     assert_eq!(registry, replayed, "alert rows changed the registry");
+}
+
+/// The golden fixture: `small_cluster` with a 2-GPU loan pool, 60 ms at
+/// 1.5× fleet capacity; shard 0's GPU 0 is dark from 20 to 40 ms and
+/// shard 1's GPU 1 runs 1.5× slow from 10 to 50 ms. Small enough to check
+/// in, rich enough to record every lifecycle exception (enqueue, stash,
+/// abort, requeue, shed) beside faults, degrades and a recovery reconfig.
+fn golden_trace(window: SyncWindow) -> QueryTrace {
+    let table = mobilenet_table();
+    let cluster =
+        small_cluster(&table, RouterPolicy::JoinShortestQueue).with_loan(LoanPolicy::new(2, 0.005));
+    let trace_in = arrivals(&cluster, 0.06, 1.5, 11);
+    let plan = FaultPlan::new()
+        .with_gpu_outage(0, 0, 0.02, 0.04)
+        .with_gpu_degrade(1, 1, 1.5, 0.01, 0.05);
+    let (_, trace) = run_with_faults_windowed_traced(
+        &cluster,
+        trace_in.iter().copied().map(|tq| (None, tq)),
+        ReportDetail::Summary,
+        &plan,
+        window,
+        1,
+    );
+    trace
+}
+
+/// The JSONL export of [`golden_trace`] is pinned byte for byte under
+/// `tests/golden/`, at per-event and at lookahead windowing, so a change
+/// to how the recorder stores a trace cannot change what it reads back.
+/// Only a change to simulated behaviour may move these files; regenerate
+/// them with `GOLDEN_BLESS=1 cargo test --test observability golden` and
+/// say why in the change.
+#[test]
+fn golden_jsonl_exports_are_reproduced_byte_for_byte() {
+    for (window, file) in [
+        (SyncWindow::PerEvent, "trace_per_event.jsonl"),
+        (
+            SyncWindow::Lookahead(SimDuration::from_nanos(2_000_000)),
+            "trace_lookahead.jsonl",
+        ),
+    ] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(file);
+        let got = jsonl(&golden_trace(window));
+        if std::env::var_os("GOLDEN_BLESS").is_some() {
+            std::fs::write(&path, &got).expect("write golden file");
+        }
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        assert!(got == want, "{file}: the JSONL export moved");
+    }
 }
 
 proptest! {
