@@ -197,8 +197,8 @@ fn dense_fleet(
 const TRACE_BYTES_PER_QUERY_BOUND: f64 = 120.0;
 
 /// Ceiling on `traced_overhead_pct`, asserted in full mode only: a wall
-/// clock ratio. Ten full runs on a 2-vCPU host read 46.1–55.2 % (median
-/// 49.4 %); the target leaves about five points for host noise.
+/// clock ratio. Ten full runs on a 2-vCPU host read 47.1–52.8 % (median
+/// 48.4 %); the target leaves about seven points for host noise.
 const TRACED_OVERHEAD_TARGET_PCT: f64 = 60.0;
 
 fn main() {

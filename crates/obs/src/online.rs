@@ -392,7 +392,10 @@ impl OnlineLane {
                 edges.push((at_ns + actual_ns, -i64::from(gpcs)));
             }
         };
-        for s in rec.spans().filter(|s| !s.is_void()) {
+        // A lane that reads as spans holds no void span: voiding one
+        // keeps its arrival as a plain record.
+        debug_assert!(rec.reads_as_spans());
+        for s in rec.spans() {
             let at = s.arrival_ns;
             let group = usize::from(s.group);
             let sla_ns = u64::from(s.sla_ns);

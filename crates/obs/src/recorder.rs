@@ -109,10 +109,6 @@ pub(crate) struct QuerySpan {
 }
 
 impl QuerySpan {
-    pub(crate) fn is_void(&self) -> bool {
-        self.seq[0] == NONE
-    }
-
     pub(crate) fn is_started(&self) -> bool {
         self.seq[1] != NONE
     }

@@ -148,14 +148,15 @@ impl LaneView<'_> {
     pub(crate) fn unbalanced(&self) -> Option<(u64, u64, u64)> {
         if let Some(rec) = self.as_spans() {
             // Each span is its query's only arrival and, once complete,
-            // its only completion; spans are in ascending query order.
+            // its only completion (none is void); spans are in ascending
+            // query order.
             let counts = rec.counts();
             if counts.arrivals == counts.completed {
                 return None;
             }
             return rec
                 .spans()
-                .find(|s| !s.is_void() && !s.is_complete())
+                .find(|s| !s.is_complete())
                 .map(|s| (u64::from(s.query), 1, 0));
         }
         let mut per_query: BTreeMap<u64, (u64, u64)> = BTreeMap::new();

@@ -361,9 +361,10 @@ fn golden_trace(window: SyncWindow) -> QueryTrace {
 /// The JSONL export of [`golden_trace`] is pinned byte for byte under
 /// `tests/golden/`, at per-event and at lookahead windowing, so a change
 /// to how the recorder stores a trace cannot change what it reads back.
-/// Only a change to simulated behaviour may move these files; regenerate
-/// them with `GOLDEN_BLESS=1 cargo test --test observability golden` and
-/// say why in the change.
+/// Only a change to simulated behaviour may move these files: on a
+/// mismatch the new export is written under the target directory, and a
+/// change that moves behaviour on purpose copies it over the golden file
+/// and says why.
 #[test]
 fn golden_jsonl_exports_are_reproduced_byte_for_byte() {
     for (window, file) in [
@@ -377,12 +378,16 @@ fn golden_jsonl_exports_are_reproduced_byte_for_byte() {
             .join("tests/golden")
             .join(file);
         let got = jsonl(&golden_trace(window));
-        if std::env::var_os("GOLDEN_BLESS").is_some() {
-            std::fs::write(&path, &got).expect("write golden file");
-        }
         let want = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        assert!(got == want, "{file}: the JSONL export moved");
+        if got != want {
+            let moved = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+            std::fs::write(&moved, &got).expect("write the new export");
+            panic!(
+                "{file}: the JSONL export moved; the new export is at {}",
+                moved.display()
+            );
+        }
     }
 }
 
