@@ -129,7 +129,10 @@ struct Point {
 }
 
 fn measure(cluster: &Cluster, scenario: &Scenario, scale: f64) -> Point {
-    let report = cluster.run_stream(scenario.trace(scale).stream(), ReportDetail::Summary);
+    let arrivals = scenario.trace(scale).stream().map(|tq| (None, tq));
+    let report = cluster
+        .run_with(arrivals, &RunSpec::new(ReportDetail::Summary))
+        .report;
     Point {
         scale,
         worst_p95_ratio: report.worst_p95_sla_ratio(),
@@ -241,7 +244,10 @@ fn main() {
     let dip_scale = results[2].1.scale.max(0.25);
     let dip = |mode: ReconfigMode| {
         let cluster = scenario.cluster(RouterPolicy::JoinShortestQueue, Some(mode));
-        let report = cluster.run_stream(scenario.trace(dip_scale).stream(), ReportDetail::Full);
+        let arrivals = scenario.trace(dip_scale).stream().map(|tq| (None, tq));
+        let report = cluster
+            .run_with(arrivals, &RunSpec::new(ReportDetail::Full))
+            .report;
         // Transition intervals are fleet-wide: while one shard reslices,
         // the JSQ router shifts its load onto the others, so the spike
         // can materialize on a shard that is not itself reconfiguring.

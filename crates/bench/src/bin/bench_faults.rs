@@ -28,9 +28,10 @@
 use std::fmt::Write as _;
 
 use paris_bench::print_table;
+use paris_bench::scenarios::run_plan;
 use paris_elsa::cluster::{Cluster, LoanPolicy, RouterPolicy};
 use paris_elsa::dnn::ModelKind;
-use paris_elsa::faults::{run_with_faults, FaultPlan, FaultReport};
+use paris_elsa::faults::{FaultPlan, FaultReport};
 use paris_elsa::prelude::*;
 use paris_elsa::workload::DriftDetectorConfig;
 
@@ -174,18 +175,15 @@ fn main() {
     let scenario = Scenario::new(duration_s, opts.seed);
     let plan = scenario.plan();
     let trace: Vec<_> = scenario.trace().generate();
-    let unpinned = || trace.iter().copied().map(|tq| (None, tq));
+    let full = || RunSpec::new(ReportDetail::Full);
 
     // The empty-plan degeneration check: the no-fault run through the
     // fault path must be bit-for-bit the plain run.
     let baseline_cluster = scenario.cluster(false);
-    let plain = baseline_cluster.run_stream(trace.iter().copied(), ReportDetail::Full);
-    let nofault = run_with_faults(
-        &baseline_cluster,
-        unpinned(),
-        ReportDetail::Full,
-        &FaultPlan::new(),
-    );
+    let plain = baseline_cluster
+        .run_with(trace.iter().map(|&tq| (None, tq)), &full())
+        .report;
+    let (nofault, ..) = run_plan(&baseline_cluster, &trace, &FaultPlan::new(), full());
     let bit_identical = plain
         .per_shard
         .iter()
@@ -201,18 +199,8 @@ fn main() {
         "empty FaultPlan must reproduce the plain run bit-for-bit"
     );
 
-    let bare = run_with_faults(
-        &scenario.cluster(false),
-        unpinned(),
-        ReportDetail::Full,
-        &plan,
-    );
-    let loaned = run_with_faults(
-        &scenario.cluster(true),
-        unpinned(),
-        ReportDetail::Full,
-        &plan,
-    );
+    let (bare, ..) = run_plan(&scenario.cluster(false), &trace, &plan, full());
+    let (loaned, ..) = run_plan(&scenario.cluster(true), &trace, &plan, full());
     let rows = [
         row("nofault_jsq", &nofault),
         row("jsq", &bare),

@@ -105,27 +105,28 @@ impl Scenario {
         }
     }
 
+    fn spec(&self, window: SyncWindow, threads: usize) -> RunSpec {
+        RunSpec::new(ReportDetail::Summary)
+            .with_faults(self.faults.clone())
+            .with_window(window, threads)
+    }
+
     /// One full run: report plus wall-clock seconds.
     fn run(&self, window: SyncWindow, threads: usize) -> (ClusterReport, f64) {
+        let spec = self.spec(window, threads);
         let start = Instant::now();
-        let report = self.cluster.run_windowed(
-            self.trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Summary,
-            &self.faults,
-            window,
-            threads,
-        );
-        (report, start.elapsed().as_secs_f64())
+        let run = self
+            .cluster
+            .run_with(self.trace.iter().map(|&tq| (None, tq)), &spec);
+        (run.report, start.elapsed().as_secs_f64())
     }
 
     fn profile(&self, window: SyncWindow) -> (ClusterReport, WindowProfile) {
-        self.cluster.run_windowed_profiled(
-            self.trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Summary,
-            &self.faults,
-            window,
-            &THREADS,
-        )
+        let spec = self.spec(window, 1).with_profile(&THREADS);
+        let run = self
+            .cluster
+            .run_with(self.trace.iter().map(|&tq| (None, tq)), &spec);
+        (run.report, run.profile.expect("profiling was requested"))
     }
 }
 

@@ -60,12 +60,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use paris_bench::print_table;
-use paris_bench::scenarios::{mobilenet_table, RackScenario};
+use paris_bench::scenarios::{mobilenet_table, run_plan, RackScenario};
 use paris_elsa::cluster::Cluster;
-use paris_elsa::faults::{
-    run_with_faults_windowed, run_with_faults_windowed_instrumented,
-    run_with_faults_windowed_observed, run_with_faults_windowed_traced, FaultPlan, FaultReport,
-};
+use paris_elsa::faults::{FaultPlan, FaultReport};
 use paris_elsa::obs::{
     alert_records, analyze, attribute_alerts, check_conservation, evaluate_slos, jsonl,
     write_alert_rows, write_query_trace, ChromeTraceWriter, MetricRegistry, QueryTrace, SloSpec,
@@ -208,27 +205,16 @@ fn main() {
     let rack = RackScenario::new(duration_s, opts.seed, &table);
     let trace_in = rack.trace();
     let plan = rack.plan();
-    let unpinned = || trace_in.iter().copied().map(|tq| (None, tq));
-
-    let untraced = |threads: usize| -> FaultReport {
-        run_with_faults_windowed(
-            &rack.cluster(true),
-            unpinned(),
-            ReportDetail::Full,
-            &plan,
-            SyncWindow::PerEvent,
-            threads,
-        )
+    let rack_run = |threads: usize, obs: ObsRequest| {
+        let spec = RunSpec::new(ReportDetail::Full)
+            .with_window(SyncWindow::PerEvent, threads)
+            .with_obs(obs);
+        run_plan(&rack.cluster(true), &trace_in, &plan, spec)
     };
+    let untraced = |threads: usize| -> FaultReport { rack_run(threads, ObsRequest::OFF).0 };
     let traced = |threads: usize| -> (FaultReport, QueryTrace) {
-        run_with_faults_windowed_traced(
-            &rack.cluster(true),
-            unpinned(),
-            ReportDetail::Full,
-            &plan,
-            SyncWindow::PerEvent,
-            threads,
-        )
+        let (report, trace, _) = rack_run(threads, ObsRequest::traced());
+        (report, trace.expect("tracing was requested"))
     };
 
     // -- 1. Zero observer effect (invariant 12), threads 1 and 4 ----------
@@ -285,42 +271,26 @@ fn main() {
     let dense_duration_s = opts.pick(2.0, 1.5, 0.5);
     let reps = opts.pick(41, 15, 7);
     let (fleet, fleet_trace) = dense_fleet(&table, dense_duration_s, opts.seed);
-    let fleet_unpinned = || fleet_trace.iter().copied().map(|tq| (None, tq));
     let no_faults = FaultPlan::new();
     let window = SyncWindow::Lookahead(SimDuration::from_millis(2));
+    let fleet_run = |obs: ObsRequest| {
+        let spec = RunSpec::new(ReportDetail::Summary)
+            .with_window(window, 1)
+            .with_obs(obs);
+        run_plan(&fleet, &fleet_trace, &no_faults, spec)
+    };
     let mut triples: Vec<(f64, f64, f64)> = Vec::with_capacity(reps);
     let (mut events, mut served, mut trace_bytes) = (0, 0, 0);
     for _ in 0..reps {
         let t0 = Instant::now();
-        let report = run_with_faults_windowed(
-            &fleet,
-            fleet_unpinned(),
-            ReportDetail::Summary,
-            &no_faults,
-            window,
-            1,
-        );
+        let (report, ..) = fleet_run(ObsRequest::OFF);
         let rep_untraced = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let (online_report, fleet_registry) = run_with_faults_windowed_observed(
-            &fleet,
-            fleet_unpinned(),
-            ReportDetail::Summary,
-            &no_faults,
-            window,
-            1,
-            online_window_ns,
-        );
+        let (online_report, _, fleet_registry) = fleet_run(ObsRequest::online(online_window_ns));
         let rep_online = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let (traced_report, fleet_recorded) = run_with_faults_windowed_traced(
-            &fleet,
-            fleet_unpinned(),
-            ReportDetail::Summary,
-            &no_faults,
-            window,
-            1,
-        );
+        let (traced_report, fleet_recorded, _) = fleet_run(ObsRequest::traced());
+        let fleet_recorded = fleet_recorded.expect("tracing was requested");
         let rep_traced = t0.elapsed().as_secs_f64();
         triples.push((rep_untraced, rep_traced, rep_online));
         events = fleet_recorded.len();
@@ -368,15 +338,7 @@ fn main() {
     let peak_traced_bytes = peak_bytes() - live;
     drop(keep);
     let live = reset_peak();
-    let keep = run_with_faults_windowed_observed(
-        &rack.cluster(true),
-        unpinned(),
-        ReportDetail::Full,
-        &plan,
-        SyncWindow::PerEvent,
-        1,
-        online_window_ns,
-    );
+    let keep = rack_run(1, ObsRequest::online(online_window_ns));
     let peak_online_bytes = peak_bytes() - live;
     drop(keep);
     let online_peak_below_trace = peak_online_bytes < peak_traced_bytes;
@@ -407,15 +369,9 @@ fn main() {
     // -- 6. Online plane ≡ trace oracle (invariant 13), threads {1, 4} -----
     let lane_gpcs = rack.cluster(true).lane_gpcs();
     let instrumented = |threads: usize| {
-        run_with_faults_windowed_instrumented(
-            &rack.cluster(true),
-            unpinned(),
-            ReportDetail::Full,
-            &plan,
-            SyncWindow::PerEvent,
-            threads,
-            online_window_ns,
-        )
+        let (report, trace, registry) =
+            rack_run(threads, ObsRequest::instrumented(online_window_ns));
+        (report, trace.expect("traced"), registry.expect("online"))
     };
     let (irep1, itrace1, ireg1) = instrumented(1);
     let (_, itrace4, ireg4) = instrumented(4);

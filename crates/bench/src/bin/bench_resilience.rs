@@ -36,8 +36,8 @@
 use std::fmt::Write as _;
 
 use paris_bench::print_table;
-use paris_bench::scenarios::{mobilenet_table, RackScenario, SlowScenario};
-use paris_elsa::faults::{run_with_faults, FaultPlan, FaultReport};
+use paris_bench::scenarios::{mobilenet_table, run_plan, RackScenario, SlowScenario};
+use paris_elsa::faults::{FaultPlan, FaultReport};
 use paris_elsa::metrics::LatencyHistogram;
 use paris_elsa::prelude::*;
 
@@ -146,13 +146,15 @@ fn main() {
     let rack = RackScenario::new(duration_s, opts.seed, &table);
     let rack_trace = rack.trace();
     let rack_plan = rack.plan();
-    let unpinned = || rack_trace.iter().copied().map(|tq| (None, tq));
+    let full = || RunSpec::new(ReportDetail::Full);
 
     // Empty-plan degeneration guard: the fault path must cost nothing
     // until an event fires.
     let baseline = rack.cluster(false);
-    let plain = baseline.run_stream(rack_trace.iter().copied(), ReportDetail::Full);
-    let nofault = run_with_faults(&baseline, unpinned(), ReportDetail::Full, &FaultPlan::new());
+    let plain = baseline
+        .run_with(rack_trace.iter().map(|&tq| (None, tq)), &full())
+        .report;
+    let (nofault, ..) = run_plan(&baseline, &rack_trace, &FaultPlan::new(), full());
     let bit_identical = plain
         .per_shard
         .iter()
@@ -168,18 +170,8 @@ fn main() {
         "empty FaultPlan must reproduce the plain run bit-for-bit"
     );
 
-    let noshed = run_with_faults(
-        &rack.cluster(false),
-        unpinned(),
-        ReportDetail::Full,
-        &rack_plan,
-    );
-    let shed = run_with_faults(
-        &rack.cluster(true),
-        unpinned(),
-        ReportDetail::Full,
-        &rack_plan,
-    );
+    let (noshed, ..) = run_plan(&rack.cluster(false), &rack_trace, &rack_plan, full());
+    let (shed, ..) = run_plan(&rack.cluster(true), &rack_trace, &rack_plan, full());
     // Invariant 10: every offered query is exactly served-or-shed.
     for (name, report) in [("noshed", &noshed), ("shed", &shed)] {
         let completed: u64 = report
@@ -242,19 +234,8 @@ fn main() {
     let slow = SlowScenario::new(duration_s, opts.seed, &table);
     let slow_trace = slow.trace();
     let slow_plan = slow.plan();
-    let slow_unpinned = || slow_trace.iter().copied().map(|tq| (None, tq));
-    let blind = run_with_faults(
-        &slow.cluster(false),
-        slow_unpinned(),
-        ReportDetail::Full,
-        &slow_plan,
-    );
-    let aware = run_with_faults(
-        &slow.cluster(true),
-        slow_unpinned(),
-        ReportDetail::Full,
-        &slow_plan,
-    );
+    let (blind, ..) = run_plan(&slow.cluster(false), &slow_trace, &slow_plan, full());
+    let (aware, ..) = run_plan(&slow.cluster(true), &slow_trace, &slow_plan, full());
     for (name, report) in [("blind", &blind), ("aware", &aware)] {
         let completed: usize = report
             .cluster

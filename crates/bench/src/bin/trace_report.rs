@@ -33,9 +33,8 @@
 //!          [--seed N] [--slo] [--metrics out.jsonl|out.csv] \
 //!          [--trace out.trace.json] [--jsonl out.jsonl]`
 
-use paris_bench::scenarios::{mobilenet_table, RackScenario};
+use paris_bench::scenarios::{mobilenet_table, run_plan, RackScenario};
 use paris_bench::{arg_value, print_table};
-use paris_elsa::faults::run_with_faults_traced;
 use paris_elsa::obs::{
     alert_records, analyze, attribute_alerts, check_conservation, chrome_trace_json, evaluate_slos,
     jsonl, metrics_csv, metrics_jsonl, write_alert_rows, write_query_trace, ChromeTraceWriter,
@@ -67,12 +66,9 @@ fn main() {
     let plan = rack.plan();
     let cluster = rack.cluster(true);
 
-    let (report, trace) = run_with_faults_traced(
-        &cluster,
-        trace_in.iter().copied().map(|tq| (None, tq)),
-        ReportDetail::Summary,
-        &plan,
-    );
+    let spec = RunSpec::new(ReportDetail::Summary).with_obs(ObsRequest::traced());
+    let (report, trace, _) = run_plan(&cluster, &trace_in, &plan, spec);
+    let trace = trace.expect("tracing was requested");
 
     // -- Exact per-class latency breakdown ---------------------------------
     let analysis = analyze(&trace);

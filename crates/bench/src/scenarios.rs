@@ -13,6 +13,21 @@ use paris_elsa::dnn::ModelKind;
 use paris_elsa::faults::{FaultPlan, FaultTopology};
 use paris_elsa::prelude::*;
 
+/// Runs `trace` (unpinned) through `cluster` under `plan`, the rest of the
+/// run as `spec` says: the run's availability accounting, plus the trace
+/// and registry `spec` asked for.
+pub fn run_plan(
+    cluster: &Cluster,
+    trace: &[TaggedQuerySpec],
+    plan: &FaultPlan,
+    spec: RunSpec,
+) -> (FaultReport, Option<QueryTrace>, Option<MetricRegistry>) {
+    let spec = spec.with_faults(plan.compile());
+    let run = cluster.run_with(trace.iter().map(|&tq| (None, tq)), &spec);
+    let report = FaultReport::new(cluster, plan, run.report);
+    (report, run.trace, run.registry)
+}
+
 /// Shared model table: MobileNet on A100 MIG slices.
 #[must_use]
 pub fn mobilenet_table() -> ProfileTable {

@@ -15,7 +15,7 @@ use paris_core::GpcBudget;
 use server_metrics::LatencyHistogram;
 
 use crate::faults::{FaultEvent, FaultTimeline};
-use crate::loan::{degrade_inflated_demand, LoanDemandModel, LoanEvent, LoanLedger, LoanPolicy};
+use crate::loan::{LoanEvent, LoanLedger, LoanPolicy};
 use crate::parallel::{
     lane_threads, ArmedReplan, Command, Lane, LaneExecutor, Lanes, ProfilingExecutor,
     SerialExecutor, SyncWindow, WindowProfile, WorkerPool,
@@ -82,11 +82,11 @@ pub struct FaultRecord {
 ///
 /// ```
 /// use dnn_zoo::ModelKind;
-/// use inference_cluster::{Cluster, RouterPolicy};
+/// use inference_cluster::{Cluster, RouterPolicy, RunSpec};
 /// use inference_workload::{BatchDistribution, MultiTraceGenerator, PhaseSpec};
 /// use mig_gpu::{DeviceSpec, PerfModel, ProfileSize};
 /// use paris_core::{GpcBudget, ProfileTable};
-/// use inference_server::{ModelSpec, MultiModelConfig, MultiModelServer};
+/// use inference_server::{ModelSpec, MultiModelConfig, MultiModelServer, ReportDetail};
 ///
 /// let perf = PerfModel::new(DeviceSpec::a100());
 /// let dist = BatchDistribution::paper_default();
@@ -100,7 +100,8 @@ pub struct FaultRecord {
 /// };
 /// let cluster = Cluster::new(vec![shard(2)?, shard(1)?], RouterPolicy::JoinShortestQueue);
 /// let trace = MultiTraceGenerator::new(vec![PhaseSpec::new(0.3, vec![(400.0, dist)])], 7);
-/// let report = cluster.run(&trace.generate());
+/// let arrivals = trace.stream().map(|tq| (None, tq));
+/// let report = cluster.run_with(arrivals, &RunSpec::new(ReportDetail::Full)).report;
 /// assert_eq!(report.completed(), report.routed.iter().sum::<u64>());
 /// assert_eq!(report.per_shard.len(), 2);
 /// # Ok::<(), paris_core::PlanError>(())
@@ -165,7 +166,7 @@ impl Cluster {
     /// Pre-sizes every shard lane's event queue (and, in lookahead mode,
     /// its command mailbox) for the given offered load — computed once via
     /// [`lane_capacity_hints`](Self::lane_capacity_hints) and applied by
-    /// every run entry point. Purely an allocation knob: reports are
+    /// every run. Purely an allocation knob: reports are
     /// bit-for-bit identical with or without it; with it, a steady-state
     /// run performs no lane-queue reallocation after construction.
     #[must_use]
@@ -237,259 +238,51 @@ impl Cluster {
         self.shed.as_ref()
     }
 
-    /// Simulates the cluster over a materialized tagged trace at the first
-    /// shard's configured detail.
+    /// Simulates the cluster over `arrivals` (ascending arrival times,
+    /// optionally shard-pinned — see [`PinnedQuery`]) as `spec` describes,
+    /// until every accepted query completes. The one entry point: every
+    /// other run function delegates here.
     ///
-    /// The materialized trace is also the lane pre-sizing profile: unless
-    /// [`with_lane_capacity`](Self::with_lane_capacity) already pinned
-    /// hints, the trace's own offered rate sizes every lane's event queue
-    /// up front ([`lane_capacity_hints`](Self::lane_capacity_hints)).
-    #[must_use]
-    pub fn run(&self, trace: &[TaggedQuerySpec]) -> ClusterReport {
-        let hints = if self.lane_capacity.is_none() {
-            let span_ns = match (trace.first(), trace.last()) {
-                (Some(f), Some(l)) => l.spec.arrival_ns.saturating_sub(f.spec.arrival_ns),
-                _ => 0,
-            };
-            (span_ns > 0)
-                .then(|| self.lane_capacity_hints(trace.len() as f64 / (span_ns as f64 / 1e9)))
-        } else {
-            None
-        };
-        self.run_windowed_inner(
-            trace.iter().copied().map(|tq| (None, tq)),
-            self.shards[0].config().detail,
-            &FaultTimeline::empty(),
-            SyncWindow::PerEvent,
-            1,
-            ObsRequest::OFF,
-            hints.as_deref(),
-        )
-        .0
-    }
-
-    /// Simulates the cluster over a *streamed* tagged arrival sequence
-    /// (ascending arrival times) until every accepted query completes.
-    #[must_use]
-    pub fn run_stream<I>(&self, arrivals: I, detail: ReportDetail) -> ClusterReport
-    where
-        I: IntoIterator<Item = TaggedQuerySpec>,
-    {
-        self.run_scenario(
-            arrivals.into_iter().map(|tq| (None, tq)),
-            detail,
-            &FaultTimeline::empty(),
-        )
-    }
-
-    /// Simulates the cluster under a fault scenario: a (possibly
-    /// shard-pinned, see [`PinnedQuery`]) arrival stream plus a
-    /// [`FaultTimeline`] injected into the same DES. GPU failures kill
-    /// the instances packed on the failing GPU (their work requeues) and
-    /// the shard re-plans onto the survivor budget; shard failures drop
-    /// the shard from the routing rotation until repair; with a
-    /// [`LoanPolicy`], every fault also triggers an immediate loan
-    /// rebalance so the batch pool can backfill lost capacity.
+    /// Faults ([`RunSpec::faults`]) are injected into the same DES. GPU
+    /// failures kill the instances packed on the failing GPU (their work
+    /// requeues) and the shard re-plans onto the survivor budget; shard
+    /// failures drop the shard from the routing rotation until repair;
+    /// with a [`LoanPolicy`], every fault also triggers an immediate loan
+    /// rebalance so the batch pool can backfill lost capacity. An empty
+    /// timeline costs nothing until an event fires.
     ///
-    /// An **empty timeline with no pins is bit-for-bit
-    /// [`run_stream`](Self::run_stream)** — the fault machinery costs
-    /// nothing until an event fires; the unit suite pins this.
+    /// For a fixed [`RunSpec::window`], **`threads` never changes the
+    /// result** — the per-event and lookahead modes are each deterministic
+    /// bit-for-bit at any thread count (invariant 11). The two window
+    /// modes are *distinct models*, though: per-event windows give the
+    /// coordinator exact fleet state at every decision (the sequential
+    /// shared-queue order) and always run on the calling thread, while
+    /// `Lookahead(L)` freezes its reads at each window's leading edge — an
+    /// explicit model of cross-shard information latency, and the mode
+    /// that spreads lanes over up to `threads` threads.
     ///
-    /// Runs per-event windows ([`SyncWindow::PerEvent`]), which advance
-    /// every lane on the calling thread.
+    /// Observation never changes the report either (invariant 12): with
+    /// [`RunSpec::obs`] tracing, every lane's dispatch core and the gateway
+    /// record the query lifecycle into one merged [`QueryTrace`]; with the
+    /// online plane, each lane folds its hook stream into windowed
+    /// aggregates merged in lane order into one [`MetricRegistry`] —
+    /// byte-for-byte [`MetricRegistry::from_trace`] of the same run's trace
+    /// (invariant 13). With [`RunSpec::profile`], the run advances every
+    /// lane on the calling thread and also measures its
+    /// [`WindowProfile`]; the report is again the unprofiled one.
     #[must_use]
-    pub fn run_scenario<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-    ) -> ClusterReport
+    pub fn run_with<I>(&self, arrivals: I, spec: &RunSpec) -> RunOutput
     where
         I: IntoIterator<Item = PinnedQuery>,
     {
-        self.run_windowed(arrivals, detail, faults, SyncWindow::PerEvent, 1)
-    }
-
-    /// The fully general entry point: simulates the cluster under a fault
-    /// scenario with an explicit [`SyncWindow`] mode and worker thread
-    /// count.
-    ///
-    /// For a fixed `window`, **`threads` never changes the result** — the
-    /// per-event and lookahead modes are each deterministic bit-for-bit at
-    /// any thread count (invariant 11). The two window modes are *distinct
-    /// models*, though: per-event windows give the coordinator exact
-    /// fleet state at every decision (the sequential shared-queue order)
-    /// and always run on the calling thread, while `Lookahead(L)` freezes
-    /// its reads at each window's leading edge — an explicit model of
-    /// cross-shard information latency, and the mode that spreads lanes
-    /// over up to `threads` threads.
-    #[must_use]
-    pub fn run_windowed<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-        window: SyncWindow,
-        threads: usize,
-    ) -> ClusterReport
-    where
-        I: IntoIterator<Item = PinnedQuery>,
-    {
-        self.run_windowed_inner(
-            arrivals,
+        let RunSpec {
             detail,
-            faults,
+            ref faults,
             window,
             threads,
-            ObsRequest::OFF,
-            None,
-        )
-        .0
-    }
-
-    /// [`run_windowed`](Self::run_windowed) with the flight recorder
-    /// attached: every lane's dispatch core and the gateway record the full
-    /// query lifecycle (arrivals, routing, sheds, service, re-plans, loans,
-    /// faults), merged into one deterministic [`QueryTrace`].
-    ///
-    /// **Invariant 12 (zero observer effect):** the returned
-    /// [`ClusterReport`] is bit-for-bit the untraced `run_windowed` report,
-    /// and the trace itself is invariant under `threads` — both pinned by
-    /// the property suite.
-    #[must_use]
-    pub fn run_windowed_traced<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-        window: SyncWindow,
-        threads: usize,
-    ) -> (ClusterReport, QueryTrace)
-    where
-        I: IntoIterator<Item = PinnedQuery>,
-    {
-        let (report, trace, _) = self.run_windowed_inner(
-            arrivals,
-            detail,
-            faults,
-            window,
-            threads,
-            ObsRequest::traced(),
-            None,
-        );
-        (report, trace.expect("tracing was requested"))
-    }
-
-    /// [`run_windowed`](Self::run_windowed) with the **online telemetry
-    /// plane** attached: each lane folds its own hook stream into private
-    /// windowed aggregates live on the DES clock (O(1) memory per series
-    /// and window — no trace is retained), merged deterministically in
-    /// lane order into one [`MetricRegistry`] on a `online_window_ns` grid.
-    ///
-    /// **Invariant 13:** the returned registry is byte-for-byte
-    /// [`MetricRegistry::from_trace`] of the same run's trace on the same
-    /// grid, at any thread count — `from_trace` is the oracle the property
-    /// suite and `bench_obs` hold this against. Invariant 12 still holds
-    /// too: the report is bit-for-bit the unobserved run's.
-    #[must_use]
-    pub fn run_windowed_observed<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-        window: SyncWindow,
-        threads: usize,
-        online_window_ns: u64,
-    ) -> (ClusterReport, MetricRegistry)
-    where
-        I: IntoIterator<Item = PinnedQuery>,
-    {
-        let (report, _, registry) = self.run_windowed_inner(
-            arrivals,
-            detail,
-            faults,
-            window,
-            threads,
-            ObsRequest::online(online_window_ns),
-            None,
-        );
-        (report, registry.expect("online telemetry was requested"))
-    }
-
-    /// Both observability planes at once: the retained [`QueryTrace`] and
-    /// the live [`MetricRegistry`] from one run — what the invariant-13
-    /// checks compare, and what `trace_report --slo` uses to pair alerts
-    /// with their causal attribution.
-    #[must_use]
-    pub fn run_windowed_instrumented<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-        window: SyncWindow,
-        threads: usize,
-        online_window_ns: u64,
-    ) -> (ClusterReport, QueryTrace, MetricRegistry)
-    where
-        I: IntoIterator<Item = PinnedQuery>,
-    {
-        let (report, trace, registry) = self.run_windowed_inner(
-            arrivals,
-            detail,
-            faults,
-            window,
-            threads,
-            ObsRequest::instrumented(online_window_ns),
-            None,
-        );
-        (
-            report,
-            trace.expect("tracing was requested"),
-            registry.expect("online telemetry was requested"),
-        )
-    }
-
-    /// Per-lane GPC capacities (`lane_gpcs[s]` = shard `s`'s total GPC
-    /// budget) — the busy-fraction denominators
-    /// [`MetricRegistry::from_trace`] needs to reproduce an observed run's
-    /// registry from its trace.
-    #[must_use]
-    pub fn lane_gpcs(&self) -> Vec<u32> {
-        self.shards
-            .iter()
-            .map(|s| s.budget().total_gpcs as u32)
-            .collect()
-    }
-
-    /// The event-queue capacity for lane `s`: an explicit hint when one
-    /// was provided (call-site override first, then the cluster-level
-    /// [`with_lane_capacity`](Self::with_lane_capacity) hints), otherwise
-    /// the structural floor — one completion per partition, one
-    /// reconfiguration timer, a small dispatch margin.
-    fn lane_capacity(&self, s: usize, hints: Option<&[usize]>) -> usize {
-        hints
-            .or(self.lane_capacity.as_deref())
-            .and_then(|h| h.get(s).copied())
-            .unwrap_or_else(|| {
-                let partitions: usize = self.shards[s].groups().iter().map(Vec::len).sum();
-                partitions + 4
-            })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_windowed_inner<I>(
-        &self,
-        arrivals: I,
-        detail: ReportDetail,
-        faults: &FaultTimeline,
-        window: SyncWindow,
-        threads: usize,
-        obs: ObsRequest,
-        hints: Option<&[usize]>,
-    ) -> (ClusterReport, Option<QueryTrace>, Option<MetricRegistry>)
-    where
-        I: IntoIterator<Item = PinnedQuery>,
-    {
+            obs,
+            ref profile,
+        } = *spec;
         let mut gw = Gateway::new(self, arrivals.into_iter(), faults, window);
         if !obs.is_off() {
             // The gateway records on its own lane, one past the shards
@@ -509,7 +302,7 @@ impl Cluster {
                         shard.budget().total_gpcs as u32,
                     ));
                 }
-                let capacity = self.lane_capacity(s, hints);
+                let capacity = self.lane_capacity(s);
                 // Commands only queue in lookahead mode; a window's worth
                 // of offers is far below the event-queue backlog bound.
                 let mailbox = match window {
@@ -519,27 +312,107 @@ impl Cluster {
                 Lane::new(s, engine, shard.budget().num_gpus, capacity, mailbox)
             })
             .collect();
-        let threads = lane_threads(window, threads, self.shards.len());
+        let threads = match profile {
+            Some(_) => 1,
+            None => lane_threads(window, threads, self.shards.len()),
+        };
         let mut lanes = Lanes::new(lanes, threads);
-        if threads <= 1 {
-            let mut exec = SerialExecutor;
-            gw.drive(&mut lanes, &mut exec);
-        } else {
-            std::thread::scope(|scope| {
-                let mut exec = WorkerPool::new(scope, threads);
+        let profile = match profile {
+            Some(counts) => {
+                let mut exec = ProfilingExecutor::new(counts, window, self.shards.len());
                 gw.drive(&mut lanes, &mut exec);
-            });
+                Some(exec.into_profile())
+            }
+            None if threads <= 1 => {
+                gw.drive(&mut lanes, &mut SerialExecutor);
+                None
+            }
+            None => {
+                std::thread::scope(|scope| {
+                    let mut exec = WorkerPool::new(scope, threads);
+                    gw.drive(&mut lanes, &mut exec);
+                });
+                None
+            }
+        };
+        let (report, trace, registry) = gw.finish(lanes);
+        RunOutput {
+            report,
+            trace,
+            registry,
+            profile,
         }
-        gw.finish(lanes)
     }
 
-    /// Like [`run_windowed`](Self::run_windowed) at one thread, but also
-    /// measures the run's [`WindowProfile`]: per synchronization window,
-    /// how the lane work would bucket onto worker pools of each size in
-    /// `thread_counts`. The report is bit-for-bit the `run_windowed`
-    /// report (profiling only observes event counters); the profile is
-    /// what `bench_megacluster` builds its events/sec-vs-cores curve
-    /// from, independent of the benchmarking host's core count.
+    /// [`run_with`](Self::run_with), report only. Kept for perfbench, a
+    /// fixed instrument; everything else calls `run_with`.
+    #[must_use]
+    pub fn run_windowed<I>(
+        &self,
+        arrivals: I,
+        detail: ReportDetail,
+        faults: &FaultTimeline,
+        window: SyncWindow,
+        threads: usize,
+    ) -> ClusterReport
+    where
+        I: IntoIterator<Item = PinnedQuery>,
+    {
+        self.run_with(
+            arrivals,
+            &RunSpec::windowed(detail, faults, window, threads),
+        )
+        .report
+    }
+
+    /// [`run_with`](Self::run_with) with the flight recorder. Kept for
+    /// perfbench, a fixed instrument; everything else calls `run_with`.
+    #[must_use]
+    pub fn run_windowed_traced<I>(
+        &self,
+        arrivals: I,
+        detail: ReportDetail,
+        faults: &FaultTimeline,
+        window: SyncWindow,
+        threads: usize,
+    ) -> (ClusterReport, QueryTrace)
+    where
+        I: IntoIterator<Item = PinnedQuery>,
+    {
+        let spec =
+            RunSpec::windowed(detail, faults, window, threads).with_obs(ObsRequest::traced());
+        let out = self.run_with(arrivals, &spec);
+        (out.report, out.trace.expect("tracing was requested"))
+    }
+
+    /// [`run_with`](Self::run_with) with the online telemetry plane on a
+    /// `online_window_ns` grid. Kept for perfbench, a fixed instrument;
+    /// everything else calls `run_with`.
+    #[must_use]
+    pub fn run_windowed_observed<I>(
+        &self,
+        arrivals: I,
+        detail: ReportDetail,
+        faults: &FaultTimeline,
+        window: SyncWindow,
+        threads: usize,
+        online_window_ns: u64,
+    ) -> (ClusterReport, MetricRegistry)
+    where
+        I: IntoIterator<Item = PinnedQuery>,
+    {
+        let spec = RunSpec::windowed(detail, faults, window, threads)
+            .with_obs(ObsRequest::online(online_window_ns));
+        let out = self.run_with(arrivals, &spec);
+        (
+            out.report,
+            out.registry.expect("online telemetry was requested"),
+        )
+    }
+
+    /// [`run_with`](Self::run_with) with the window profiler for each of
+    /// `thread_counts`. Kept for perfbench, a fixed instrument; everything
+    /// else calls `run_with`.
     #[must_use]
     pub fn run_windowed_profiled<I>(
         &self,
@@ -552,31 +425,128 @@ impl Cluster {
     where
         I: IntoIterator<Item = PinnedQuery>,
     {
-        let mut gw = Gateway::new(self, arrivals.into_iter(), faults, window);
-        let lanes: Vec<Lane<'_>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                let capacity = self.lane_capacity(s, None);
-                let mailbox = match window {
-                    SyncWindow::Lookahead(_) => capacity,
-                    SyncWindow::PerEvent => 0,
-                };
-                Lane::new(
-                    s,
-                    ShardEngine::new(shard, detail),
-                    shard.budget().num_gpus,
-                    capacity,
-                    mailbox,
-                )
-            })
-            .collect();
-        let mut lanes = Lanes::new(lanes, 1);
-        let mut exec = ProfilingExecutor::new(thread_counts, window, self.shards.len());
-        gw.drive(&mut lanes, &mut exec);
-        (gw.finish(lanes).0, exec.into_profile())
+        let spec = RunSpec::windowed(detail, faults, window, 1).with_profile(thread_counts);
+        let out = self.run_with(arrivals, &spec);
+        (out.report, out.profile.expect("profiling was requested"))
     }
+
+    /// Per-lane GPC capacities (`lane_gpcs[s]` = shard `s`'s total GPC
+    /// budget) — the busy-fraction denominators
+    /// [`MetricRegistry::from_trace`] needs to reproduce an observed run's
+    /// registry from its trace.
+    #[must_use]
+    pub fn lane_gpcs(&self) -> Vec<u32> {
+        self.shards
+            .iter()
+            .map(|s| s.budget().total_gpcs as u32)
+            .collect()
+    }
+
+    /// The event-queue capacity for lane `s`: the
+    /// [`with_lane_capacity`](Self::with_lane_capacity) hint when one was
+    /// set, otherwise the structural floor — one completion per partition,
+    /// one reconfiguration timer, a small dispatch margin.
+    fn lane_capacity(&self, s: usize) -> usize {
+        self.lane_capacity
+            .as_deref()
+            .and_then(|h| h.get(s).copied())
+            .unwrap_or_else(|| {
+                let partitions: usize = self.shards[s].groups().iter().map(Vec::len).sum();
+                partitions + 4
+            })
+    }
+}
+
+/// How one [`Cluster::run_with`] call runs: report detail, fault
+/// timeline, synchronization window, lane threads, observability and
+/// window profiling. [`RunSpec::new`] is the plain run: no faults,
+/// per-event windows on one thread, nothing observed or profiled.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// What each shard report keeps ([`ReportDetail::Full`] keeps every
+    /// query's record).
+    pub detail: ReportDetail,
+    /// Hardware faults injected into the run (empty: none).
+    pub faults: FaultTimeline,
+    /// The synchronization window mode.
+    pub window: SyncWindow,
+    /// Lane threads; only lookahead windows use more than one.
+    pub threads: usize,
+    /// The flight recorder and/or the online metric plane.
+    pub obs: ObsRequest,
+    /// Measure the run's [`WindowProfile`] bucketed for each of these
+    /// thread counts. Profiling advances every lane on the calling
+    /// thread, whatever [`threads`](Self::threads) says.
+    pub profile: Option<Vec<usize>>,
+}
+
+impl RunSpec {
+    /// A fault-free, per-event, single-thread, unobserved run at `detail`.
+    #[must_use]
+    pub fn new(detail: ReportDetail) -> Self {
+        RunSpec {
+            detail,
+            faults: FaultTimeline::empty(),
+            window: SyncWindow::PerEvent,
+            threads: 1,
+            obs: ObsRequest::OFF,
+            profile: None,
+        }
+    }
+
+    /// Injects `faults`.
+    #[must_use]
+    pub fn with_faults(mut self, faults: FaultTimeline) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// Runs in `window` mode on up to `threads` lane threads.
+    #[must_use]
+    pub fn with_window(mut self, window: SyncWindow, threads: usize) -> Self {
+        self.window = window;
+        self.threads = threads;
+        self
+    }
+
+    /// Observes the run as `obs` asks.
+    #[must_use]
+    pub fn with_obs(mut self, obs: ObsRequest) -> Self {
+        self.obs = obs;
+        self
+    }
+
+    /// Profiles the run's windows for each of `thread_counts`.
+    #[must_use]
+    pub fn with_profile(mut self, thread_counts: &[usize]) -> Self {
+        self.profile = Some(thread_counts.to_vec());
+        self
+    }
+
+    fn windowed(
+        detail: ReportDetail,
+        faults: &FaultTimeline,
+        window: SyncWindow,
+        threads: usize,
+    ) -> Self {
+        RunSpec::new(detail)
+            .with_faults(faults.clone())
+            .with_window(window, threads)
+    }
+}
+
+/// What one [`Cluster::run_with`] call produced: the report, plus each
+/// output its [`RunSpec`] asked for.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// Everything the run measured.
+    pub report: ClusterReport,
+    /// The merged flight-recorder trace, when [`RunSpec::obs`] traced.
+    pub trace: Option<QueryTrace>,
+    /// The online metric registry, when [`RunSpec::obs`] streamed one.
+    pub registry: Option<MetricRegistry>,
+    /// The window profile, when [`RunSpec::profile`] asked for one.
+    pub profile: Option<WindowProfile>,
 }
 
 /// Everything measured during one cluster run.
@@ -731,8 +701,8 @@ struct Gateway<'a, I> {
     /// mirror only decides double-degrade/restore no-ops and feeds the
     /// degrade-aware loan/shed estimators.
     degraded: Vec<Vec<Option<u32>>>,
-    /// Per-shard planned capacity hints (router weights), reused by the
-    /// shed policy's projected-delay estimate.
+    /// Per-shard planned capacity hints, the shed policy's
+    /// projected-delay denominators.
     cap_hint: Vec<f64>,
     /// Per-model count of queries the shed policy rejected at admission.
     shed_per_model: Vec<u64>,
@@ -758,17 +728,6 @@ struct Gateway<'a, I> {
     fault_log: Vec<FaultRecord>,
     /// Tie-break key sequence for fault items.
     fault_seq: u64,
-    /// Measured-demand state ([`LoanDemandModel::MeasuredBusy`]): the
-    /// measurement window width (the loan detector's window), the next
-    /// window boundary on the detector's fixed grid, per-shard
-    /// `busy_gpc_ns` snapshots with the instant they were taken, and the
-    /// last completed window's measured rates (GPU equivalents).
-    /// `window = 0` disables the bookkeeping entirely.
-    busy_window_ns: u64,
-    busy_window_end_ns: u64,
-    busy_snap: Vec<u128>,
-    busy_snap_at: SimTime,
-    busy_rate: Vec<f64>,
     /// Lookahead-mode staleness patches, reset at every window edge:
     /// offers delivered since the edge (so JSQ sees the load it already
     /// routed this window) and shards sent a Replan/Arm since the edge
@@ -788,7 +747,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     fn new(cluster: &'a Cluster, arrivals: I, faults: &FaultTimeline, sync: SyncWindow) -> Self {
         let n_models = cluster.shards[0].models().len();
         let n = cluster.shards.len();
-        let weights: Vec<f64> = cluster
+        let cap_hint: Vec<f64> = cluster
             .shards
             .iter()
             .map(MultiModelServer::capacity_hint_qps)
@@ -809,17 +768,12 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 lp.pool_gpus,
             )
         });
-        let busy_window_ns = cluster
-            .loan
-            .as_ref()
-            .filter(|lp| lp.demand_model == LoanDemandModel::MeasuredBusy)
-            .map_or(0, |lp| lp.detector.window_ns);
         Gateway {
             cluster,
             arrivals,
             sync,
-            cap_hint: weights.clone(),
-            router: RouterState::new(cluster.router, weights),
+            cap_hint,
+            router: RouterState::new(cluster.router, n),
             detector,
             ledger,
             loans: Vec::new(),
@@ -854,11 +808,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             fault_mode: faults.mode,
             fault_log: Vec::with_capacity(faults.events().len()),
             fault_seq: 0,
-            busy_window_ns,
-            busy_window_end_ns: busy_window_ns,
-            busy_snap: vec![0; n],
-            busy_snap_at: SimTime::ZERO,
-            busy_rate: vec![0.0; n],
             out_est: vec![0; n],
             in_flight_est: vec![false; n],
             items_processed: 0,
@@ -976,31 +925,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         self.in_flight_est[s] || lanes[s].engine.reconfig_in_flight()
     }
 
-    /// Rolls the measured-busy window forward when `now` crosses a window
-    /// boundary: the completed span's GPC-weighted busy fractions become
-    /// the current measured demand rates. Called per arrival (a cheap
-    /// comparison when the measured model is off). Boundaries sit on the
-    /// **drift detector's fixed tumbling grid**, so at the very arrival
-    /// that closes a detector window — the only instant a loan decision
-    /// can fire — the measurement describes that same window, not a stale
-    /// drifted one.
-    fn roll_busy_window(&mut self, lanes: &Lanes<'a>, now: SimTime) {
-        if self.busy_window_ns == 0 || now.as_nanos() < self.busy_window_end_ns {
-            return;
-        }
-        let dt = (now - self.busy_snap_at).as_nanos();
-        for (s, lane) in lanes.iter().enumerate() {
-            let busy = lane.engine.busy_gpc_ns();
-            let delta = busy.saturating_sub(self.busy_snap[s]);
-            self.busy_rate[s] = delta as f64 / dt as f64 / COMPUTE_SLICES as f64;
-            self.busy_snap[s] = busy;
-        }
-        self.busy_snap_at = now;
-        while self.busy_window_end_ns <= now.as_nanos() {
-            self.busy_window_end_ns += self.busy_window_ns;
-        }
-    }
-
     /// Handles one arrival at its arrival instant: routes it to a shard
     /// (its pinned shard if alive, the router otherwise), applies brownout
     /// admission control against that shard's projected delay, feeds the
@@ -1020,7 +944,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         now: SimTime,
         key: u64,
     ) {
-        self.roll_busy_window(lanes, now);
         let (s, pinned) = match pin {
             Some(p) if p < lanes.len() && self.alive[p] => (p, true),
             _ => {
@@ -1189,36 +1112,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         self.outstanding(lanes, s) as f64 / cap_qps * 1e9
     }
 
-    /// Per-shard demand in full-GPU equivalents under the policy's
-    /// [`LoanDemandModel`]: the analytical live-efficiency estimate, or
-    /// the last completed measurement window's busy fractions (kept fresh
-    /// by [`roll_busy_window`](Self::roll_busy_window)) — inflated by the
-    /// active degrade factors ([`degrade_inflated_demand`]), since a
-    /// throttled shard's silicon-busy measurement understates how many
-    /// *healthy* GPUs its load actually needs.
-    fn demand_estimates(&mut self, lanes: &Lanes<'a>, now: SimTime) -> Vec<f64> {
-        let policy = self.cluster.loan.as_ref().expect("demand needs a policy");
-        let n = lanes.len();
-        match policy.demand_model {
-            LoanDemandModel::PlannedEfficiency => {
-                (0..n).map(|s| self.shard_demand_gpus(lanes, s)).collect()
-            }
-            LoanDemandModel::MeasuredBusy => {
-                self.roll_busy_window(lanes, now);
-                (0..n)
-                    .map(|s| {
-                        let live = self.cluster.shards[s]
-                            .budget()
-                            .num_gpus
-                            .saturating_sub(self.failed_count(s));
-                        let effective = degraded_capacity_gpus(live, self.active_degrades(s));
-                        degrade_inflated_demand(self.busy_rate[s], live, effective)
-                    })
-                    .collect()
-            }
-        }
-    }
-
     /// Acts on the freshest trusted detector window: reclaims first
     /// (freeing the pool), then lends to overloaded shards. Shards
     /// mid-reconfiguration defer — the detector keeps its old baseline so
@@ -1227,7 +1120,9 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
     /// shard's owned/held GPU counts are failure-adjusted so lost capacity
     /// reads as a genuine shortfall the pool can backfill.
     fn rebalance(&mut self, lanes: &mut Lanes<'a>, now: SimTime, key: u64) {
-        let demand = self.demand_estimates(lanes, now);
+        let demand: Vec<f64> = (0..lanes.len())
+            .map(|s| self.shard_demand_gpus(lanes, s))
+            .collect();
         let mut deferred = false;
         // Pass 0 executes returns, pass 1 borrows — so one window's
         // reclaims can fund its loans.

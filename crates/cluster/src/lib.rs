@@ -8,8 +8,7 @@
 //! Aryl (arXiv:2202.07896) scales GPU clusters:
 //!
 //! * [`RouterPolicy`] routes each tagged arrival to a shard — static hash
-//!   partitioning, join-shortest-queue on per-shard outstanding load, or
-//!   weighted round-robin by planned capacity;
+//!   partitioning or join-shortest-queue on per-shard outstanding load;
 //! * [`LoanPolicy`] implements Aryl-style capacity loaning: a low-priority
 //!   batch pool lends whole GPUs to serving shards when the cluster-level
 //!   drift detector flags sustained overload, and reclaims them when load
@@ -20,8 +19,12 @@
 //!   classes, with low classes rejected at the gateway when lost capacity
 //!   or surge makes their SLA hopeless — so a correlated outage degrades
 //!   *gracefully* instead of dragging premium traffic down with it;
-//! * [`ClusterReport`] aggregates per-shard reports, fleet-wide latency,
-//!   per-model shed counts, the loan ledger and its opportunity cost.
+//! * [`Cluster::run_with`] is the one run entry point: a [`RunSpec`]
+//!   names the report detail, fault timeline, sync window, lane threads,
+//!   observability and profiling, and the [`RunOutput`] carries the
+//!   [`ClusterReport`] (per-shard reports, fleet-wide latency, per-model
+//!   shed counts, the loan ledger and its opportunity cost) plus whatever
+//!   the spec asked for.
 //!
 //! Two contracts pin the layer down (see [`Cluster`]): a **1-shard cluster
 //! degenerates bit-for-bit** to its shard's own run, and **conservation**
@@ -35,9 +38,9 @@ mod parallel;
 mod router;
 mod shed;
 
-pub use cluster::{Cluster, ClusterReport, FaultRecord, PinnedQuery};
+pub use cluster::{Cluster, ClusterReport, FaultRecord, PinnedQuery, RunOutput, RunSpec};
 pub use faults::{FaultEvent, FaultTimeline};
-pub use loan::{degrade_inflated_demand, LoanDemandModel, LoanEvent, LoanPolicy};
+pub use loan::{LoanEvent, LoanPolicy};
 pub use parallel::{SyncWindow, WindowProfile};
 pub use router::RouterPolicy;
 pub use shed::{degraded_capacity_gpus, ShedPolicy};
@@ -78,6 +81,15 @@ mod tests {
         demand_gpus * server.capacity_hint_qps() / server.budget().num_gpus as f64
     }
 
+    /// Runs `trace` unpinned through `cluster` at full detail under
+    /// `faults`.
+    fn run(cluster: &Cluster, trace: &[TaggedQuerySpec], faults: FaultTimeline) -> ClusterReport {
+        let spec = RunSpec::new(ReportDetail::Full).with_faults(faults);
+        cluster
+            .run_with(trace.iter().map(|&tq| (None, tq)), &spec)
+            .report
+    }
+
     fn assert_shard_reports_identical(a: &MultiRunReport, b: &MultiRunReport) {
         assert_eq!(a.records, b.records);
         assert_eq!(a.record_models, b.record_models);
@@ -93,7 +105,7 @@ mod tests {
         }
     }
 
-    fn assert_conserved(report: &crate::ClusterReport, trace: &[TaggedQuerySpec]) {
+    fn assert_conserved(report: &ClusterReport, trace: &[TaggedQuerySpec]) {
         let completed: usize = report.per_shard.iter().map(|r| r.records.len()).sum();
         assert_eq!(completed, trace.len(), "nothing dropped, nothing invented");
         for (s, shard_report) in report.per_shard.iter().enumerate() {
@@ -119,13 +131,9 @@ mod tests {
         let trace =
             MultiTraceGenerator::new(vec![PhaseSpec::new(1.0, vec![(rate, dist)])], 11).generate();
         let expected = server.run_stream(trace.iter().copied(), ReportDetail::Full);
-        for router in [
-            RouterPolicy::StaticHash,
-            RouterPolicy::JoinShortestQueue,
-            RouterPolicy::WeightedByCapacity,
-        ] {
+        for router in [RouterPolicy::StaticHash, RouterPolicy::JoinShortestQueue] {
             let cluster = Cluster::new(vec![server.clone()], router);
-            let got = cluster.run_stream(trace.iter().copied(), ReportDetail::Full);
+            let got = run(&cluster, &trace, FaultTimeline::empty());
             assert_shard_reports_identical(&got.per_shard[0], &expected);
             assert_eq!(got.completed(), expected.completed());
             assert_eq!(got.makespan, expected.makespan);
@@ -150,21 +158,25 @@ mod tests {
         let trace =
             MultiTraceGenerator::new(vec![PhaseSpec::new(2.0, vec![(rate, dist.clone())])], 5)
                 .generate();
-        let hashed = Cluster::new(shards(), RouterPolicy::StaticHash).run(&trace);
-        let jsq = Cluster::new(shards(), RouterPolicy::JoinShortestQueue).run(&trace);
-        let weighted = Cluster::new(shards(), RouterPolicy::WeightedByCapacity).run(&trace);
+        let routed_by = |router| {
+            run(
+                &Cluster::new(shards(), router),
+                &trace,
+                FaultTimeline::empty(),
+            )
+        };
+        let hashed = routed_by(RouterPolicy::StaticHash);
+        let jsq = routed_by(RouterPolicy::JoinShortestQueue);
         assert_conserved(&hashed, &trace);
         assert_conserved(&jsq, &trace);
-        assert_conserved(&weighted, &trace);
-        // Load-aware (and capacity-aware) routing must beat uniform
-        // hashing on the worst shard's tail.
+        // Load-aware routing must beat uniform hashing on the worst
+        // shard's tail.
         assert!(
             jsq.worst_p95_sla_ratio() < hashed.worst_p95_sla_ratio(),
             "jsq {} vs hash {}",
             jsq.worst_p95_sla_ratio(),
             hashed.worst_p95_sla_ratio()
         );
-        assert!(weighted.worst_p95_sla_ratio() < hashed.worst_p95_sla_ratio());
         // JSQ sends more traffic to the bigger shard.
         assert!(jsq.routed[0] > 2 * jsq.routed[1]);
     }
@@ -196,7 +208,7 @@ mod tests {
     #[test]
     fn loans_engage_on_surge_and_reclaim_after() {
         let (_, loaning, trace) = surge_cluster_and_trace(2);
-        let report = loaning.run(&trace);
+        let report = run(&loaning, &trace, FaultTimeline::empty());
         assert_conserved(&report, &trace);
         let borrowed: i64 = report
             .loans
@@ -225,8 +237,8 @@ mod tests {
     #[test]
     fn loaning_outserves_the_fixed_shard_under_surge() {
         let (base, loaning, trace) = surge_cluster_and_trace(2);
-        let fixed = base.run(&trace);
-        let loaned = loaning.run(&trace);
+        let fixed = run(&base, &trace, FaultTimeline::empty());
+        let loaned = run(&loaning, &trace, FaultTimeline::empty());
         assert_conserved(&fixed, &trace);
         assert_conserved(&loaned, &trace);
         assert!(
@@ -251,7 +263,7 @@ mod tests {
             .clone()
             .with_mode(ReconfigMode::Rolling);
         let rolling = Cluster::new(loaning.shards().to_vec(), loaning.router()).with_loan(policy);
-        let report = rolling.run_stream(trace.iter().copied(), ReportDetail::Full);
+        let report = run(&rolling, &trace, FaultTimeline::empty());
         assert_conserved(&report, &trace);
         assert!(
             report.loans.iter().any(|l| l.gpus_delta > 0),
@@ -274,7 +286,7 @@ mod tests {
         // queued query) before their GPUs go home. Conservation at full
         // detail proves no query was stranded on a removed GPU.
         let (_, loaning, trace) = surge_cluster_and_trace(2);
-        let report = loaning.run_stream(trace.iter().copied(), ReportDetail::Full);
+        let report = run(&loaning, &trace, FaultTimeline::empty());
         assert_conserved(&report, &trace);
         assert!(
             report.loans.iter().any(|l| l.gpus_delta < 0),
@@ -300,7 +312,10 @@ mod tests {
         // O(partitions + frontend backlog): at this moderate load the
         // gateway backlog is a handful of bursty arrivals, never O(trace).
         let (_, loaning, trace) = surge_cluster_and_trace(2);
-        let report = loaning.run_stream(trace.iter().copied(), ReportDetail::Summary);
+        let arrivals = trace.iter().map(|&tq| (None, tq));
+        let report = loaning
+            .run_with(arrivals, &RunSpec::new(ReportDetail::Summary))
+            .report;
         let total_partitions: usize = report
             .per_shard
             .iter()
@@ -316,10 +331,11 @@ mod tests {
 
     #[test]
     fn empty_fault_timeline_degenerates_to_run_stream_bit_for_bit() {
-        // The fault subsystem's ground rule: with no fault events and no
-        // pins, run_scenario must be byte-identical to run_stream — the
-        // machinery costs nothing until an event fires. This is what keeps
-        // BENCH_cluster.json reproducible under an empty FaultPlan.
+        // The fault subsystem's ground rule: a timeline with no events is
+        // byte-identical to the fault-free run whatever its recovery knobs
+        // say — the machinery costs nothing until an event fires. This is
+        // what keeps BENCH_cluster.json reproducible under an empty
+        // FaultPlan.
         let t = table();
         let dist = BatchDistribution::paper_default();
         let cluster = Cluster::new(
@@ -344,12 +360,11 @@ mod tests {
             31,
         )
         .generate();
-        let plain = cluster.run_stream(trace.iter().copied(), ReportDetail::Full);
-        let faulted = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            &FaultTimeline::empty(),
-        );
+        let plain = run(&cluster, &trace, FaultTimeline::empty());
+        let knobs = FaultTimeline::empty()
+            .with_cost(mig_gpu::ResliceCostModel::free())
+            .with_mode(paris_core::ReconfigMode::AllAtOnce);
+        let faulted = run(&cluster, &trace, knobs);
         assert!(faulted.faults.is_empty());
         assert_eq!(faulted.routed, plain.routed);
         assert_eq!(faulted.loans, plain.loans);
@@ -380,11 +395,7 @@ mod tests {
                 FaultEvent::GpuRepair { shard: 0, gpu: 0 },
             ),
         ]);
-        let report = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            &timeline,
-        );
+        let report = run(&cluster, &trace, timeline);
         assert_conserved(&report, &trace);
         assert_eq!(report.faults.len(), 2);
         assert!(
@@ -433,11 +444,7 @@ mod tests {
                 FaultEvent::ShardRepair { shard: 1 },
             ),
         ]);
-        let report = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            &timeline,
-        );
+        let report = run(&cluster, &trace, timeline);
         assert_conserved(&report, &trace);
         // The drain contract: no query that arrived during the outage
         // landed on the failed shard...
@@ -474,11 +481,12 @@ mod tests {
             FaultEvent::ShardFail { shard: 1 },
         )]);
         let cluster = Cluster::new(shards, RouterPolicy::JoinShortestQueue);
-        let report = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (Some(1), tq)),
-            ReportDetail::Full,
-            &timeline,
-        );
+        let report = cluster
+            .run_with(
+                trace.iter().map(|&tq| (Some(1), tq)),
+                &RunSpec::new(ReportDetail::Full).with_faults(timeline),
+            )
+            .report;
         assert_conserved(&report, &trace);
         // Pins honored while alive, router fallback after the fail.
         for r in &report.per_shard[0].records {
@@ -495,46 +503,6 @@ mod tests {
             .records
             .iter()
             .all(|r| r.arrival.as_nanos() < fail_ns));
-    }
-
-    #[test]
-    fn measured_busy_demand_model_still_engages_loans() {
-        // The measured model reads what the hardware did, so it saturates
-        // at current capacity under overload: the surge must be coverable
-        // by the pool (demand ≤ base + pool) or the drained backlog keeps
-        // the calm windows busy and the reclaim honestly never triggers.
-        use crate::loan::LoanDemandModel;
-        let t = table();
-        let dist = BatchDistribution::paper_default();
-        let serving = shard(2, &t, &dist);
-        let calm = rate_for_demand(&serving, 1.0);
-        let surge = rate_for_demand(&serving, 2.4);
-        let trace = MultiTraceGenerator::new(
-            vec![
-                PhaseSpec::new(1.5, vec![(calm, dist.clone())]),
-                PhaseSpec::new(2.5, vec![(surge, dist.clone())]),
-                PhaseSpec::new(2.0, vec![(calm, dist.clone())]),
-            ],
-            23,
-        )
-        .generate();
-        let policy = LoanPolicy::new(2, 0.25)
-            .with_detector(DriftDetectorConfig::new(0.25).with_min_observations(20))
-            .with_demand_model(LoanDemandModel::MeasuredBusy);
-        let measured =
-            Cluster::new(vec![serving], RouterPolicy::JoinShortestQueue).with_loan(policy);
-        let report = measured.run(&trace);
-        assert_conserved(&report, &trace);
-        assert!(
-            report.loans.iter().any(|l| l.gpus_delta > 0),
-            "measured busy fractions must still trigger the surge borrow: {:?}",
-            report.loans
-        );
-        assert!(
-            report.loans.iter().any(|l| l.gpus_delta < 0),
-            "and the calm tail must still reclaim: {:?}",
-            report.loans
-        );
     }
 
     #[test]
@@ -566,7 +534,7 @@ mod tests {
         .generate();
         let cluster = Cluster::new(vec![serving], RouterPolicy::JoinShortestQueue)
             .with_shed(ShedPolicy::new(vec![0, 1]));
-        let report = cluster.run(&trace);
+        let report = run(&cluster, &trace, FaultTimeline::empty());
         let completed: usize = report.per_shard.iter().map(|r| r.records.len()).sum();
         assert_eq!(
             completed as u64 + report.total_shed(),
@@ -618,11 +586,7 @@ mod tests {
                 FaultEvent::GpuRepair { shard: 0, gpu: 1 },
             ),
         ]);
-        let report = cluster.run_scenario(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            &timeline,
-        );
+        let report = run(&cluster, &trace, timeline);
         assert_conserved(&report, &trace);
         assert!(
             report.per_shard[0].reconfigs.iter().any(|rc| rc.aborted),
@@ -649,8 +613,7 @@ mod tests {
         let trace =
             MultiTraceGenerator::new(vec![PhaseSpec::new(3.0, vec![(rate, dist)])], 61).generate();
         let cluster = Cluster::new(vec![serving], RouterPolicy::JoinShortestQueue);
-        let arrivals = || trace.iter().copied().map(|tq| (None, tq));
-        let plain = cluster.run_scenario(arrivals(), ReportDetail::Full, &FaultTimeline::empty());
+        let plain = run(&cluster, &trace, FaultTimeline::empty());
         // Factor 1.0 "degrade": the whole degrade/restore cycle must be
         // bit-for-bit the fault-free run — the only trace it leaves is the
         // fault log itself.
@@ -668,7 +631,7 @@ mod tests {
                 FaultEvent::GpuRestore { shard: 0, gpu: 0 },
             ),
         ]);
-        let unit_report = cluster.run_scenario(arrivals(), ReportDetail::Full, &unit);
+        let unit_report = run(&cluster, &trace, unit);
         assert_eq!(unit_report.faults.len(), 2);
         assert_eq!(unit_report.routed, plain.routed);
         for (a, b) in unit_report.per_shard.iter().zip(&plain.per_shard) {
@@ -690,7 +653,7 @@ mod tests {
                 FaultEvent::GpuRestore { shard: 0, gpu: 0 },
             ),
         ]);
-        let slow_report = cluster.run_scenario(arrivals(), ReportDetail::Full, &slow);
+        let slow_report = run(&cluster, &trace, slow);
         assert_conserved(&slow_report, &trace);
         assert!(
             slow_report.histogram.percentile_ms(0.95) > plain.histogram.percentile_ms(0.95),

@@ -20,27 +20,6 @@ use inference_workload::DriftDetectorConfig;
 use mig_gpu::ResliceCostModel;
 use paris_core::{GpcBudget, ReconfigMode};
 
-/// How the loan controller estimates a shard's demand in full-GPU
-/// equivalents — the number [`LoanPolicy::target_gpus`] steers against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoanDemandModel {
-    /// Analytical (the original estimator, and the default): each model's
-    /// observed arrival rate divided by the throughput one GPU's worth of
-    /// the shard's *live* partition mix delivers at the observed batch
-    /// mix. Captures offered demand even past saturation, but inherits
-    /// any error in the capacity model.
-    #[default]
-    PlannedEfficiency,
-    /// Measured: the shard's GPC-weighted busy fraction since the last
-    /// loan decision (`DispatchCore::busy_gpc_ns` deltas over wall time,
-    /// normalized to whole GPUs). No model in the loop — this is what the
-    /// hardware actually did — but it measures *served* work, so it
-    /// saturates near the shard's current GPU count under overload; the
-    /// [`overload_ratio`](LoanPolicy::overload_ratio) headroom (< 1) is
-    /// what keeps borrows triggering there.
-    MeasuredBusy,
-}
-
 /// When and how the cluster moves whole GPUs between the batch pool and
 /// serving shards.
 #[derive(Debug, Clone)]
@@ -71,9 +50,6 @@ pub struct LoanPolicy {
     /// capacity dip during the handover) or one combined outage
     /// ([`ReconfigMode::AllAtOnce`], kept for ablations).
     pub mode: ReconfigMode,
-    /// How shard demand is estimated (analytical by default; see
-    /// [`LoanDemandModel`]).
-    pub demand_model: LoanDemandModel,
 }
 
 impl LoanPolicy {
@@ -94,7 +70,6 @@ impl LoanPolicy {
             underload_ratio: 0.4,
             cost: ResliceCostModel::a100_default(),
             mode: ReconfigMode::Rolling,
-            demand_model: LoanDemandModel::default(),
         }
     }
 
@@ -139,14 +114,6 @@ impl LoanPolicy {
         self
     }
 
-    /// Overrides the demand estimator (measured busy fractions instead of
-    /// the analytical capacity model).
-    #[must_use]
-    pub fn with_demand_model(mut self, demand_model: LoanDemandModel) -> Self {
-        self.demand_model = demand_model;
-        self
-    }
-
     /// The GPU count this policy would steer a shard to, given its
     /// estimated demand (full-GPU equivalents), its base (owned) GPUs, its
     /// current GPUs and the pool's free GPUs. Pure — the decision rule the
@@ -176,32 +143,6 @@ impl LoanPolicy {
             current
         }
     }
-}
-
-/// Inflates a [`LoanDemandModel::MeasuredBusy`] demand estimate for
-/// degraded capacity: `measured_gpus` is the shard's busy-silicon
-/// measurement in GPU equivalents, `live_gpus` its surviving GPU count,
-/// and `effective_gpus` the degrade-discounted capacity those GPUs
-/// actually deliver (see
-/// [`degraded_capacity_gpus`](crate::degraded_capacity_gpus)). Returns the
-/// demand in **healthy**-GPU equivalents: `measured × live / effective`.
-///
-/// A throttled GPU spends more wall-clock busy per unit of useful work, so
-/// its raw busy fraction *understates* nothing — but the loan controller
-/// compares demand against GPU counts, and a 4×-throttled shard that
-/// measures 2.0 busy GPUs really needs `2.0 × 4 / 3.25 ≈ 2.46` healthy
-/// GPUs to shed the same load. Without the inflation the shard "looks
-/// busy, not small" (ISSUE 7) and the pool never backfills the throttle.
-///
-/// Degenerates to the identity when nothing is degraded
-/// (`effective == live`) and guards the empty shard (`live == 0` or a
-/// non-positive effective capacity) by passing the measurement through.
-#[must_use]
-pub fn degrade_inflated_demand(measured_gpus: f64, live_gpus: usize, effective_gpus: f64) -> f64 {
-    if live_gpus == 0 || effective_gpus <= 0.0 {
-        return measured_gpus;
-    }
-    measured_gpus * live_gpus as f64 / effective_gpus
 }
 
 /// One completed GPU transfer between the batch pool and a shard.
@@ -315,38 +256,5 @@ mod tests {
     #[should_panic(expected = "underload < overload")]
     fn inverted_thresholds_panic() {
         let _ = policy().with_thresholds(0.3, 0.6);
-    }
-
-    #[test]
-    fn degrade_inflation_converts_busy_to_healthy_gpus() {
-        // Satellite contract: 4 live GPUs, one throttled 4× → 3.25
-        // effective. A 2.0-GPU busy measurement inflates to the healthy
-        // GPUs the load actually needs.
-        let effective = crate::shed::degraded_capacity_gpus(4, [4000]);
-        let inflated = degrade_inflated_demand(2.0, 4, effective);
-        assert!(
-            (inflated - 2.0 * 4.0 / 3.25).abs() < 1e-12,
-            "expected ≈2.4615, got {inflated}"
-        );
-        // Healthy shard: identity.
-        assert_eq!(degrade_inflated_demand(2.0, 4, 4.0), 2.0);
-        // Guards: empty or fully-degraded shards pass the measurement
-        // through instead of dividing by zero.
-        assert_eq!(degrade_inflated_demand(2.0, 0, 0.0), 2.0);
-        assert_eq!(degrade_inflated_demand(2.0, 4, 0.0), 2.0);
-    }
-
-    #[test]
-    fn inflated_demand_crosses_the_borrow_threshold() {
-        // End-to-end: demand that holds steady on a healthy 4-GPU shard
-        // triggers a borrow once a 4× throttle shrinks effective capacity
-        // — the "looks busy, not small" fix in decision terms.
-        let p = policy(); // overload at 0.8 × current
-        let measured = 3.1; // busy GPUs, under 0.8 × 4 = 3.2 → hold
-        assert_eq!(p.target_gpus(measured, 4, 4, 4), 4);
-        let effective = crate::shed::degraded_capacity_gpus(4, [4000]);
-        let inflated = degrade_inflated_demand(measured, 4, effective);
-        assert!(inflated > 3.2, "inflated {inflated} must cross the wall");
-        assert!(p.target_gpus(inflated, 4, 4, 4) > 4);
     }
 }

@@ -752,7 +752,7 @@ impl Drop for WorkerPool<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cluster, FaultTimeline, RouterPolicy};
+    use crate::{Cluster, RouterPolicy, RunSpec};
     use dnn_zoo::ModelKind;
     use inference_server::{ModelSpec, MultiModelConfig, MultiModelServer, ReportDetail};
     use inference_workload::QuerySpec;
@@ -806,12 +806,10 @@ mod tests {
         };
         let arrivals = vec![(Some(0), query(0)), (Some(1), query(7))];
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            cluster.run_windowed(
+            let window = SyncWindow::Lookahead(SimDuration::from_nanos(1_000_000));
+            cluster.run_with(
                 arrivals,
-                ReportDetail::Summary,
-                &FaultTimeline::empty(),
-                SyncWindow::Lookahead(SimDuration::from_nanos(1_000_000)),
-                2,
+                &RunSpec::new(ReportDetail::Summary).with_window(window, 2),
             )
         }));
         let payload = run.expect_err("the helper's panic reaches the caller");

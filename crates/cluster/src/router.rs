@@ -2,7 +2,7 @@
 //!
 //! The cluster frontend sees one merged arrival stream; a [`RouterPolicy`]
 //! decides, per query and *before* the shard's serial frontend stamps it,
-//! which shard serves it. All three policies are deterministic — two runs
+//! which shard serves it. Both policies are deterministic — two runs
 //! of the same cluster over the same trace route identically.
 
 /// Which shard-selection policy the cluster frontend runs.
@@ -15,14 +15,6 @@ pub enum RouterPolicy {
     /// (offered-but-uncompleted) queries takes the arrival; ties go to the
     /// lowest shard index.
     JoinShortestQueue,
-    /// Smooth weighted round-robin over each shard's *planned capacity*
-    /// (its [`capacity_hint_qps`]) — load-oblivious like [`StaticHash`],
-    /// but aware that a 6-GPU shard should take three times the traffic of
-    /// a 2-GPU shard.
-    ///
-    /// [`capacity_hint_qps`]: inference_server::MultiModelServer::capacity_hint_qps
-    /// [`StaticHash`]: Self::StaticHash
-    WeightedByCapacity,
 }
 
 /// One run's mutable routing state.
@@ -31,9 +23,6 @@ pub(crate) struct RouterState {
     policy: RouterPolicy,
     /// Arrival counter feeding the static hash.
     counter: u64,
-    /// Smooth-WRR credit accumulators.
-    credit: Vec<f64>,
-    weights: Vec<f64>,
     /// Join-shortest-queue keys, one per shard:
     /// `dead << 63 | load << 32 | shard`. The smallest key is the live
     /// shard with the least load, lowest index first — and, when every
@@ -69,17 +58,16 @@ fn routable(alive: &[bool]) -> impl Fn(usize) -> bool + '_ {
 }
 
 impl RouterState {
-    /// Every shard starts alive and empty.
-    pub(crate) fn new(policy: RouterPolicy, capacity_weights: Vec<f64>) -> Self {
-        debug_assert!(capacity_weights.iter().all(|w| w.is_finite() && *w > 0.0));
-        let n = capacity_weights.len();
-        debug_assert!(n as u64 <= u64::from(u32::MAX), "shard index fits the key");
+    /// Every one of `shards` shards starts alive and empty.
+    pub(crate) fn new(policy: RouterPolicy, shards: usize) -> Self {
+        debug_assert!(
+            shards as u64 <= u64::from(u32::MAX),
+            "shard index fits the key"
+        );
         RouterState {
             policy,
             counter: 0,
-            credit: vec![0.0; n],
-            weights: capacity_weights,
-            keys: (0..n as u64).collect(),
+            keys: (0..shards as u64).collect(),
         }
     }
 
@@ -99,7 +87,7 @@ impl RouterState {
     /// the outage in the shard). With every shard alive each policy is
     /// bit-for-bit its historical self.
     pub(crate) fn pick(&mut self, alive: &[bool]) -> usize {
-        let n = self.weights.len();
+        let n = self.keys.len();
         debug_assert_eq!(alive.len(), n);
         match self.policy {
             RouterPolicy::JoinShortestQueue => {
@@ -113,29 +101,6 @@ impl RouterState {
                 let count = (0..n).filter(|&s| live(s)).count() as u64;
                 let k = (h % count) as usize;
                 (0..n).filter(|&s| live(s)).nth(k).expect("k < live count")
-            }
-            RouterPolicy::WeightedByCapacity => {
-                // Smooth WRR: every live shard earns credit proportional
-                // to its weight; the richest serves and pays the pot back.
-                // Dead shards neither earn nor compete — their credit
-                // freezes until repair.
-                let live = routable(alive);
-                let mut winner: Option<usize> = None;
-                let mut pot = 0.0;
-                for s in 0..n {
-                    if !live(s) {
-                        continue;
-                    }
-                    self.credit[s] += self.weights[s];
-                    pot += self.weights[s];
-                    match winner {
-                        Some(w) if self.credit[s] <= self.credit[w] => {}
-                        _ => winner = Some(s),
-                    }
-                }
-                let w = winner.expect("at least one live shard");
-                self.credit[w] -= pot;
-                w
             }
         }
     }
@@ -156,8 +121,8 @@ mod tests {
 
     #[test]
     fn static_hash_spreads_and_reproduces() {
-        let mut a = RouterState::new(RouterPolicy::StaticHash, vec![1.0; 4]);
-        let mut b = RouterState::new(RouterPolicy::StaticHash, vec![1.0; 4]);
+        let mut a = RouterState::new(RouterPolicy::StaticHash, 4);
+        let mut b = RouterState::new(RouterPolicy::StaticHash, 4);
         let alive = [true; 4];
         let mut counts = [0usize; 4];
         for _ in 0..4000 {
@@ -172,7 +137,7 @@ mod tests {
 
     #[test]
     fn jsq_picks_least_loaded_lowest_index() {
-        let mut r = RouterState::new(RouterPolicy::JoinShortestQueue, vec![1.0; 3]);
+        let mut r = RouterState::new(RouterPolicy::JoinShortestQueue, 3);
         let alive = [true; 3];
         assert_eq!(r.pick(&alive), 0, "an empty fleet starts at shard 0");
         assert_eq!(pick_with(&mut r, &[5, 2, 9], &alive), 1);
@@ -185,43 +150,27 @@ mod tests {
     }
 
     #[test]
-    fn weighted_round_robin_tracks_capacity_ratio() {
-        let mut r = RouterState::new(RouterPolicy::WeightedByCapacity, vec![3.0, 1.0]);
-        let alive = [true; 2];
-        let picks: Vec<usize> = (0..8).map(|_| r.pick(&alive)).collect();
-        let to_heavy = picks.iter().filter(|&&s| s == 0).count();
-        assert_eq!(to_heavy, 6, "3:1 weights give 6 of 8 to shard 0: {picks:?}");
-        // Smooth: never more than a couple of consecutive repeats of the
-        // light shard.
-        assert!(picks.windows(2).any(|w| w[0] != w[1]));
-    }
-
-    #[test]
     fn every_policy_excludes_dead_shards() {
         let dead_mid = [true, false, true];
-        let mut hash = RouterState::new(RouterPolicy::StaticHash, vec![1.0; 3]);
+        let mut hash = RouterState::new(RouterPolicy::StaticHash, 3);
         for _ in 0..100 {
             assert_ne!(hash.pick(&dead_mid), 1);
         }
-        let mut jsq = RouterState::new(RouterPolicy::JoinShortestQueue, vec![1.0; 3]);
+        let mut jsq = RouterState::new(RouterPolicy::JoinShortestQueue, 3);
         // Shard 1 is emptiest but dead.
         assert_eq!(pick_with(&mut jsq, &[5, 0, 3], &dead_mid), 2);
-        let mut wrr = RouterState::new(RouterPolicy::WeightedByCapacity, vec![1.0, 10.0, 1.0]);
-        for _ in 0..20 {
-            assert_ne!(wrr.pick(&dead_mid), 1);
-        }
     }
 
     #[test]
     fn fully_dead_fleet_falls_back_to_all_shards() {
         let dead = [false, false];
-        let mut jsq = RouterState::new(RouterPolicy::JoinShortestQueue, vec![1.0; 2]);
+        let mut jsq = RouterState::new(RouterPolicy::JoinShortestQueue, 2);
         assert_eq!(
             pick_with(&mut jsq, &[3, 1], &dead),
             1,
             "routes as if all were alive"
         );
-        let mut hash = RouterState::new(RouterPolicy::StaticHash, vec![1.0; 2]);
+        let mut hash = RouterState::new(RouterPolicy::StaticHash, 2);
         let mut seen = [false; 2];
         for _ in 0..50 {
             seen[hash.pick(&dead)] = true;
@@ -243,7 +192,7 @@ mod tests {
             // loads the picked shard, a lane advance moves one shard's load
             // anywhere (small values, so ties are common), and shards fail
             // and repair (small fleets are often entirely dead).
-            let mut router = RouterState::new(RouterPolicy::JoinShortestQueue, vec![1.0; shards]);
+            let mut router = RouterState::new(RouterPolicy::JoinShortestQueue, shards);
             let mut load = vec![0u64; shards];
             let mut alive = vec![true; shards];
             for (op, s, x) in ops {

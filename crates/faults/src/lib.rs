@@ -12,21 +12,21 @@
 //!   ([`sample_gpu_mttf`](FaultPlan::sample_gpu_mttf), exponential
 //!   up/down times per GPU lane). Every outage carries its repair, so a
 //!   compiled plan can never strand a query in a dark group forever.
-//! * [`run_with_faults`] — compiles the plan to an executable
-//!   [`FaultTimeline`] and drives the cluster through it: GPU failures
-//!   kill the instances packed on the failing GPU (in-flight + queued
-//!   work requeues through the dispatch drain path) and PARIS re-plans
-//!   the survivor budget; shard failures drain out of the routing
-//!   rotation; with a [`LoanPolicy`](inference_cluster::LoanPolicy) the
-//!   batch pool backfills lost capacity immediately.
-//!   [`run_with_faults_windowed`] is the same run with an explicit
-//!   [`SyncWindow`] mode and lane thread count (bit-for-bit invariant
-//!   under threads — ARCHITECTURE.md invariant 11).
-//! * [`FaultReport`] — the run's [`ClusterReport`] plus the availability
-//!   accounting: base availability (GPU-time online / GPU-time owned),
-//!   effective availability (crediting batch-pool backfill), and the
-//!   degraded/healthy worst-window tail split
-//!   ([`server_metrics::WindowedTail`]).
+//! * [`FaultPlan::compile`] — the plan as an executable
+//!   [`FaultTimeline`] for [`RunSpec::with_faults`]: the cluster run then
+//!   kills the instances packed on a failing GPU (in-flight + queued work
+//!   requeues through the dispatch drain path) and PARIS re-plans the
+//!   survivor budget; shard failures drain out of the routing rotation;
+//!   with a [`LoanPolicy`](inference_cluster::LoanPolicy) the batch pool
+//!   backfills lost capacity immediately.
+//! * [`FaultReport::new`] — a finished run's [`ClusterReport`] plus the
+//!   availability accounting: base availability (GPU-time online /
+//!   GPU-time owned), effective availability (crediting batch-pool
+//!   backfill), and the degraded/healthy worst-window tail split
+//!   ([`server_metrics::WindowedTail`]). Pure post-processing, so the
+//!   sync mode, thread count and observers of the run cannot affect it.
+//!
+//! [`RunSpec::with_faults`]: inference_cluster::RunSpec::with_faults
 //!
 //! # Contracts
 //!
@@ -39,8 +39,8 @@
 //!
 //! ```
 //! use dnn_zoo::ModelKind;
-//! use inference_cluster::{Cluster, RouterPolicy};
-//! use inference_faults::{run_with_faults, FaultPlan};
+//! use inference_cluster::{Cluster, RouterPolicy, RunSpec};
+//! use inference_faults::{FaultPlan, FaultReport};
 //! use inference_server::{ModelSpec, MultiModelConfig, MultiModelServer, ReportDetail};
 //! use inference_workload::{BatchDistribution, MultiTraceGenerator, PhaseSpec};
 //! use mig_gpu::{DeviceSpec, PerfModel, ProfileSize};
@@ -58,21 +58,16 @@
 //! let trace = MultiTraceGenerator::new(vec![PhaseSpec::new(1.0, vec![(400.0, dist)])], 7);
 //! // One GPU down from 0.3 s to 0.7 s.
 //! let plan = FaultPlan::new().with_gpu_outage(0, 0, 0.3, 0.7);
-//! let report = run_with_faults(
-//!     &cluster,
-//!     trace.generate().into_iter().map(|tq| (None, tq)),
-//!     ReportDetail::Full,
-//!     &plan,
-//! );
+//! let spec = RunSpec::new(ReportDetail::Full).with_faults(plan.compile());
+//! let run = cluster.run_with(trace.stream().map(|tq| (None, tq)), &spec);
+//! let report = FaultReport::new(&cluster, &plan, run.report);
 //! assert!(report.base_availability < 1.0);
 //! assert_eq!(report.cluster.faults.len(), 2); // the fail and the repair
 //! # Ok::<(), paris_core::PlanError>(())
 //! ```
 
 use des_engine::SimTime;
-use inference_cluster::{
-    Cluster, ClusterReport, FaultEvent, FaultTimeline, PinnedQuery, SyncWindow,
-};
+use inference_cluster::{Cluster, ClusterReport, FaultEvent, FaultTimeline};
 use inference_server::ReportDetail;
 use mig_gpu::ResliceCostModel;
 use paris_core::ReconfigMode;
@@ -679,6 +674,91 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
+    /// The availability, degraded-tail and per-class accounting of
+    /// `report`, a finished run of `cluster` under `plan`'s compiled
+    /// timeline. The degraded/healthy tails need per-query completion
+    /// times, so they are `None` unless the run kept
+    /// [`ReportDetail::Full`] records.
+    #[must_use]
+    pub fn new(cluster: &Cluster, plan: &FaultPlan, report: ClusterReport) -> Self {
+        let shard_gpus: Vec<usize> = cluster
+            .shards()
+            .iter()
+            .map(|s| s.budget().num_gpus)
+            .collect();
+        let total_base: usize = shard_gpus.iter().sum();
+        let horizon_ns = report.makespan.as_nanos();
+
+        let loans: Vec<(u64, i64)> = report
+            .loans
+            .iter()
+            .map(|l| (l.at.as_nanos(), l.gpus_delta))
+            .collect();
+        let (base_online, effective_online) =
+            capacity_integrals(&shard_gpus, horizon_ns, plan, &loans);
+        let denom = total_base as f64 * horizon_ns as f64;
+        let (base_availability, effective_availability, outage_gpu_seconds) = if denom > 0.0 {
+            (
+                base_online as f64 / denom,
+                effective_online as f64 / denom,
+                (denom - base_online as f64) / 1e9,
+            )
+        } else {
+            (1.0, 1.0, 0.0)
+        };
+
+        let degraded = plan.degraded_intervals_ns();
+        let full = report
+            .per_shard
+            .first()
+            .is_some_and(|r| r.detail == ReportDetail::Full);
+        let (degraded_p99_ms, healthy_p99_ms) = if full {
+            let mut tail = WindowedTail::new(DEGRADED_WINDOW_NS);
+            for r in report.per_shard.iter().flat_map(|s| &s.records) {
+                tail.record(r.completed.as_nanos(), r.latency().as_nanos());
+            }
+            let d = tail.worst_percentile_ms_within(0.99, 1, &degraded);
+            let h = tail.worst_percentile_ms_outside(0.99, 1, &degraded);
+            ((d > 0.0).then_some(d), Some(h))
+        } else {
+            (None, None)
+        };
+
+        let requeued = report.faults.iter().map(|f| f.requeued).sum();
+        let shed_total = report.shed_per_model.iter().sum();
+        let (shed_per_class, served_per_class) = match cluster.shed() {
+            Some(policy) => {
+                let classes = policy.classes();
+                let n_classes = classes.iter().copied().max().unwrap_or(0) + 1;
+                let mut shed = vec![0u64; n_classes];
+                let mut served = vec![0u64; n_classes];
+                for (m, &class) in classes.iter().enumerate() {
+                    shed[class] += report.shed_per_model.get(m).copied().unwrap_or(0);
+                    served[class] += report
+                        .per_shard
+                        .iter()
+                        .map(|s| s.per_model.get(m).map_or(0, |pm| pm.completed))
+                        .sum::<u64>();
+                }
+                (shed, served)
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        FaultReport {
+            cluster: report,
+            base_availability,
+            effective_availability,
+            outage_gpu_seconds,
+            requeued,
+            degraded_p99_ms,
+            healthy_p99_ms,
+            degrade_gpu_seconds: plan.degrade_gpu_seconds(),
+            shed_total,
+            shed_per_class,
+            served_per_class,
+        }
+    }
+
     /// Worst per-shard × model exact SLA violation rate — under failure,
     /// the headline SLA number.
     #[must_use]
@@ -691,239 +771,6 @@ impl FaultReport {
     #[must_use]
     pub fn goodput_qps(&self) -> f64 {
         self.cluster.achieved_qps
-    }
-}
-
-/// Runs `cluster` over `arrivals` (optionally shard-pinned — see
-/// [`PinnedQuery`]) under `plan`, and computes the availability and
-/// degraded-tail statistics. An empty plan reproduces
-/// [`Cluster::run_stream`] bit-for-bit with availability 1.0.
-#[must_use]
-pub fn run_with_faults<I>(
-    cluster: &Cluster,
-    arrivals: I,
-    detail: ReportDetail,
-    plan: &FaultPlan,
-) -> FaultReport
-where
-    I: IntoIterator<Item = PinnedQuery>,
-{
-    let timeline = plan.compile();
-    let report = cluster.run_scenario(arrivals, detail, &timeline);
-    assemble_fault_report(cluster, report, detail, plan)
-}
-
-/// [`run_with_faults`] with an explicit [`SyncWindow`] mode and lane
-/// thread count — the entry point scenario benches use to compare
-/// per-event and lookahead synchronization, or to spread lookahead
-/// windows over threads. For a fixed window mode the result is
-/// bit-for-bit identical at any thread count (invariant 11).
-#[must_use]
-pub fn run_with_faults_windowed<I>(
-    cluster: &Cluster,
-    arrivals: I,
-    detail: ReportDetail,
-    plan: &FaultPlan,
-    window: SyncWindow,
-    threads: usize,
-) -> FaultReport
-where
-    I: IntoIterator<Item = PinnedQuery>,
-{
-    let timeline = plan.compile();
-    let report = cluster.run_windowed(arrivals, detail, &timeline, window, threads);
-    assemble_fault_report(cluster, report, detail, plan)
-}
-
-/// [`run_with_faults`] with the flight recorder attached: the run also
-/// returns the merged [`QueryTrace`](inference_obs::QueryTrace) covering
-/// every query lifecycle plus the routing, loan and fault annotations.
-///
-/// Invariant 12 (zero observer effect): the [`FaultReport`] is bit-for-bit
-/// the untraced one — the availability assembly is pure post-processing of
-/// an identical cluster run.
-#[must_use]
-pub fn run_with_faults_traced<I>(
-    cluster: &Cluster,
-    arrivals: I,
-    detail: ReportDetail,
-    plan: &FaultPlan,
-) -> (FaultReport, inference_obs::QueryTrace)
-where
-    I: IntoIterator<Item = PinnedQuery>,
-{
-    run_with_faults_windowed_traced(cluster, arrivals, detail, plan, SyncWindow::PerEvent, 1)
-}
-
-/// [`run_with_faults_windowed`] with the flight recorder attached — the
-/// traced twin, with an explicit [`SyncWindow`] mode and thread count.
-#[must_use]
-pub fn run_with_faults_windowed_traced<I>(
-    cluster: &Cluster,
-    arrivals: I,
-    detail: ReportDetail,
-    plan: &FaultPlan,
-    window: SyncWindow,
-    threads: usize,
-) -> (FaultReport, inference_obs::QueryTrace)
-where
-    I: IntoIterator<Item = PinnedQuery>,
-{
-    let timeline = plan.compile();
-    let (report, trace) = cluster.run_windowed_traced(arrivals, detail, &timeline, window, threads);
-    (assemble_fault_report(cluster, report, detail, plan), trace)
-}
-
-/// [`run_with_faults_windowed`] with the **online telemetry plane**
-/// attached: the run also returns the live
-/// [`MetricRegistry`](inference_obs::MetricRegistry) streamed on a
-/// `online_window_ns` grid — no trace retention. Invariants 12 and 13
-/// both hold: the report is bit-for-bit the unobserved one, and the
-/// registry equals `MetricRegistry::from_trace` of the same run's trace.
-#[must_use]
-pub fn run_with_faults_windowed_observed<I>(
-    cluster: &Cluster,
-    arrivals: I,
-    detail: ReportDetail,
-    plan: &FaultPlan,
-    window: SyncWindow,
-    threads: usize,
-    online_window_ns: u64,
-) -> (FaultReport, inference_obs::MetricRegistry)
-where
-    I: IntoIterator<Item = PinnedQuery>,
-{
-    let timeline = plan.compile();
-    let (report, registry) = cluster.run_windowed_observed(
-        arrivals,
-        detail,
-        &timeline,
-        window,
-        threads,
-        online_window_ns,
-    );
-    (
-        assemble_fault_report(cluster, report, detail, plan),
-        registry,
-    )
-}
-
-/// [`run_with_faults_windowed`] with **both** observability planes
-/// attached — the entry point `trace_report --slo` and the invariant-13
-/// checks use to compare the live registry against the trace oracle and
-/// to pair fired alerts with causal attribution.
-#[must_use]
-pub fn run_with_faults_windowed_instrumented<I>(
-    cluster: &Cluster,
-    arrivals: I,
-    detail: ReportDetail,
-    plan: &FaultPlan,
-    window: SyncWindow,
-    threads: usize,
-    online_window_ns: u64,
-) -> (
-    FaultReport,
-    inference_obs::QueryTrace,
-    inference_obs::MetricRegistry,
-)
-where
-    I: IntoIterator<Item = PinnedQuery>,
-{
-    let timeline = plan.compile();
-    let (report, trace, registry) = cluster.run_windowed_instrumented(
-        arrivals,
-        detail,
-        &timeline,
-        window,
-        threads,
-        online_window_ns,
-    );
-    (
-        assemble_fault_report(cluster, report, detail, plan),
-        trace,
-        registry,
-    )
-}
-
-/// The availability / degraded-tail / per-class post-processing shared by
-/// every fault entry point: pure bookkeeping over an already-finished
-/// cluster run, so the sync mode that produced the run cannot affect it.
-fn assemble_fault_report(
-    cluster: &Cluster,
-    report: ClusterReport,
-    detail: ReportDetail,
-    plan: &FaultPlan,
-) -> FaultReport {
-    let shard_gpus: Vec<usize> = cluster
-        .shards()
-        .iter()
-        .map(|s| s.budget().num_gpus)
-        .collect();
-    let total_base: usize = shard_gpus.iter().sum();
-    let horizon_ns = report.makespan.as_nanos();
-
-    let loans: Vec<(u64, i64)> = report
-        .loans
-        .iter()
-        .map(|l| (l.at.as_nanos(), l.gpus_delta))
-        .collect();
-    let (base_online, effective_online) = capacity_integrals(&shard_gpus, horizon_ns, plan, &loans);
-    let denom = total_base as f64 * horizon_ns as f64;
-    let (base_availability, effective_availability, outage_gpu_seconds) = if denom > 0.0 {
-        (
-            base_online as f64 / denom,
-            effective_online as f64 / denom,
-            (denom - base_online as f64) / 1e9,
-        )
-    } else {
-        (1.0, 1.0, 0.0)
-    };
-
-    let degraded = plan.degraded_intervals_ns();
-    let (degraded_p99_ms, healthy_p99_ms) = if detail == ReportDetail::Full {
-        let mut tail = WindowedTail::new(DEGRADED_WINDOW_NS);
-        for r in report.per_shard.iter().flat_map(|s| &s.records) {
-            tail.record(r.completed.as_nanos(), r.latency().as_nanos());
-        }
-        let d = tail.worst_percentile_ms_within(0.99, 1, &degraded);
-        let h = tail.worst_percentile_ms_outside(0.99, 1, &degraded);
-        ((d > 0.0).then_some(d), Some(h))
-    } else {
-        (None, None)
-    };
-
-    let requeued = report.faults.iter().map(|f| f.requeued).sum();
-    let shed_total = report.shed_per_model.iter().sum();
-    let (shed_per_class, served_per_class) = match cluster.shed() {
-        Some(policy) => {
-            let classes = policy.classes();
-            let n_classes = classes.iter().copied().max().unwrap_or(0) + 1;
-            let mut shed = vec![0u64; n_classes];
-            let mut served = vec![0u64; n_classes];
-            for (m, &class) in classes.iter().enumerate() {
-                shed[class] += report.shed_per_model.get(m).copied().unwrap_or(0);
-                served[class] += report
-                    .per_shard
-                    .iter()
-                    .map(|s| s.per_model.get(m).map_or(0, |pm| pm.completed))
-                    .sum::<u64>();
-            }
-            (shed, served)
-        }
-        None => (Vec::new(), Vec::new()),
-    };
-    FaultReport {
-        cluster: report,
-        base_availability,
-        effective_availability,
-        outage_gpu_seconds,
-        requeued,
-        degraded_p99_ms,
-        healthy_p99_ms,
-        degrade_gpu_seconds: plan.degrade_gpu_seconds(),
-        shed_total,
-        shed_per_class,
-        served_per_class,
     }
 }
 
@@ -1021,7 +868,7 @@ fn capacity_integrals(
 mod tests {
     use super::*;
     use dnn_zoo::ModelKind;
-    use inference_cluster::{LoanPolicy, RouterPolicy};
+    use inference_cluster::{LoanPolicy, PinnedQuery, RouterPolicy, RunSpec};
     use inference_server::{ModelSpec, MultiModelConfig, MultiModelServer, MultiRunReport};
     use inference_workload::{
         BatchDistribution, DriftDetectorConfig, MultiTraceGenerator, PhaseSpec, TaggedQuerySpec,
@@ -1071,6 +918,16 @@ mod tests {
         trace.iter().copied().map(|tq| (None, tq))
     }
 
+    /// Runs `trace` through `cluster` under `plan` at full detail.
+    fn run_plan(cluster: &Cluster, trace: &[TaggedQuerySpec], plan: &FaultPlan) -> FaultReport {
+        let spec = RunSpec::new(ReportDetail::Full).with_faults(plan.compile());
+        FaultReport::new(
+            cluster,
+            plan,
+            cluster.run_with(unpinned(trace), &spec).report,
+        )
+    }
+
     fn assert_conserved(report: &ClusterReport, trace: &[TaggedQuerySpec]) {
         let completed: usize = report.per_shard.iter().map(|r| r.records.len()).sum();
         assert_eq!(completed, trace.len(), "nothing dropped, nothing invented");
@@ -1107,13 +964,10 @@ mod tests {
         );
         let s0 = &cluster.shards()[0];
         let trace = steady_trace(s0, 1.2, 1.0, 17);
-        let plain = cluster.run_stream(trace.iter().copied(), ReportDetail::Full);
-        let faulted = run_with_faults(
-            &cluster,
-            unpinned(&trace),
-            ReportDetail::Full,
-            &FaultPlan::new(),
-        );
+        let plain = cluster
+            .run_with(unpinned(&trace), &RunSpec::new(ReportDetail::Full))
+            .report;
+        let faulted = run_plan(&cluster, &trace, &FaultPlan::new());
         assert_eq!(faulted.base_availability, 1.0);
         assert_eq!(faulted.effective_availability, 1.0);
         assert_eq!(faulted.outage_gpu_seconds, 0.0);
@@ -1137,7 +991,7 @@ mod tests {
         let cluster = Cluster::new(vec![shard(2, &t, &dist)], RouterPolicy::JoinShortestQueue);
         let trace = steady_trace(&cluster.shards()[0], 1.2, 3.0, 19);
         let plan = FaultPlan::new().with_gpu_outage(0, 0, 0.5, 1.5);
-        let report = run_with_faults(&cluster, unpinned(&trace), ReportDetail::Full, &plan);
+        let report = run_plan(&cluster, &trace, &plan);
         assert_conserved(&report.cluster, &trace);
         // One of two GPUs out for ~1 s of a ~3 s run: availability ≈ 5/6.
         assert!(
@@ -1196,8 +1050,8 @@ mod tests {
         )
         .generate();
         let plan = FaultPlan::new().with_gpu_outage(0, 0, 0.8, 3.0);
-        let bare = run_with_faults(&mk(false), unpinned(&trace), ReportDetail::Full, &plan);
-        let loaned = run_with_faults(&mk(true), unpinned(&trace), ReportDetail::Full, &plan);
+        let bare = run_plan(&mk(false), &trace, &plan);
+        let loaned = run_plan(&mk(true), &trace, &plan);
         assert_conserved(&bare.cluster, &trace);
         assert_conserved(&loaned.cluster, &trace);
         assert!(

@@ -42,7 +42,7 @@ pub fn escape_json(s: &str) -> String {
 }
 
 /// An incremental Chrome `trace_event` JSON builder. Event sources (the
-/// query trace, a `Gantt`, …) append slices and instants; [`finish`]
+/// query trace, SLO alert rows, …) append slices and instants; [`finish`]
 /// closes the envelope.
 ///
 /// [`finish`]: ChromeTraceWriter::finish

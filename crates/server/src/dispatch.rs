@@ -46,7 +46,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use server_metrics::{LatencyHistogram, LatencyRecorder};
 
-use crate::gantt::{Gantt, Span};
 use crate::multi::{ModelReport, MultiRunReport, ReconfigEvent};
 use crate::query::{Query, QueryId, QueryRecord};
 use crate::server::{ReportDetail, RunReport, SchedulerKind};
@@ -140,8 +139,6 @@ pub struct CoreConfig {
     pub noise_seed: u64,
     /// How much per-query material the run keeps.
     pub detail: ReportDetail,
-    /// Record a per-instance execution Gantt trace.
-    pub record_gantt: bool,
     /// Whether schedulers *see* per-slot degrade factors
     /// ([`DispatchCore::set_degrade`]): when `true` (the default
     /// everywhere), ELSA's estimates are inflated on slow slots so
@@ -240,7 +237,6 @@ pub struct DispatchCore<'a> {
     reconfig: Option<ReconfigRun>,
     reconfigs: Vec<ReconfigEvent>,
     noise_rng: StdRng,
-    gantt: Option<Gantt>,
     records: Vec<QueryRecord>,
     record_groups: Vec<usize>,
     latency: LatencyRecorder,
@@ -319,9 +315,6 @@ impl<'a> DispatchCore<'a> {
                 stash: VecDeque::new(),
             });
         }
-        let gantt = config
-            .record_gantt
-            .then(|| Gantt::new(slots.iter().map(|s| s.worker.size()).collect()));
         let per_group = specs
             .iter()
             .map(|_| GroupAccum {
@@ -340,7 +333,6 @@ impl<'a> DispatchCore<'a> {
             groups,
             reconfig: None,
             reconfigs: Vec::new(),
-            gantt,
             records: Vec::new(),
             record_groups: Vec::new(),
             latency: LatencyRecorder::new(),
@@ -725,15 +717,6 @@ impl<'a> DispatchCore<'a> {
             });
             self.record_groups.push(g);
         }
-        if let Some(gantt) = &mut self.gantt {
-            gantt.push(Span {
-                partition: w,
-                query: query.id,
-                batch: query.batch,
-                start: started,
-                end: now,
-            });
-        }
 
         if self.slots[w].retiring {
             // A quiesced partition serves out its own local queue, then
@@ -856,9 +839,6 @@ impl<'a> DispatchCore<'a> {
                     touched.push(g);
                 }
             }
-            if let Some(gantt) = &mut self.gantt {
-                gantt.mark_outage(w, now);
-            }
         }
         for &g in &touched {
             self.rebuild_group(g);
@@ -928,19 +908,6 @@ impl<'a> DispatchCore<'a> {
                 }
             }
         }
-    }
-
-    /// Total GPC-weighted busy nanoseconds accumulated by every slot that
-    /// ever existed — the measured-utilization signal behind the cluster's
-    /// `LoanDemandModel::MeasuredBusy` (demand in GPU equivalents is the
-    /// rate of change of this quantity divided by
-    /// [`mig_gpu::COMPUTE_SLICES`]).
-    #[must_use]
-    pub fn busy_gpc_ns(&self) -> u128 {
-        self.slots
-            .iter()
-            .map(|s| u128::from(s.worker.busy_ns()) * s.worker.size().gpcs() as u128)
-            .sum()
     }
 
     /// Begins executing a reconfiguration schedule: quiesces the first
@@ -1166,10 +1133,6 @@ impl<'a> DispatchCore<'a> {
             self.rows.push(self.specs[g].table.latency_row(size));
             self.max_batch.push(self.specs[g].table.max_batch());
             self.groups[g].members.push(w);
-            if let Some(gantt) = &mut self.gantt {
-                let row = gantt.add_partition(size);
-                debug_assert_eq!(row, w, "gantt rows track worker slots");
-            }
         }
         // Only groups that gained instances have new capacity to rebuild
         // around and backlog to flush; removal-only groups were rebuilt at
@@ -1283,7 +1246,6 @@ impl<'a> DispatchCore<'a> {
             partition_sizes: self.slots.iter().map(|s| s.worker.size()).collect(),
             partition_models: self.slots.iter().map(|s| s.group).collect(),
             reconfigs: self.reconfigs,
-            gantt: self.gantt,
             peak_pending_events,
         }
     }
@@ -1315,7 +1277,6 @@ impl<'a> DispatchCore<'a> {
             makespan: multi.makespan,
             achieved_qps: multi.achieved_qps,
             partition_utilization: multi.partition_utilization,
-            gantt: multi.gantt,
             peak_pending_events,
             sla_ns,
             sla_violations,
@@ -1352,7 +1313,6 @@ mod tests {
             service_noise: 0.0,
             noise_seed: 0,
             detail: ReportDetail::Full,
-            record_gantt: false,
             degrade_visible: true,
         }
     }

@@ -16,8 +16,7 @@
 //! * [`rate_sweep`] / [`search_latency_bounded_throughput`] — the
 //!   measurement procedures behind Figures 11–13,
 //! * [`Testbed`] / [`DesignPoint`] — the six evaluated designs with the
-//!   Table I budgets,
-//! * [`Gantt`] — Figure 5/10-style execution timelines.
+//!   Table I budgets.
 //!
 //! # Hot path invariants
 //!
@@ -56,7 +55,6 @@
 
 mod designs;
 mod dispatch;
-mod gantt;
 mod multi;
 mod query;
 mod server;
@@ -65,7 +63,6 @@ mod worker;
 
 pub use designs::{paper_budgets, DesignPoint, Testbed};
 pub use dispatch::{CoreConfig, DispatchCore, GroupSpec, ShardEvent};
-pub use gantt::{Gantt, OutageSpan, Span};
 pub use multi::{
     split_budget, ModelReport, ModelSpec, MultiModelConfig, MultiModelServer, MultiRunReport,
     ReconfigEvent, ReplanPolicy, ReplanRequest, ShardEngine,

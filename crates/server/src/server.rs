@@ -48,7 +48,6 @@ use rand::SeedableRng;
 use server_metrics::{LatencyHistogram, LatencyRecorder};
 
 use crate::dispatch::{noisy_service_duration, CoreConfig, DispatchCore, GroupSpec, ShardEvent};
-use crate::gantt::{Gantt, Span};
 use crate::query::{Query, QueryId, QueryRecord};
 use crate::worker::PartitionWorker;
 
@@ -84,8 +83,6 @@ pub struct ServerConfig {
     /// Serial frontend service time per query (query decode + dispatch).
     /// This is what bottlenecked the paper's 48×GPU(1) MobileNet config.
     pub frontend_overhead: SimDuration,
-    /// Record an execution Gantt trace (costs memory; off for sweeps).
-    pub record_gantt: bool,
     /// Relative standard deviation of multiplicative service-time noise
     /// (0 = perfectly deterministic execution, the paper's observation).
     /// Service times are scaled by `1 + noise·z` with `z` standard normal,
@@ -108,7 +105,6 @@ impl ServerConfig {
         ServerConfig {
             scheduler,
             frontend_overhead: SimDuration::from_micros(20),
-            record_gantt: false,
             service_noise: 0.0,
             noise_seed: 0,
             detail: ReportDetail::Full,
@@ -120,13 +116,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_frontend_overhead(mut self, overhead: SimDuration) -> Self {
         self.frontend_overhead = overhead;
-        self
-    }
-
-    /// Enables Gantt-trace recording.
-    #[must_use]
-    pub fn with_gantt(mut self) -> Self {
-        self.record_gantt = true;
         self
     }
 
@@ -187,8 +176,6 @@ pub struct RunReport {
     pub achieved_qps: f64,
     /// Busy fraction of every partition over the makespan.
     pub partition_utilization: Vec<f64>,
-    /// Execution trace, when requested via [`ServerConfig::with_gantt`].
-    pub gantt: Option<Gantt>,
     /// High-water mark of the DES event queue — O(partitions) for the
     /// streaming fast path, O(trace) for the pre-loaded reference path.
     pub peak_pending_events: usize,
@@ -444,7 +431,6 @@ impl InferenceServer {
                 service_noise: self.config.service_noise,
                 noise_seed: self.config.noise_seed,
                 detail,
-                record_gantt: self.config.record_gantt,
                 degrade_visible: true,
             },
         );
@@ -507,10 +493,6 @@ impl InferenceServer {
             SchedulerKind::Elsa(cfg) => Some(Elsa::new(*cfg)),
         };
         let mut noise_rng = StdRng::seed_from_u64(self.config.noise_seed);
-        let mut gantt = self
-            .config
-            .record_gantt
-            .then(|| Gantt::new(self.partitions.clone()));
 
         // The frontend is a serial FIFO server: query i's dispatch time is
         // max(arrival, previous dispatch) + overhead.
@@ -599,15 +581,6 @@ impl InferenceServer {
                     if let Some(sla) = self.config.sla_ns {
                         sla_violations += u64::from(record.latency().as_nanos() > sla);
                     }
-                    if let Some(g) = &mut gantt {
-                        g.push(Span {
-                            partition,
-                            query: query.id,
-                            batch: query.batch,
-                            start: started,
-                            end: now,
-                        });
-                    }
                     records.push(record);
 
                     let next = match &elsa {
@@ -656,7 +629,6 @@ impl InferenceServer {
             makespan,
             achieved_qps,
             partition_utilization,
-            gantt,
             peak_pending_events: sim.peak_pending(),
             sla_ns: self.config.sla_ns,
             sla_violations,
@@ -1011,17 +983,28 @@ mod tests {
     }
 
     #[test]
-    fn gantt_recording_captures_all_queries() {
+    fn full_detail_records_capture_every_execution() {
+        // A full-detail record is one execution: its partition, start and
+        // end. Every query leaves exactly one, and no partition runs two
+        // queries at once.
         let t = table(ModelKind::MobileNet);
         let server = InferenceServer::new(
             vec![ProfileSize::G1, ProfileSize::G2],
             t,
-            ServerConfig::new(SchedulerKind::Fifs).with_gantt(),
+            ServerConfig::new(SchedulerKind::Fifs),
         );
         let tr = trace(200.0, 13, 0.2);
         let report = server.run(&tr);
-        let g = report.gantt.expect("gantt requested");
-        assert_eq!(g.len(), tr.len());
+        assert_eq!(report.records.len(), tr.len());
+        let mut runs: Vec<_> = report
+            .records
+            .iter()
+            .map(|r| (r.partition, r.started, r.completed))
+            .collect();
+        runs.sort_unstable();
+        for w in runs.windows(2) {
+            assert!(w[0].0 != w[1].0 || w[0].2 <= w[1].1, "overlap: {w:?}");
+        }
     }
 
     #[test]

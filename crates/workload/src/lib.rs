@@ -36,7 +36,5 @@ pub use arrivals::PoissonProcess;
 pub use dist::{BatchDistribution, BuildDistributionError};
 pub use drift::{DriftDetector, DriftDetectorConfig, DriftReport};
 pub use empirical::EmpiricalBatchPmf;
-pub use multi::{
-    MultiTraceGenerator, MultiTraceStream, PhaseSpec, PinnedTraceStream, TaggedQuerySpec,
-};
+pub use multi::{MultiTraceGenerator, MultiTraceStream, PhaseSpec, TaggedQuerySpec};
 pub use trace::{QuerySpec, TraceGenerator, TraceStream};

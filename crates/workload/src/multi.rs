@@ -13,7 +13,7 @@
 //! or re-rating one model never perturbs another model's arrivals.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::arrivals::PoissonProcess;
 use crate::dist::BatchDistribution;
@@ -39,16 +39,10 @@ pub struct PhaseSpec {
     /// Per-model `(rate_qps, batch distribution)` during the phase. A rate
     /// of zero silences the model for the phase.
     pub models: Vec<(f64, BatchDistribution)>,
-    /// Optional per-shard routing weights for this phase
-    /// ([`with_shard_weights`](Self::with_shard_weights)): queries emitted
-    /// by [`MultiTraceGenerator::stream_pinned`] are pinned to shard `s`
-    /// with probability `weights[s] / Σ weights`. `None` (the default)
-    /// leaves the phase's queries unpinned — the cluster router decides.
-    pub shard_weights: Option<Vec<f64>>,
 }
 
 impl PhaseSpec {
-    /// Creates a phase (unpinned — no shard weights).
+    /// Creates a phase.
     ///
     /// # Panics
     ///
@@ -64,36 +58,7 @@ impl PhaseSpec {
         for (rate, _) in &models {
             assert!(rate.is_finite() && *rate >= 0.0, "rates must be >= 0");
         }
-        PhaseSpec {
-            duration_s,
-            models,
-            shard_weights: None,
-        }
-    }
-
-    /// Gives this phase per-shard routing weights — the knob that makes
-    /// skewed per-shard traffic (one hot shard among replicas) and
-    /// failure-coincident surges (a phase that piles its weight onto the
-    /// shard about to fail) expressible in a scenario. Weights need not be
-    /// normalized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty, or any weight is negative or not
-    /// finite, or they sum to zero.
-    #[must_use]
-    pub fn with_shard_weights(mut self, weights: Vec<f64>) -> Self {
-        assert!(!weights.is_empty(), "need at least one shard weight");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "shard weights must be >= 0"
-        );
-        assert!(
-            weights.iter().sum::<f64>() > 0.0,
-            "shard weights must not all be zero"
-        );
-        self.shard_weights = Some(weights);
-        self
+        PhaseSpec { duration_s, models }
     }
 }
 
@@ -198,7 +163,6 @@ impl MultiTraceGenerator {
                         .iter()
                         .map(|(rate, dist)| (rate * scale, dist.clone()))
                         .collect(),
-                    shard_weights: p.shard_weights.clone(),
                 })
                 .collect(),
             seed: self.seed,
@@ -240,52 +204,7 @@ impl MultiTraceGenerator {
     pub fn generate(&self) -> Vec<TaggedQuerySpec> {
         self.stream().collect()
     }
-
-    /// Streams the merged sequence with a per-query **shard pin** sampled
-    /// from each phase's [`PhaseSpec::shard_weights`] (`None` for queries
-    /// of phases without weights — those stay router-routed). The pins
-    /// come from a dedicated RNG lane, so the `TaggedQuerySpec`s are
-    /// **exactly** the plain [`stream`](Self::stream)'s — adding or
-    /// removing shard skew never perturbs arrival times or batches.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use inference_workload::{BatchDistribution, MultiTraceGenerator, PhaseSpec};
-    ///
-    /// let d = BatchDistribution::paper_default();
-    /// // All of this phase's traffic piles onto shard 0.
-    /// let gen = MultiTraceGenerator::new(
-    ///     vec![PhaseSpec::new(0.5, vec![(200.0, d)]).with_shard_weights(vec![1.0, 0.0])],
-    ///     7,
-    /// );
-    /// assert!(gen.stream_pinned().all(|(pin, _)| pin == Some(0)));
-    /// ```
-    #[must_use]
-    pub fn stream_pinned(&self) -> PinnedTraceStream {
-        let mut ends_ns = Vec::with_capacity(self.phases.len());
-        let mut acc = 0.0;
-        for p in &self.phases {
-            acc += p.duration_s;
-            ends_ns.push((acc * 1e9).round() as u64);
-        }
-        PinnedTraceStream {
-            inner: self.stream(),
-            shard_weights: self
-                .phases
-                .iter()
-                .map(|p| p.shard_weights.clone())
-                .collect(),
-            phase_ends_ns: ends_ns,
-            phase: 0,
-            rng: StdRng::seed_from_u64(self.seed ^ SHARD_PIN_SALT),
-        }
-    }
 }
-
-/// Seed salt separating the shard-pin RNG lane from the per-model arrival
-/// lanes (which use `seed + model`).
-const SHARD_PIN_SALT: u64 = 0x5AD0_71E5_0F5E_ED15;
 
 /// One model's in-progress Poisson stream.
 #[derive(Debug)]
@@ -329,50 +248,6 @@ impl ModelLane {
             });
             return;
         }
-    }
-}
-
-/// The lazy shard-pinned stream — see
-/// [`MultiTraceGenerator::stream_pinned`]. Yields
-/// `(Option<shard>, TaggedQuerySpec)` pairs, the cluster's pinned-arrival
-/// input shape.
-#[derive(Debug)]
-pub struct PinnedTraceStream {
-    inner: MultiTraceStream,
-    /// Per-phase shard weights (`None` = unpinned phase).
-    shard_weights: Vec<Option<Vec<f64>>>,
-    /// Phase end timestamps, nanoseconds (prefix sums).
-    phase_ends_ns: Vec<u64>,
-    /// Cursor into the phases (arrivals are non-decreasing).
-    phase: usize,
-    /// The dedicated pin-sampling lane.
-    rng: StdRng,
-}
-
-impl Iterator for PinnedTraceStream {
-    type Item = (Option<usize>, TaggedQuerySpec);
-
-    fn next(&mut self) -> Option<(Option<usize>, TaggedQuerySpec)> {
-        let q = self.inner.next()?;
-        while self.phase + 1 < self.phase_ends_ns.len()
-            && q.spec.arrival_ns >= self.phase_ends_ns[self.phase]
-        {
-            self.phase += 1;
-        }
-        let pin = self.shard_weights[self.phase].as_ref().map(|weights| {
-            let total: f64 = weights.iter().sum();
-            let mut draw: f64 = self.rng.gen::<f64>() * total;
-            let mut pick = weights.len() - 1;
-            for (s, &w) in weights.iter().enumerate() {
-                draw -= w;
-                if draw < 0.0 {
-                    pick = s;
-                    break;
-                }
-            }
-            pick
-        });
-        Some((pin, q))
     }
 }
 
@@ -487,82 +362,6 @@ mod tests {
         let trace = gen.generate();
         assert!(!trace.is_empty());
         assert!(trace.iter().all(|q| q.model == 0));
-    }
-
-    #[test]
-    fn pinned_stream_preserves_the_plain_stream_exactly() {
-        // Skew must be free: the pin lane is separate from the arrival
-        // lanes, so pinning changes nothing about the queries themselves.
-        let d = BatchDistribution::paper_default();
-        let plain = MultiTraceGenerator::new(
-            vec![
-                PhaseSpec::new(0.7, vec![(300.0, d.clone()), (100.0, d.clone())]),
-                PhaseSpec::new(0.7, vec![(100.0, d.clone()), (300.0, d.clone())]),
-            ],
-            9,
-        );
-        let skewed = MultiTraceGenerator::new(
-            vec![
-                PhaseSpec::new(0.7, vec![(300.0, d.clone()), (100.0, d.clone())])
-                    .with_shard_weights(vec![3.0, 1.0]),
-                PhaseSpec::new(0.7, vec![(100.0, d.clone()), (300.0, d)]),
-            ],
-            9,
-        );
-        let queries: Vec<TaggedQuerySpec> = skewed.stream_pinned().map(|(_, q)| q).collect();
-        assert_eq!(queries, plain.generate());
-    }
-
-    #[test]
-    fn shard_weights_pin_per_phase_and_shape_the_skew() {
-        let d = BatchDistribution::paper_default();
-        let gen = MultiTraceGenerator::new(
-            vec![
-                PhaseSpec::new(1.0, vec![(2000.0, d.clone())]).with_shard_weights(vec![3.0, 1.0]),
-                PhaseSpec::new(1.0, vec![(2000.0, d)]),
-            ],
-            13,
-        );
-        let pinned: Vec<(Option<usize>, TaggedQuerySpec)> = gen.stream_pinned().collect();
-        let boundary = 1_000_000_000u64;
-        let phase1: Vec<&(Option<usize>, TaggedQuerySpec)> = pinned
-            .iter()
-            .filter(|(_, q)| q.spec.arrival_ns < boundary)
-            .collect();
-        // Weighted phase: every query pinned, skew ≈ 3:1.
-        assert!(phase1.iter().all(|(pin, _)| pin.is_some()));
-        let to_hot = phase1.iter().filter(|(pin, _)| *pin == Some(0)).count() as f64;
-        let ratio = to_hot / phase1.len() as f64;
-        assert!(
-            (0.70..0.80).contains(&ratio),
-            "3:1 weights give ~75% to shard 0, got {ratio}"
-        );
-        // Unweighted phase: nothing pinned.
-        assert!(pinned
-            .iter()
-            .filter(|(_, q)| q.spec.arrival_ns >= boundary)
-            .all(|(pin, _)| pin.is_none()));
-        // Deterministic across calls.
-        let again: Vec<(Option<usize>, TaggedQuerySpec)> = gen.stream_pinned().collect();
-        assert_eq!(pinned, again);
-    }
-
-    #[test]
-    fn rate_scale_preserves_shard_weights() {
-        let d = BatchDistribution::paper_default();
-        let gen = MultiTraceGenerator::new(
-            vec![PhaseSpec::new(0.5, vec![(100.0, d)]).with_shard_weights(vec![0.0, 1.0])],
-            5,
-        );
-        let scaled = gen.with_rate_scale(2.0);
-        assert!(scaled.stream_pinned().all(|(pin, _)| pin == Some(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "must not all be zero")]
-    fn all_zero_shard_weights_panic() {
-        let d = BatchDistribution::paper_default();
-        let _ = PhaseSpec::new(1.0, vec![(10.0, d)]).with_shard_weights(vec![0.0, 0.0]);
     }
 
     #[test]

@@ -64,20 +64,20 @@ pub use server_metrics as metrics;
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use crate::cluster::{
-        Cluster, ClusterReport, FaultEvent, FaultTimeline, LoanDemandModel, LoanPolicy,
-        RouterPolicy, ShedPolicy, SyncWindow,
+        Cluster, ClusterReport, FaultEvent, FaultTimeline, LoanPolicy, RouterPolicy, RunOutput,
+        RunSpec, ShedPolicy, SyncWindow,
     };
     pub use crate::des::{SimDuration, SimTime};
     pub use crate::dnn::{ModelGraph, ModelKind};
-    pub use crate::faults::{run_with_faults, FaultDomain, FaultPlan, FaultReport, FaultTopology};
+    pub use crate::faults::{FaultDomain, FaultPlan, FaultReport, FaultTopology};
     pub use crate::gpu::{DeviceSpec, GpuLayout, PerfModel, ProfileSize};
     pub use crate::metrics::{
         latency_bounded_throughput, LatencyBreakdown, LatencyRecorder, ThroughputPoint,
         WindowedTail,
     };
     pub use crate::obs::{
-        analyze, check_conservation, ChromeTraceWriter, FlightRecorder, MetricRegistry, QueryTrace,
-        TraceEvent, TraceSink,
+        analyze, check_conservation, ChromeTraceWriter, FlightRecorder, MetricRegistry, ObsRequest,
+        QueryTrace, TraceEvent, TraceSink,
     };
     pub use crate::paris::{
         homogeneous_plan, random_plan, Elsa, ElsaConfig, GpcBudget, Paris, PartitionPlan,

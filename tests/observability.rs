@@ -18,10 +18,7 @@
 
 use paris_elsa::cluster::{Cluster, RouterPolicy, ShedPolicy, SyncWindow};
 use paris_elsa::dnn::ModelKind;
-use paris_elsa::faults::{
-    run_with_faults_windowed, run_with_faults_windowed_instrumented,
-    run_with_faults_windowed_traced, FaultPlan, FaultTopology,
-};
+use paris_elsa::faults::{FaultPlan, FaultReport, FaultTopology};
 use paris_elsa::metrics::LatencyHistogram;
 use paris_elsa::obs::{
     alert_records, analyze, check_conservation, evaluate_slos, jsonl, merge_online, MetricRegistry,
@@ -77,6 +74,20 @@ fn arrivals(cluster: &Cluster, duration_s: f64, frac: f64, seed: u64) -> Vec<Tag
     .generate()
 }
 
+/// Runs `trace` (unpinned) through `cluster` under `plan`, the rest of
+/// the run as `spec` says: the run's fault report, trace and registry.
+fn run_plan(
+    cluster: &Cluster,
+    trace: &[TaggedQuerySpec],
+    plan: &FaultPlan,
+    spec: RunSpec,
+) -> (FaultReport, Option<QueryTrace>, Option<MetricRegistry>) {
+    let spec = spec.with_faults(plan.compile());
+    let run = cluster.run_with(trace.iter().map(|&tq| (None, tq)), &spec);
+    let report = FaultReport::new(cluster, plan, run.report);
+    (report, run.trace, run.registry)
+}
+
 /// The unit suite's fixture: a mid-run rack outage on shard 0 under
 /// moderate overload, traced at the given sync window, thread count and
 /// report detail.
@@ -85,19 +96,16 @@ fn traced_outage_run(
     window: SyncWindow,
     threads: usize,
     detail: ReportDetail,
-) -> (paris_elsa::faults::FaultReport, QueryTrace) {
+) -> (FaultReport, QueryTrace) {
     let cluster = small_cluster(table, RouterPolicy::JoinShortestQueue);
     let trace_in = arrivals(&cluster, 1.0, 0.8, 7);
     let topology = FaultTopology::racks(&[2, 2], 2);
     let plan = FaultPlan::new().with_domain_outage(&topology, "rack0", 0.3, 0.7);
-    run_with_faults_windowed_traced(
-        &cluster,
-        trace_in.iter().copied().map(|tq| (None, tq)),
-        detail,
-        &plan,
-        window,
-        threads,
-    )
+    let spec = RunSpec::new(detail)
+        .with_window(window, threads)
+        .with_obs(ObsRequest::traced());
+    let (report, trace, _) = run_plan(&cluster, &trace_in, &plan, spec);
+    (report, trace.expect("tracing was requested"))
 }
 
 /// `(name, value bits)` of a registry's per-model SLA-violation series.
@@ -347,15 +355,11 @@ fn golden_trace(window: SyncWindow) -> QueryTrace {
     let plan = FaultPlan::new()
         .with_gpu_outage(0, 0, 0.02, 0.04)
         .with_gpu_degrade(1, 1, 1.5, 0.01, 0.05);
-    let (_, trace) = run_with_faults_windowed_traced(
-        &cluster,
-        trace_in.iter().copied().map(|tq| (None, tq)),
-        ReportDetail::Summary,
-        &plan,
-        window,
-        1,
-    );
-    trace
+    let spec = RunSpec::new(ReportDetail::Summary)
+        .with_window(window, 1)
+        .with_obs(ObsRequest::traced());
+    let (_, trace, _) = run_plan(&cluster, &trace_in, &plan, spec);
+    trace.expect("tracing was requested")
 }
 
 /// The JSONL export of [`golden_trace`] is pinned byte for byte under
@@ -402,7 +406,7 @@ proptest! {
     #[test]
     fn tracing_is_zero_observer_effect(
         seed in 0u64..8,
-        router in 0u64..3,
+        router in 0u64..2,
         fault_kind in 0u64..4,
         mode in 0u64..2,
         degrade_factor in 1.5f64..4.0,
@@ -410,8 +414,7 @@ proptest! {
         let table = mobilenet_table();
         let policy = match router {
             0 => RouterPolicy::StaticHash,
-            1 => RouterPolicy::JoinShortestQueue,
-            _ => RouterPolicy::WeightedByCapacity,
+            _ => RouterPolicy::JoinShortestQueue,
         };
         let cluster = small_cluster(&table, policy);
         let trace_in = arrivals(&cluster, 0.4, 0.7, seed);
@@ -434,22 +437,11 @@ proptest! {
 
         let mut traces: Vec<QueryTrace> = Vec::new();
         for threads in [1usize, 4] {
-            let untraced = run_with_faults_windowed(
-                &cluster,
-                trace_in.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Full,
-                &plan,
-                window,
-                threads,
-            );
-            let (traced, trace) = run_with_faults_windowed_traced(
-                &cluster,
-                trace_in.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Full,
-                &plan,
-                window,
-                threads,
-            );
+            let spec = RunSpec::new(ReportDetail::Full).with_window(window, threads);
+            let (untraced, ..) = run_plan(&cluster, &trace_in, &plan, spec.clone());
+            let traced_spec = spec.with_obs(ObsRequest::traced());
+            let (traced, trace, _) = run_plan(&cluster, &trace_in, &plan, traced_spec);
+            let trace = trace.expect("tracing was requested");
             prop_assert_eq!(
                 format!("{untraced:?}"),
                 format!("{traced:?}"),
@@ -481,15 +473,14 @@ proptest! {
     #[test]
     fn online_registry_matches_from_trace_oracle(
         seed in 0u64..8,
-        router in 0u64..3,
+        router in 0u64..2,
         fault_kind in 0u64..4,
         mode in 0u64..2,
     ) {
         let table = mobilenet_table();
         let policy = match router {
             0 => RouterPolicy::StaticHash,
-            1 => RouterPolicy::JoinShortestQueue,
-            _ => RouterPolicy::WeightedByCapacity,
+            _ => RouterPolicy::JoinShortestQueue,
         };
         let cluster = small_cluster(&table, policy);
         let trace_in = arrivals(&cluster, 0.4, 0.7, seed);
@@ -513,15 +504,11 @@ proptest! {
 
         let mut registries: Vec<MetricRegistry> = Vec::new();
         for threads in [1usize, 4] {
-            let (_, trace, registry) = run_with_faults_windowed_instrumented(
-                &cluster,
-                trace_in.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Summary,
-                &plan,
-                window,
-                threads,
-                window_ns,
-            );
+            let spec = RunSpec::new(ReportDetail::Summary)
+                .with_window(window, threads)
+                .with_obs(ObsRequest::instrumented(window_ns));
+            let (_, trace, registry) = run_plan(&cluster, &trace_in, &plan, spec);
+            let (trace, registry) = (trace.expect("traced"), registry.expect("online"));
             let oracle = MetricRegistry::from_trace(&trace, window_ns, &[14, 14]);
             prop_assert_eq!(
                 &registry,
@@ -597,15 +584,11 @@ proptest! {
         ];
         let mut logs: Vec<String> = Vec::new();
         for threads in [1usize, 4] {
-            let (_, registry) = paris_elsa::faults::run_with_faults_windowed_observed(
-                &cluster,
-                trace_in.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Summary,
-                &plan,
-                window,
-                threads,
-                50_000_000,
-            );
+            let spec = RunSpec::new(ReportDetail::Summary)
+                .with_window(window, threads)
+                .with_obs(ObsRequest::online(50_000_000));
+            let (_, _, registry) = run_plan(&cluster, &trace_in, &plan, spec);
+            let registry = registry.expect("online telemetry was requested");
             logs.push(format!("{:?}", evaluate_slos(&registry, &specs)));
         }
         prop_assert_eq!(

@@ -9,8 +9,8 @@
 //! hold on both sides of the boundary, at every thread count.
 
 use paris_elsa::cluster::{
-    Cluster, ClusterReport, FaultTimeline, LoanDemandModel, LoanPolicy, RouterPolicy, ShedPolicy,
-    SyncWindow,
+    Cluster, ClusterReport, FaultTimeline, LoanPolicy, PinnedQuery, RouterPolicy, RunSpec,
+    ShedPolicy, SyncWindow,
 };
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::gpu::{DeviceSpec, PerfModel, ProfileSize};
@@ -166,20 +166,21 @@ fn assert_pool_conserved(report: &ClusterReport, pool_gpus: usize, shards: usize
     }
 }
 
+fn unpinned(trace: &[TaggedQuerySpec]) -> Vec<PinnedQuery> {
+    trace.iter().map(|&tq| (None, tq)).collect()
+}
+
 fn run_all_threads(
     cluster: &Cluster,
-    trace: &[TaggedQuerySpec],
+    arrivals: &[PinnedQuery],
     timeline: &FaultTimeline,
     window: SyncWindow,
 ) -> ClusterReport {
     let run = |threads: usize| {
-        cluster.run_windowed(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Full,
-            timeline,
-            window,
-            threads,
-        )
+        let spec = RunSpec::new(ReportDetail::Full)
+            .with_faults(timeline.clone())
+            .with_window(window, threads);
+        cluster.run_with(arrivals.iter().copied(), &spec).report
     };
     let counts = thread_counts(cluster.shards().len());
     let reference = run(counts[0]);
@@ -234,7 +235,7 @@ fn faults_landing_exactly_on_window_edges_conserve_queries() {
         SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
         SyncWindow::PerEvent,
     ] {
-        let report = run_all_threads(&cluster, &trace, &timeline, window);
+        let report = run_all_threads(&cluster, &unpinned(&trace), &timeline, window);
         assert_eq!(report.faults.len(), 6, "all six fault events logged");
         assert_conserved(&report, trace.len());
         let requeued: u64 = report.faults.iter().map(|f| f.requeued).sum();
@@ -267,7 +268,6 @@ fn loan_transfer_across_the_sync_boundary_conserves_pool_and_queries() {
     .with_loan(
         LoanPolicy::new(POOL, 0.1)
             .with_thresholds(0.6, 0.2)
-            .with_demand_model(LoanDemandModel::PlannedEfficiency)
             .with_detector(DriftDetectorConfig::new(0.1).with_min_observations(20)),
     );
     let base = surge_trace(&cluster, 0.4, 1.6, 2, 23);
@@ -275,7 +275,7 @@ fn loan_transfer_across_the_sync_boundary_conserves_pool_and_queries() {
     // own capacity while the rest idle: the loan controller must move
     // pool GPUs to shard 0 mid-run, and the transfer command crosses the
     // sync boundary into shard 0's lane.
-    let pinned: Vec<(Option<usize>, TaggedQuerySpec)> = base
+    let pinned: Vec<PinnedQuery> = base
         .iter()
         .enumerate()
         .map(|(i, &tq)| (if i % 4 != 3 { Some(0) } else { None }, tq))
@@ -285,24 +285,7 @@ fn loan_transfer_across_the_sync_boundary_conserves_pool_and_queries() {
         SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
         SyncWindow::PerEvent,
     ] {
-        let run = |threads: usize| {
-            cluster.run_windowed(
-                pinned.iter().copied(),
-                ReportDetail::Full,
-                &FaultTimeline::empty(),
-                window,
-                threads,
-            )
-        };
-        let reference = run(1);
-        let want = format!("{reference:?}");
-        for &threads in &thread_counts(cluster.shards().len())[1..] {
-            assert_eq!(
-                format!("{:?}", run(threads)),
-                want,
-                "loan run diverged at {threads} threads ({window:?})"
-            );
-        }
+        let reference = run_all_threads(&cluster, &pinned, &FaultTimeline::empty(), window);
         assert!(
             !reference.loans.is_empty(),
             "the skewed load must trigger at least one loan transfer"
@@ -326,7 +309,6 @@ fn loan_storm_many_shards_one_pool_stays_deterministic() {
     let cluster = Cluster::new(shards, RouterPolicy::JoinShortestQueue).with_loan(
         LoanPolicy::new(POOL, 0.1)
             .with_thresholds(0.5, 0.1)
-            .with_demand_model(LoanDemandModel::MeasuredBusy)
             .with_detector(DriftDetectorConfig::new(0.1).with_min_observations(20)),
     );
     let trace = surge_trace(&cluster, 0.4, 1.8, 1, 37);
@@ -335,7 +317,7 @@ fn loan_storm_many_shards_one_pool_stays_deterministic() {
         SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
         SyncWindow::PerEvent,
     ] {
-        let report = run_all_threads(&cluster, &trace, &FaultTimeline::empty(), window);
+        let report = run_all_threads(&cluster, &unpinned(&trace), &FaultTimeline::empty(), window);
         assert!(
             !report.loans.is_empty(),
             "the storm must produce loan traffic"
@@ -361,11 +343,10 @@ fn shard_fail_during_borrow_returns_the_loan_and_serves_everything() {
     .with_loan(
         LoanPolicy::new(POOL, 0.1)
             .with_thresholds(0.6, 0.2)
-            .with_demand_model(LoanDemandModel::PlannedEfficiency)
             .with_detector(DriftDetectorConfig::new(0.1).with_min_observations(20)),
     );
     let base = surge_trace(&cluster, 0.4, 1.6, 2, 51);
-    let pinned: Vec<(Option<usize>, TaggedQuerySpec)> = base
+    let pinned: Vec<PinnedQuery> = base
         .iter()
         .enumerate()
         .map(|(i, &tq)| (if i % 3 != 2 { Some(0) } else { None }, tq))
@@ -383,24 +364,7 @@ fn shard_fail_during_borrow_returns_the_loan_and_serves_everything() {
         SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
         SyncWindow::PerEvent,
     ] {
-        let run = |threads: usize| {
-            cluster.run_windowed(
-                pinned.iter().copied(),
-                ReportDetail::Full,
-                &timeline,
-                window,
-                threads,
-            )
-        };
-        let reference = run(1);
-        let want = format!("{reference:?}");
-        for &threads in &thread_counts(cluster.shards().len())[1..] {
-            assert_eq!(
-                format!("{:?}", run(threads)),
-                want,
-                "fail-during-borrow diverged at {threads} threads ({window:?})"
-            );
-        }
+        let reference = run_all_threads(&cluster, &pinned, &timeline, window);
         assert_conserved(&reference, pinned.len());
         assert_pool_conserved(&reference, POOL, cluster.shards().len());
         assert_eq!(reference.faults.len(), 2);
@@ -440,13 +404,8 @@ fn lane_capacity_hints_cover_peak_pending() {
         SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
         SyncWindow::PerEvent,
     ] {
-        let report = cluster.run_windowed(
-            trace.iter().copied().map(|tq| (None, tq)),
-            ReportDetail::Summary,
-            &FaultTimeline::default(),
-            window,
-            1,
-        );
+        let spec = RunSpec::new(ReportDetail::Summary).with_window(window, 1);
+        let report = cluster.run_with(unpinned(&trace), &spec).report;
         for (s, shard_report) in report.per_shard.iter().enumerate() {
             assert!(
                 shard_report.peak_pending_events <= hints[s],
@@ -455,5 +414,63 @@ fn lane_capacity_hints_cover_peak_pending() {
                 hints[s]
             );
         }
+    }
+}
+
+/// Profiling is an executor choice, not a model change: a run with the
+/// window profiler attached reports exactly what the unprofiled run
+/// reports (full `Debug` rendering), in both window modes, with a fault
+/// timeline and loan transfers in play.
+#[test]
+fn profiled_run_reports_exactly_the_plain_run() {
+    let table = mobilenet_table();
+    let dist = BatchDistribution::paper_default();
+    let cluster = Cluster::new(
+        vec![
+            shard(&table, &dist, 2),
+            shard(&table, &dist, 2),
+            shard(&table, &dist, 2),
+        ],
+        RouterPolicy::JoinShortestQueue,
+    )
+    .with_loan(
+        LoanPolicy::new(2, 0.1)
+            .with_thresholds(0.6, 0.2)
+            .with_detector(DriftDetectorConfig::new(0.1).with_min_observations(20)),
+    );
+    // Three of every four arrivals pinned to shard 0 overload it, so the
+    // pool lends to it mid-run.
+    let pinned: Vec<PinnedQuery> = surge_trace(&cluster, 0.4, 1.6, 2, 23)
+        .into_iter()
+        .enumerate()
+        .map(|(i, tq)| (if i % 4 != 3 { Some(0) } else { None }, tq))
+        .collect();
+    let edge = |k: u64| SimTime::from_nanos(k * WINDOW_NS);
+    let timeline = FaultTimeline::new(vec![
+        (edge(300), FaultEvent::GpuFail { shard: 1, gpu: 0 }),
+        (edge(700), FaultEvent::ShardFail { shard: 2 }),
+        (edge(900), FaultEvent::GpuRepair { shard: 1, gpu: 0 }),
+        (edge(1000), FaultEvent::ShardRepair { shard: 2 }),
+    ]);
+
+    for window in [
+        SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
+        SyncWindow::PerEvent,
+    ] {
+        let spec = RunSpec::new(ReportDetail::Full)
+            .with_faults(timeline.clone())
+            .with_window(window, 2);
+        let plain = cluster.run_with(pinned.iter().copied(), &spec);
+        let profiled = cluster.run_with(pinned.iter().copied(), &spec.with_profile(&[1, 2, 4]));
+        assert_eq!(
+            format!("{:?}", profiled.report),
+            format!("{:?}", plain.report),
+            "profiling changed the report ({window:?})"
+        );
+        assert!(plain.profile.is_none());
+        let profile = profiled.profile.expect("profiling was requested");
+        assert!(profile.windows > 0 && profile.lane_events > 0);
+        assert!(!plain.report.loans.is_empty(), "loans engaged ({window:?})");
+        assert_eq!(plain.report.faults.len(), 4);
     }
 }

@@ -20,6 +20,13 @@ fn resnet_table() -> ProfileTable {
     ProfileTable::profile(&model, &perf, &ProfileSize::ALL, 32)
 }
 
+/// Runs `trace` (unpinned) through `cluster` under `plan` at full detail.
+fn run_plan(cluster: &Cluster, trace: &[TaggedQuerySpec], plan: &FaultPlan) -> FaultReport {
+    let spec = RunSpec::new(ReportDetail::Full).with_faults(plan.compile());
+    let run = cluster.run_with(trace.iter().map(|&tq| (None, tq)), &spec);
+    FaultReport::new(cluster, plan, run.report)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -517,7 +524,7 @@ proptest! {
         rate in 50f64..1_200.0,
         seed in 0u64..40,
         scheduler in 0u64..2,
-        router in 0u64..3,
+        router in 0u64..2,
         partitions in prop::collection::vec(profile_size_strategy(), 1..6)
     ) {
         // The cluster degeneration contract: a Cluster hosting exactly one
@@ -548,8 +555,7 @@ proptest! {
         );
         let policy = match router {
             0 => RouterPolicy::StaticHash,
-            1 => RouterPolicy::JoinShortestQueue,
-            _ => RouterPolicy::WeightedByCapacity,
+            _ => RouterPolicy::JoinShortestQueue,
         };
         let cluster = Cluster::new(vec![server.clone()], policy);
 
@@ -559,7 +565,8 @@ proptest! {
             .map(|&spec| TaggedQuerySpec { model: 0, spec })
             .collect();
         let expected = server.run(&tagged);
-        let got = cluster.run(&tagged);
+        let arrivals = tagged.iter().map(|&tq| (None, tq));
+        let got = cluster.run_with(arrivals, &RunSpec::new(ReportDetail::Full)).report;
 
         prop_assert_eq!(got.per_shard.len(), 1);
         prop_assert_eq!(&got.routed, &vec![tagged.len() as u64]);
@@ -716,7 +723,6 @@ proptest! {
         // double-counts, and premium (class 0) is never shed.
         use paris_elsa::cluster::{Cluster, RouterPolicy, ShedPolicy};
         use paris_elsa::dnn::ModelKind;
-        use paris_elsa::faults::{run_with_faults, FaultPlan};
         use paris_elsa::server::{ModelSpec, MultiModelConfig, MultiModelServer};
         use paris_elsa::workload::{MultiTraceGenerator, PhaseSpec};
 
@@ -751,12 +757,7 @@ proptest! {
         let plan = FaultPlan::sample_gpu_mttf(&[2, 2], mttf_s, mttr_s, 1.2, seed)
             .with_shard_outage(1, shard_fail_s, 0.9)
             .with_gpu_degrade(0, 0, degrade_factor, degrade_at, degrade_at + 0.4);
-        let report = run_with_faults(
-            &cluster,
-            trace.iter().copied().map(|tq| (None, tq)),
-            paris_elsa::server::ReportDetail::Full,
-            &plan,
-        );
+        let report = run_plan(&cluster, &trace, &plan);
         let completed: u64 = report
             .cluster
             .per_shard
@@ -806,7 +807,7 @@ proptest! {
         // stays a valid fraction.
         use paris_elsa::cluster::{Cluster, RouterPolicy};
         use paris_elsa::dnn::ModelKind;
-        use paris_elsa::faults::{run_with_faults, FaultPlan, FaultTopology};
+        use paris_elsa::faults::FaultTopology;
         use paris_elsa::server::{ModelSpec, MultiModelConfig, MultiModelServer};
         use paris_elsa::workload::{MultiTraceGenerator, PhaseSpec};
 
@@ -835,12 +836,7 @@ proptest! {
                 .generate();
         let topo = FaultTopology::racks(&shard_gpus, gpus_per_rack);
         let plan = FaultPlan::sample_domain_mttf(&topo, mttf_s, mttr_s, 1.2, seed);
-        let report = run_with_faults(
-            &cluster,
-            trace.iter().copied().map(|tq| (None, tq)),
-            paris_elsa::server::ReportDetail::Full,
-            &plan,
-        );
+        let report = run_plan(&cluster, &trace, &plan);
         let completed: usize = report
             .cluster
             .per_shard
@@ -871,7 +867,6 @@ proptest! {
         // reconfiguration history are bit-identical to the fault-free run.
         use paris_elsa::cluster::{Cluster, RouterPolicy};
         use paris_elsa::dnn::ModelKind;
-        use paris_elsa::faults::{run_with_faults, FaultPlan};
         use paris_elsa::server::{ModelSpec, MultiModelConfig, MultiModelServer};
         use paris_elsa::workload::{MultiTraceGenerator, PhaseSpec};
 
@@ -890,16 +885,10 @@ proptest! {
         let trace =
             MultiTraceGenerator::new(vec![PhaseSpec::new(1.0, vec![(rate, dist)])], seed)
                 .generate();
-        let run = |plan: &FaultPlan| {
-            run_with_faults(
-                &cluster,
-                trace.iter().copied().map(|tq| (None, tq)),
-                paris_elsa::server::ReportDetail::Full,
-                plan,
-            )
-        };
-        let plain = run(&FaultPlan::new());
-        let unit = run(
+        let plain = run_plan(&cluster, &trace, &FaultPlan::new());
+        let unit = run_plan(
+            &cluster,
+            &trace,
             &FaultPlan::new().with_gpu_degrade(0, gpu, 1.0, degrade_at, degrade_at + width),
         );
         prop_assert_eq!(unit.cluster.faults.len(), 2, "degrade + restore logged");
@@ -918,8 +907,8 @@ proptest! {
     #[test]
     fn parallel_cluster_is_bit_identical_to_sequential(
         seed in 0u64..12,
-        router in 0u64..3,
-        loan_kind in 0u64..3,
+        router in 0u64..2,
+        loan in 0u64..2,
         mode in 0u64..2,
         mttf_s in 0.9f64..2.0,
         mttr_s in 0.15f64..0.4,
@@ -934,11 +923,8 @@ proptest! {
         // `Debug` rendering, so every record, histogram bucket, float,
         // loan ledger entry and fault-log line must agree, not just
         // aggregate counts.
-        use paris_elsa::cluster::{
-            Cluster, LoanDemandModel, LoanPolicy, RouterPolicy, ShedPolicy, SyncWindow,
-        };
+        use paris_elsa::cluster::{Cluster, LoanPolicy, RouterPolicy, ShedPolicy, SyncWindow};
         use paris_elsa::dnn::ModelKind;
-        use paris_elsa::faults::FaultPlan;
         use paris_elsa::server::{ModelSpec, MultiModelConfig, MultiModelServer};
         use paris_elsa::workload::{MultiTraceGenerator, PhaseSpec};
 
@@ -959,18 +945,12 @@ proptest! {
         };
         let policy = match router {
             0 => RouterPolicy::StaticHash,
-            1 => RouterPolicy::JoinShortestQueue,
-            _ => RouterPolicy::WeightedByCapacity,
+            _ => RouterPolicy::JoinShortestQueue,
         };
         let mut cluster = Cluster::new(vec![shard(2), shard(2), shard(2)], policy)
             .with_shed(ShedPolicy::new(vec![0, 1]).with_margin(0.8));
-        if loan_kind > 0 {
-            let model = if loan_kind == 1 {
-                LoanDemandModel::PlannedEfficiency
-            } else {
-                LoanDemandModel::MeasuredBusy
-            };
-            cluster = cluster.with_loan(LoanPolicy::new(2, 0.15).with_demand_model(model));
+        if loan > 0 {
+            cluster = cluster.with_loan(LoanPolicy::new(2, 0.15));
         }
         let rate = 0.45
             * cluster
@@ -992,13 +972,10 @@ proptest! {
             SyncWindow::Lookahead(SimDuration::from_nanos(2_000_000))
         };
         let run = |threads: usize| {
-            cluster.run_windowed(
-                trace.iter().copied().map(|tq| (None, tq)),
-                ReportDetail::Full,
-                &timeline,
-                window,
-                threads,
-            )
+            let spec = RunSpec::new(ReportDetail::Full)
+                .with_faults(timeline.clone())
+                .with_window(window, threads);
+            cluster.run_with(trace.iter().map(|&tq| (None, tq)), &spec).report
         };
         let reference = format!("{:?}", run(1));
         let mut counts = vec![2usize, 3, 4, 8, cluster.shards().len() + 1];
