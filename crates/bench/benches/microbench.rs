@@ -130,12 +130,17 @@ fn bench_dispatch_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_path_20k_queries");
     for n in paris_bench::DISPATCH_BENCH_PARTITIONS {
         let (fifs, elsa, trace) = paris_bench::dispatch_workload(n, 20_000);
-        group.bench_function(format!("fifs_{n}_partitions"), |b| {
-            b.iter(|| black_box(fifs.run_with_detail(&trace, ReportDetail::Summary)));
-        });
-        group.bench_function(format!("elsa_{n}_partitions"), |b| {
-            b.iter(|| black_box(elsa.run_with_detail(&trace, ReportDetail::Summary)));
-        });
+        for (name, server) in [("fifs", &fifs), ("elsa", &elsa)] {
+            group.bench_function(format!("{name}_{n}_partitions"), |b| {
+                b.iter(|| {
+                    black_box(server.run_stream_sla(
+                        trace.iter().copied(),
+                        ReportDetail::Summary,
+                        server.config().sla_ns,
+                    ))
+                });
+            });
+        }
     }
     group.finish();
 }

@@ -47,7 +47,11 @@ fn measure(
         let report = if reference {
             server.run_reference(trace)
         } else {
-            server.run_with_detail(trace, ReportDetail::Summary)
+            server.run_stream_sla(
+                trace.iter().copied(),
+                ReportDetail::Summary,
+                server.config().sla_ns,
+            )
         };
         if rep >= warmup {
             wall_s = wall_s.min(start.elapsed().as_secs_f64());

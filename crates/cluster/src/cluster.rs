@@ -1473,7 +1473,7 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                     dists.push(dist);
                 }
                 None => {
-                    weights.push(spec.weight);
+                    weights.push(1.0);
                     dists.push(spec.dist.clone());
                 }
             }

@@ -23,7 +23,6 @@ use crate::profile::ProfileTable;
 
 /// Iteration order of Algorithm 2 Step A (ablation D4 in DESIGN.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ScanOrder {
     /// The paper's order: smallest partitions first (Algorithm 2, line 3).
     #[default]
@@ -34,7 +33,6 @@ pub enum ScanOrder {
 
 /// What to do when no partition can satisfy the SLA (ablation D3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FallbackPolicy {
     /// The paper's Step B: the partition that finishes the query soonest.
     #[default]
@@ -47,7 +45,6 @@ pub enum FallbackPolicy {
 
 /// Tunable parameters of the ELSA slack predictor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ElsaConfig {
     /// The SLA target queries are held to, nanoseconds.
     pub sla_ns: u64,

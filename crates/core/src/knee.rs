@@ -24,7 +24,6 @@ pub const DEFAULT_TAKEOFF_FACTOR: f64 = 1.25;
 
 /// How `MaxBatch_knee` is detected on the profiled curves.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KneeRule {
     /// Algorithm 1's literal rule: first batch with utilization ≥ the
     /// threshold.

@@ -31,7 +31,6 @@ use crate::profile::ProfileTable;
 /// The resource pool a plan may use: a total GPC budget spread over a number
 /// of physical GPUs (paper Table I caps both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpcBudget {
     /// Total GPCs the plan may consume across all GPUs.
     pub total_gpcs: usize,
@@ -68,7 +67,6 @@ impl fmt::Display for GpcBudget {
 
 /// The batch range `lo..=hi` a partition size is dedicated to (Figure 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatchSegment {
     /// The partition size covering this range.
     pub size: ProfileSize,

@@ -35,7 +35,6 @@ use mig_gpu::{PerfModel, ProfileSize};
 /// assert!(table.utilization(ProfileSize::G7, 8) < table.utilization(ProfileSize::G1, 8));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProfileTable {
     model_name: String,
     sizes: Vec<ProfileSize>,

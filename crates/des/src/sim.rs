@@ -94,15 +94,6 @@ impl<E> Simulation<E> {
         self.peak_pending
     }
 
-    /// Events the queue can hold before its heap or payload slab
-    /// reallocates — see [`EventQueue::capacity`](crate::EventQueue::capacity).
-    /// A run whose [`peak_pending`](Self::peak_pending) stays at or below
-    /// the construction-time capacity never grew the queue.
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
     /// Schedules `event` at the absolute instant `at`.
     ///
     /// Events scheduled in the past are clamped to fire "now": simulated time

@@ -22,7 +22,6 @@ use crate::layer::{ComputeClass, Layer};
 /// assert!(toy.flops_per_sample() > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelGraph {
     name: String,
     layers: Vec<Layer>,

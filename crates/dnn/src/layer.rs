@@ -14,7 +14,6 @@ use std::fmt;
 /// precision on Ampere-class GPUs), but the IR carries the precision
 /// explicitly so mixed-precision studies remain possible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Precision {
     /// 16-bit floating point (2 bytes/element).
     #[default]
@@ -50,7 +49,6 @@ impl fmt::Display for Precision {
 /// (depthwise convolutions, normalization, activation functions, pooling,
 /// data movement) runs on the ordinary CUDA cores at far lower peak FLOP/s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComputeClass {
     /// Tensor-core (matrix-multiply-accumulate) pipe.
     TensorCore,
@@ -78,7 +76,6 @@ impl fmt::Display for ComputeClass {
 /// The GPU model turns this into a thread-block count:
 /// `tiles(b) = ceil(b·rows_per_sample / tile_rows) · ceil(cols / tile_cols) · groups`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkShape {
     /// Rows of the iteration space contributed by each sample in the batch.
     pub rows_per_sample: f64,
@@ -122,7 +119,6 @@ impl WorkShape {
 
 /// Operator category, retained for reporting and model introspection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum LayerKind {
     /// Dense 2-D convolution (lowered to implicit GEMM).
@@ -187,7 +183,6 @@ impl fmt::Display for LayerKind {
 /// assert!((stem.flops_per_sample() - 2.0 * 12544.0 * 64.0 * 147.0).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Layer {
     name: String,
     kind: LayerKind,
@@ -200,33 +195,6 @@ pub struct Layer {
 }
 
 impl Layer {
-    /// Builds a layer from raw footprint numbers.
-    ///
-    /// Prefer the shape-aware constructors; this exists for custom operators
-    /// and for tests.
-    #[allow(clippy::too_many_arguments)]
-    #[must_use]
-    pub fn from_raw(
-        name: impl Into<String>,
-        kind: LayerKind,
-        class: ComputeClass,
-        flops_per_sample: f64,
-        weight_bytes: f64,
-        io_bytes_per_sample: f64,
-        work: WorkShape,
-    ) -> Self {
-        Layer {
-            name: name.into(),
-            kind,
-            class,
-            precision: Precision::Fp16,
-            flops_per_sample,
-            weight_bytes,
-            io_bytes_per_sample,
-            work,
-        }
-    }
-
     /// Dense 2-D convolution with a `kernel`×`kernel` filter and the given
     /// stride, producing an `out_h`×`out_w` map of `out_c` channels.
     ///

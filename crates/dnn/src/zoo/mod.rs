@@ -25,7 +25,6 @@ use crate::graph::ModelGraph;
 
 /// Coarse compute-intensity class of a benchmark model (paper §V).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComputeIntensity {
     /// Lightweight CNNs (ShuffleNet, MobileNet).
     Low,
@@ -57,7 +56,6 @@ impl fmt::Display for ComputeIntensity {
 /// assert!((7.0e9..9.0e9).contains(&resnet.flops_per_sample()));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ModelKind {
     /// ShuffleNetV2 1.0× — computer vision, low intensity.
     ShuffleNet,

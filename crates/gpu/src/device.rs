@@ -26,7 +26,6 @@
 /// assert!((1.2e14..1.7e14).contains(&peak));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceSpec {
     /// Graphics processing clusters per GPU (A100: 7).
     pub gpcs: usize,

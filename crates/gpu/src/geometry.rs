@@ -64,7 +64,6 @@ impl std::error::Error for PlaceProfilesError {}
 /// # Ok::<(), mig_gpu::PlaceProfilesError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuLayout {
     /// `(profile, start slice)` pairs, sorted by start slice.
     placements: Vec<(ProfileSize, usize)>,

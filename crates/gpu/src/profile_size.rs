@@ -21,7 +21,6 @@ use std::str::FromStr;
 /// assert_eq!(ProfileSize::G7.to_string(), "GPU(7)");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProfileSize {
     /// 1 GPC, 1 memory slice (`1g.5gb`).
     G1,

@@ -29,7 +29,6 @@
 /// assert!(cost.delay_ns(0, 0) >= cost.fixed_ns);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResliceCostModel {
     /// Per-reconfiguration driver overhead (mode switches, slice
     /// bookkeeping), nanoseconds.

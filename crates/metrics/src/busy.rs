@@ -16,7 +16,6 @@ use std::fmt;
 /// assert!((t.utilization(1_000) - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BusyTracker {
     busy_ns: u64,
     intervals: u64,

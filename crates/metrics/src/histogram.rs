@@ -36,7 +36,6 @@ const BUCKETS: usize = (64 - MANTISSA_BITS as usize + 1) * SUB_BUCKETS;
 /// assert_eq!(hist.max_ns(), 100_000_000);
 /// ```
 #[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     count: u64,

@@ -20,7 +20,6 @@ use std::fmt;
 /// assert_eq!(rec.violations(10 * 1_000_000), 1); // only the 100 ms query
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyRecorder {
     samples_ns: Vec<u64>,
 }

@@ -5,7 +5,6 @@ use std::fmt;
 /// Summary of one measured run at a fixed offered load: the coordinates of
 /// one point on the paper's Figure 11 curves.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThroughputPoint {
     /// Offered arrival rate, queries/second.
     pub offered_qps: f64,

@@ -134,13 +134,6 @@ impl TraceEvent {
         }
     }
 
-    /// Whether this event ends a query's lifecycle (complete) or admission
-    /// path (shed).
-    #[must_use]
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, TraceEvent::Complete { .. } | TraceEvent::Shed { .. })
-    }
-
     /// A short stable name for exporters.
     #[must_use]
     pub fn kind(&self) -> &'static str {

@@ -124,15 +124,6 @@ impl ObsSink {
         }
     }
 
-    /// A sink that only retains the trace.
-    #[must_use]
-    pub fn trace_only(recorder: FlightRecorder) -> ObsSink {
-        ObsSink {
-            trace: Some(recorder),
-            online: None,
-        }
-    }
-
     /// Whether both halves are disabled.
     #[must_use]
     pub fn is_empty(&self) -> bool {

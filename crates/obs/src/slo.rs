@@ -29,6 +29,11 @@ use des_engine::SimTime;
 /// instant and never collide with a lane's own series.
 pub const ALERT_LANE: u32 = u32::MAX;
 
+/// An alert fires when both windows burn the budget at ≥ this multiple of
+/// the all-budget-in-period rate (1.0 = budget exactly exhausted if the
+/// window rate persisted).
+const BURN_THRESHOLD: f64 = 1.0;
+
 /// One declarative service-level objective with burn-rate alert policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
@@ -44,15 +49,11 @@ pub struct SloSpec {
     pub short_bins: usize,
     /// Long trailing window, in registry bins (keeps blips from paging).
     pub long_bins: usize,
-    /// Fire when both windows burn the budget at ≥ this multiple of the
-    /// all-budget-in-period rate (1.0 = budget exactly exhausted if the
-    /// window rate persisted).
-    pub burn_threshold: f64,
 }
 
 impl SloSpec {
     /// A spec for `group` with the given objective, defaulting to a
-    /// 2-bin/8-bin multiwindow at burn threshold 1.0.
+    /// 2-bin/8-bin multiwindow (alerts fire at burn rate 1.0).
     #[must_use]
     pub fn new(name: impl Into<String>, group: usize, objective: f64) -> Self {
         SloSpec {
@@ -61,7 +62,6 @@ impl SloSpec {
             objective,
             short_bins: 2,
             long_bins: 8,
-            burn_threshold: 1.0,
         }
     }
 
@@ -70,13 +70,6 @@ impl SloSpec {
     pub fn with_windows(mut self, short_bins: usize, long_bins: usize) -> Self {
         self.short_bins = short_bins.max(1);
         self.long_bins = long_bins.max(1);
-        self
-    }
-
-    /// Overrides the burn-rate threshold.
-    #[must_use]
-    pub fn with_burn_threshold(mut self, burn: f64) -> Self {
-        self.burn_threshold = burn;
         self
     }
 
@@ -148,7 +141,7 @@ pub fn evaluate_slos(registry: &MetricRegistry, specs: &[SloSpec]) -> Vec<Alert>
             match active[s] {
                 None => {
                     let long = burn_rate(values, bin, spec.long_bins, budget);
-                    if short >= spec.burn_threshold && long >= spec.burn_threshold {
+                    if short >= BURN_THRESHOLD && long >= BURN_THRESHOLD {
                         let lo = (bin + 1).saturating_sub(spec.long_bins);
                         // Earliest max-violation bin in the long window.
                         let worst_bin = (lo..=bin)
@@ -167,7 +160,7 @@ pub fn evaluate_slos(registry: &MetricRegistry, specs: &[SloSpec]) -> Vec<Alert>
                     }
                 }
                 Some(idx) => {
-                    if short < spec.burn_threshold {
+                    if short < BURN_THRESHOLD {
                         alerts[idx].resolved_bin = Some(bin);
                         active[s] = None;
                     }

@@ -102,7 +102,6 @@ pub struct Testbed {
     gpu7_budget: GpcBudget,
     sla_multiplier: f64,
     knee_rule: KneeRule,
-    server_config_base: ServerConfig,
 }
 
 impl Testbed {
@@ -130,7 +129,6 @@ impl Testbed {
             gpu7_budget,
             sla_multiplier: 1.5,
             knee_rule: KneeRule::default(),
-            server_config_base: ServerConfig::new(SchedulerKind::Fifs),
         }
     }
 
@@ -150,22 +148,6 @@ impl Testbed {
     #[must_use]
     pub fn with_knee_rule(mut self, rule: KneeRule) -> Self {
         self.knee_rule = rule;
-        self
-    }
-
-    /// Overrides the GPC budgets.
-    #[must_use]
-    pub fn with_budgets(mut self, budget: GpcBudget, gpu7_budget: GpcBudget) -> Self {
-        self.budget = budget;
-        self.gpu7_budget = gpu7_budget;
-        self
-    }
-
-    /// Overrides the base server configuration (frontend overhead, noise…).
-    /// The scheduler field is replaced per design point.
-    #[must_use]
-    pub fn with_server_config(mut self, config: ServerConfig) -> Self {
-        self.server_config_base = config;
         self
     }
 
@@ -229,8 +211,7 @@ impl Testbed {
     /// Propagates [`PlanError`] from the underlying partitioner.
     pub fn server(&self, design: DesignPoint) -> Result<InferenceServer, PlanError> {
         let plan = self.plan(design)?;
-        let mut config = self.server_config_base.clone();
-        config.scheduler = if design.uses_elsa() {
+        let scheduler = if design.uses_elsa() {
             SchedulerKind::Elsa(ElsaConfig::new(self.sla_ns()))
         } else {
             SchedulerKind::Fifs
@@ -238,7 +219,7 @@ impl Testbed {
         Ok(InferenceServer::from_plan(
             &plan,
             self.table.clone(),
-            config,
+            ServerConfig::new(scheduler),
         ))
     }
 

@@ -1,15 +1,15 @@
 //! The **one** dispatch engine behind every serving layer.
 //!
-//! [`DispatchCore`] is the generic dispatch/complete/drain core that used
-//! to exist twice — once as the single-model `Engine` inside `server.rs`
-//! and once as the multi-model engine inside `multi.rs`. It is
+//! [`DispatchCore`] is the generic dispatch/complete/drain core. It is
 //! parameterized over a *worker → group* mapping: every worker slot
 //! belongs to exactly one group, each group owns its scheduler state (an
 //! ELSA incremental state or a FIFS idle set + central queue), and
-//! arrivals are offered with a group index. The single-model server is the
-//! identity instantiation (one group holding every partition); the
-//! multi-model [`ShardEngine`](crate::ShardEngine) is one group per model;
-//! the cluster hosts many cores inside one shared DES.
+//! arrivals are offered with a group index. The multi-model
+//! [`ShardEngine`](crate::ShardEngine) instantiates it with one group per
+//! model; [`InferenceServer`](crate::InferenceServer) runs as a 1-model
+//! [`MultiModelServer`](crate::MultiModelServer), and the cluster hosts
+//! many shard engines inside one shared DES. The core is crate-private:
+//! `ShardEngine` is the one public engine.
 //!
 //! The core also owns **reconfiguration execution**: it consumes a
 //! [`ReconfigSchedule`] — per-group [`PlanDiff`](paris_core::PlanDiff)s cut
@@ -36,7 +36,7 @@
 use std::collections::VecDeque;
 
 use des_engine::{SimDuration, SimTime};
-use inference_obs::{FlightRecorder, ObsSink, TraceEvent, TraceSink, ANNOTATION_KEY};
+use inference_obs::{ObsSink, TraceEvent, TraceSink, ANNOTATION_KEY};
 use inference_workload::QuerySpec;
 use mig_gpu::ProfileSize;
 use paris_core::{
@@ -48,16 +48,16 @@ use server_metrics::{LatencyHistogram, LatencyRecorder};
 
 use crate::multi::{ModelReport, MultiRunReport, ReconfigEvent};
 use crate::query::{Query, QueryId, QueryRecord};
-use crate::server::{ReportDetail, RunReport, SchedulerKind};
+use crate::server::{ReportDetail, SchedulerKind};
 use crate::worker::PartitionWorker;
 
-/// Events driving one dispatch core.
+/// Events driving one [`ShardEngine`](crate::ShardEngine).
 ///
 /// Public so an external driver can own the event loop: a cluster hosting
-/// many shards inside one DES wraps each core's events with its shard
-/// index and routes them back to the owning engine. The single-server
-/// drivers are [`InferenceServer::run_stream`](crate::InferenceServer::run_stream)
-/// and [`MultiModelServer::run_stream`](crate::MultiModelServer::run_stream).
+/// many shards inside one DES wraps each engine's events with its shard
+/// index and routes them back to the owning engine. The in-crate driver is
+/// [`MultiModelServer::run_stream`](crate::MultiModelServer::run_stream),
+/// which every `InferenceServer` run goes through too.
 #[derive(Debug, Clone, Copy)]
 pub enum ShardEvent {
     /// The frontend finished preparing a query for the group with this
@@ -77,8 +77,7 @@ pub enum ShardEvent {
     /// *newer* transition's ready can legitimately fire at the very same
     /// instant, so "ignore the next one" counting would misfire.
     ReconfigReady {
-        /// The arming transition's epoch ([`DispatchCore`]-local,
-        /// monotonic).
+        /// The arming transition's epoch (engine-local, monotonic).
         epoch: u64,
     },
 }
@@ -89,6 +88,11 @@ pub enum ShardEvent {
 /// reconfiguration step completion goes last.
 const COMPLETE_KEY_BASE: u64 = 1 << 63;
 const RECONFIG_KEY: u64 = u64::MAX;
+
+/// Serial frontend service time per query (query decode + dispatch) — what
+/// bottlenecked the paper's 48×GPU(1) MobileNet config. Every layer and
+/// the reference path charge the same 20 µs.
+pub(crate) const FRONTEND_OVERHEAD: SimDuration = SimDuration::from_micros(20);
 
 /// Turns a profiled latency of `base_ns` nanoseconds into a service time
 /// under multiplicative normal noise of relative stddev `noise`. One
@@ -113,10 +117,9 @@ pub(crate) fn noisy_service_duration(
     }
 }
 
-/// Everything one group (one model's partition set, or the whole server in
-/// the single-model identity case) needs from its owner.
+/// Everything one group (one model's partition set) needs from its owner.
 #[derive(Debug, Clone)]
-pub struct GroupSpec<'a> {
+pub(crate) struct GroupSpec<'a> {
     /// Group name, surfaced in per-group reports.
     pub name: &'a str,
     /// The profiled latency table the group schedules with.
@@ -128,11 +131,9 @@ pub struct GroupSpec<'a> {
 }
 
 /// Run-level knobs of a dispatch core (the policy-free subset of
-/// `ServerConfig` / `MultiModelConfig`).
+/// `MultiModelConfig`).
 #[derive(Debug, Clone, Copy)]
-pub struct CoreConfig {
-    /// Serial frontend service time per query.
-    pub frontend_overhead: SimDuration,
+pub(crate) struct CoreConfig {
     /// Relative stddev of multiplicative service-time noise (0 = exact).
     pub service_noise: f64,
     /// Seed for the service-noise RNG.
@@ -225,7 +226,7 @@ struct GroupAccum {
 /// the streamed frontend, measurement accumulators, and the step-wise
 /// reconfiguration executor. See the module documentation for the layering
 /// and invariants.
-pub struct DispatchCore<'a> {
+pub(crate) struct DispatchCore<'a> {
     specs: Vec<GroupSpec<'a>>,
     config: CoreConfig,
     slots: Vec<WorkerSlot>,
@@ -430,23 +431,11 @@ impl<'a> DispatchCore<'a> {
         )
     }
 
-    /// Attaches a flight recorder; every lifecycle and annotation event
-    /// from here on lands in its buffer. Attach before driving any events
-    /// so the trace's conservation invariant (one arrival, one terminal)
-    /// holds.
-    pub fn set_trace(&mut self, recorder: FlightRecorder) {
-        self.set_sink(ObsSink::trace_only(recorder));
-    }
-
-    /// Detaches and returns the flight recorder, if one was attached.
-    /// Call before [`finish`](DispatchCore::finish) (which drops it).
-    pub fn take_trace(&mut self) -> Option<FlightRecorder> {
-        self.take_sink().and_then(|s| s.trace)
-    }
-
     /// Attaches an observability sink — a flight recorder, an online
     /// telemetry lane, or both halves at once. Empty sinks are dropped so
-    /// the hooks stay on the zero-cost disabled path.
+    /// the hooks stay on the zero-cost disabled path. Attach before driving
+    /// any events so the trace's conservation invariant (one arrival, one
+    /// terminal) holds.
     pub fn set_sink(&mut self, sink: ObsSink) {
         self.trace = (!sink.is_empty()).then(|| Box::new(sink));
     }
@@ -467,7 +456,7 @@ impl<'a> DispatchCore<'a> {
     ) {
         let arrival = SimTime::from_nanos(spec.arrival_ns);
         let begin = arrival.max(self.frontend_free);
-        let dispatched = begin + self.config.frontend_overhead;
+        let dispatched = begin + FRONTEND_OVERHEAD;
         self.frontend_free = dispatched;
         let id = self.next_query_id;
         self.next_query_id += 1;
@@ -1249,39 +1238,6 @@ impl<'a> DispatchCore<'a> {
             peak_pending_events,
         }
     }
-
-    /// Consumes the core into a single-group [`RunReport`] — the identity
-    /// instantiation behind
-    /// [`InferenceServer::run_stream`](crate::InferenceServer::run_stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core hosts more than one group.
-    #[must_use]
-    pub fn finish_single(self, peak_pending_events: usize) -> RunReport {
-        assert_eq!(
-            self.specs.len(),
-            1,
-            "single-group report of a multi-group core"
-        );
-        let sla_ns = self.specs[0].sla_ns;
-        let sla_violations = self.per_group[0].sla_violations;
-        let multi = self.finish(peak_pending_events);
-        RunReport {
-            detail: multi.detail,
-            records: multi.records,
-            latency: multi.latency,
-            histogram: multi.histogram,
-            queue_hist: multi.queue_hist,
-            service_hist: multi.service_hist,
-            makespan: multi.makespan,
-            achieved_qps: multi.achieved_qps,
-            partition_utilization: multi.partition_utilization,
-            peak_pending_events,
-            sla_ns,
-            sla_violations,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1309,7 +1265,6 @@ mod tests {
 
     fn core_config() -> CoreConfig {
         CoreConfig {
-            frontend_overhead: SimDuration::from_micros(20),
             service_noise: 0.0,
             noise_seed: 0,
             detail: ReportDetail::Full,

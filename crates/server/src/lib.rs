@@ -4,15 +4,16 @@
 //! serial frontend feeding MIG partitions through either the FIFS baseline
 //! or ELSA, with the profiled latency table as ground-truth service time.
 //!
-//! * [`DispatchCore`] — the **one** dispatch/complete/drain engine every
-//!   layer instantiates (single-model = one identity group; multi-model =
-//!   one group per model; cluster = many cores in one DES), including the
-//!   step-wise executor for rolling reconfiguration schedules,
-//! * [`InferenceServer`] / [`ServerConfig`] / [`RunReport`] — run query
-//!   traces through a partitioned server,
 //! * [`MultiModelServer`] / [`ModelSpec`] / [`ReplanPolicy`] — many
 //!   models over a shared, reconfigurable partition pool, with
-//!   drift-triggered online PARIS re-planning mid-run,
+//!   drift-triggered online PARIS re-planning mid-run;
+//!   [`MultiModelServer::run_stream`] is the crate's one event loop,
+//! * [`ShardEngine`] — the one public engine: the loop-free serving state
+//!   behind that loop (one dispatch/complete/drain core with one group per
+//!   model, plus the step-wise reconfiguration executor), which a cluster
+//!   drives inside its own DES,
+//! * [`InferenceServer`] / [`ServerConfig`] / [`RunReport`] — the paper's
+//!   single-model server, run as a 1-model `MultiModelServer`,
 //! * [`rate_sweep`] / [`search_latency_bounded_throughput`] — the
 //!   measurement procedures behind Figures 11–13,
 //! * [`Testbed`] / [`DesignPoint`] — the six evaluated designs with the
@@ -26,11 +27,11 @@
 //! shortcut is paired with a pure reference implementation and an
 //! equivalence contract checked by tests:
 //!
-//! * [`InferenceServer::run`] (streamed arrivals, keyed event order,
-//!   incremental ELSA state) must produce reports **bit-for-bit** equal to
-//!   [`InferenceServer::run_reference`] (whole trace pre-loaded, fresh
-//!   snapshots + pure `Elsa::place` per query) under
-//!   [`ReportDetail::Full`].
+//! * [`InferenceServer::run`] (the shared driver: streamed arrivals, keyed
+//!   event order, incremental ELSA state) must produce reports
+//!   **bit-for-bit** equal to [`InferenceServer::run_reference`] (whole
+//!   trace pre-loaded, fresh snapshots + pure `Elsa::place` per query)
+//!   under [`ReportDetail::Full`].
 //! * `paris_core::Elsa::place_mut` over a `paris_core::ElsaState` must
 //!   return the same decision — including tie-breaks — as `Elsa::place`
 //!   over snapshots taken at the same instant.
@@ -62,7 +63,7 @@ mod sweep;
 mod worker;
 
 pub use designs::{paper_budgets, DesignPoint, Testbed};
-pub use dispatch::{CoreConfig, DispatchCore, GroupSpec, ShardEvent};
+pub use dispatch::ShardEvent;
 pub use multi::{
     split_budget, ModelReport, ModelSpec, MultiModelConfig, MultiModelServer, MultiRunReport,
     ReconfigEvent, ReplanPolicy, ReplanRequest, ShardEngine,

@@ -25,12 +25,13 @@
 //!
 //! # Degeneration contract
 //!
-//! With a single model and no replan policy, a `MultiModelServer` run is
-//! **bit-for-bit identical** to [`InferenceServer::run_stream`] over the
-//! same partitions, table and configuration — same records, same latency
-//! samples, same utilization. `tests/properties.rs` enforces this, which
-//! pins the multi-model dispatch path to the single-model semantics the
-//! PR-1 equivalence contract already guards.
+//! [`InferenceServer`](crate::InferenceServer) *is* a single-model
+//! `MultiModelServer` with no replan policy: its runs translate the
+//! server configuration into one [`ModelSpec`] and the report back into a
+//! [`RunReport`](crate::RunReport), so both layers share one event loop
+//! ([`MultiModelServer::run_stream`]). `tests/properties.rs` checks that
+//! translation, and the single-model reference oracle pins the shared
+//! loop.
 //!
 //! # Conservation contract
 //!
@@ -65,8 +66,6 @@ pub struct ModelSpec {
     /// The batch distribution used for *initial* planning (re-plans use
     /// observed distributions).
     pub dist: BatchDistribution,
-    /// Relative share of the GPC budget at initial planning time.
-    pub weight: f64,
     /// The scheduling policy for this model's partition group.
     pub scheduler: SchedulerKind,
     /// SLA target for exact per-model violation counting, if any.
@@ -75,7 +74,7 @@ pub struct ModelSpec {
 
 impl ModelSpec {
     /// A model served by ELSA at the paper-default SLA (1.5× the max-batch
-    /// latency on the largest partition), with unit budget weight.
+    /// latency on the largest partition).
     #[must_use]
     pub fn new(name: impl Into<String>, table: ProfileTable, dist: BatchDistribution) -> Self {
         let sla = table.sla_target_ns(1.5);
@@ -83,25 +82,9 @@ impl ModelSpec {
             name: name.into(),
             table,
             dist,
-            weight: 1.0,
             scheduler: SchedulerKind::Elsa(paris_core::ElsaConfig::new(sla)),
             sla_ns: Some(sla),
         }
-    }
-
-    /// Overrides the initial budget weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not positive and finite.
-    #[must_use]
-    pub fn with_weight(mut self, weight: f64) -> Self {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "weight must be positive"
-        );
-        self.weight = weight;
-        self
     }
 
     /// Overrides the scheduling policy.
@@ -191,8 +174,6 @@ impl ReplanPolicy {
 /// policy).
 #[derive(Debug, Clone)]
 pub struct MultiModelConfig {
-    /// Serial frontend service time per query.
-    pub frontend_overhead: SimDuration,
     /// Relative stddev of multiplicative service-time noise (0 = exact).
     pub service_noise: f64,
     /// Seed for the service-noise RNG.
@@ -214,7 +195,6 @@ impl MultiModelConfig {
     #[must_use]
     pub fn new() -> Self {
         MultiModelConfig {
-            frontend_overhead: SimDuration::from_micros(20),
             service_noise: 0.0,
             noise_seed: 0,
             detail: ReportDetail::Full,
@@ -229,13 +209,6 @@ impl MultiModelConfig {
     #[must_use]
     pub fn with_degrade_blind(mut self) -> Self {
         self.degrade_visible = false;
-        self
-    }
-
-    /// Overrides the frontend service time.
-    #[must_use]
-    pub fn with_frontend_overhead(mut self, overhead: SimDuration) -> Self {
-        self.frontend_overhead = overhead;
         self
     }
 
@@ -545,8 +518,8 @@ pub struct MultiModelServer {
 
 impl MultiModelServer {
     /// Plans the initial per-model partition groups: the budget is split
-    /// by [`split_budget`] over the model weights and PARIS plans each
-    /// model's share against its declared distribution.
+    /// evenly by [`split_budget`] and PARIS plans each model's share
+    /// against its declared distribution.
     ///
     /// # Errors
     ///
@@ -555,8 +528,7 @@ impl MultiModelServer {
         models: &[ModelSpec],
         budget: GpcBudget,
     ) -> Result<Vec<Vec<ProfileSize>>, PlanError> {
-        let weights: Vec<f64> = models.iter().map(|m| m.weight).collect();
-        let budgets = split_budget(budget, &weights);
+        let budgets = split_budget(budget, &vec![1.0; models.len()]);
         models
             .iter()
             .zip(budgets)
@@ -663,6 +635,13 @@ impl MultiModelServer {
 
     /// Simulates the server over a *streamed* tagged arrival sequence
     /// (ascending arrival times) until every accepted query completes.
+    ///
+    /// This is the crate's one event loop: [`InferenceServer`] runs
+    /// through it as a 1-model server. Only the next arrival's dispatch is
+    /// pending at any time, so the queue holds O(P) events; together with
+    /// [`ReportDetail::Summary`] a whole run is O(1) in the trace length.
+    ///
+    /// [`InferenceServer`]: crate::InferenceServer
     #[must_use]
     pub fn run_stream<I>(&self, arrivals: I, detail: ReportDetail) -> MultiRunReport
     where
@@ -677,9 +656,11 @@ impl MultiModelServer {
         if let Some(tq) = arrivals.next() {
             engine.offer(tq, &mut |t, k, e| sim.schedule_at_keyed(t, k, e));
         }
-        // One-slot deferred-push register fusing each handler's last
-        // schedule with the next pop — see the single-model driver in
-        // `server.rs` for the full rationale.
+        // One-slot deferred-push register: each handler's *last* schedule
+        // is held back and fused with the next pop (`Simulation::push_pop`)
+        // — order-preserving, since a later schedule flushes the held one
+        // first. Nothing reads the queue between a handler's schedules and
+        // the next pop, so the deferral is invisible.
         let mut held: Option<(SimTime, u64, ShardEvent)> = None;
         loop {
             let next = match held.take() {
@@ -716,7 +697,7 @@ pub struct ReplanRequest<'a> {
     /// The budget the shard must adopt and re-plan onto.
     pub budget: GpcBudget,
     /// Per-model budget-share weights (a loan controller passes shares
-    /// derived from its observed traffic, or the declared model weights).
+    /// derived from its observed traffic, or equal shares).
     pub weights: &'a [f64],
     /// Per-model planning distributions (observed, or declared).
     pub dists: &'a [BatchDistribution],
@@ -732,12 +713,13 @@ pub struct ReplanRequest<'a> {
 }
 
 /// One shard's serving state, decoupled from the event loop: a thin policy
-/// layer over the unified [`DispatchCore`].
+/// layer over the crate's one dispatch/complete/drain core.
 ///
-/// This is the multi-model engine behind [`MultiModelServer::run_stream`],
-/// exposed so a *cluster* can host shards in external simulations: the
-/// driver owns the `Simulation`, injects arrivals ([`offer`]) and feeds
-/// popped events back ([`handle`]) through a scheduling callback
+/// This is the engine behind [`MultiModelServer::run_stream`] (and so
+/// behind every `InferenceServer` run), and the only public one, so a
+/// *cluster* can host shards in external simulations: the driver owns
+/// the `Simulation`, injects arrivals ([`offer`]) and feeds popped
+/// events back ([`handle`]) through a scheduling callback
 /// `(fire_time, tie_break_key, event)`. The engine never schedules
 /// anything itself and holds no shared state (it is `Send`), so a driver
 /// may give every shard a *private* event queue and advance the resulting
@@ -797,7 +779,6 @@ impl<'a> ShardEngine<'a> {
             specs,
             &server.groups,
             CoreConfig {
-                frontend_overhead: server.config.frontend_overhead,
                 service_noise: server.config.service_noise,
                 noise_seed: server.config.noise_seed,
                 detail,
@@ -821,21 +802,10 @@ impl<'a> ShardEngine<'a> {
         }
     }
 
-    /// Attaches a flight recorder: the dispatch core records the full
-    /// lifecycle of every query it handles (invariant 12 — attaching a
-    /// recorder never changes simulation behaviour or report bytes).
-    pub fn set_trace(&mut self, recorder: inference_obs::FlightRecorder) {
-        self.core.set_trace(recorder);
-    }
-
-    /// Detaches and returns the flight recorder, if one was attached.
-    pub fn take_trace(&mut self) -> Option<inference_obs::FlightRecorder> {
-        self.core.take_trace()
-    }
-
-    /// Attaches an observability sink (trace half, online half, or both)
-    /// to the dispatch core. Same invariant-12 contract as
-    /// [`set_trace`](ShardEngine::set_trace).
+    /// Attaches an observability sink (trace half, online half, or both):
+    /// the dispatch core records the full lifecycle of every query it
+    /// handles (invariant 12 — attaching a sink never changes simulation
+    /// behaviour or report bytes).
     pub fn set_sink(&mut self, sink: inference_obs::ObsSink) {
         self.core.set_sink(sink);
     }
@@ -914,9 +884,10 @@ impl<'a> ShardEngine<'a> {
         self.core.live_groups()
     }
 
-    /// The live members of every model group as `(worker index, size)`
-    /// pairs — what a fault injector packs into physical-GPU bins to pick
-    /// a GPU failure's victims. See [`DispatchCore::live_members`].
+    /// The live (serving, non-retiring) members of every model group as
+    /// `(worker index, size)` pairs — what a fault injector packs into
+    /// physical-GPU bins ([`paris_core::pack_gpus`]) to pick a GPU
+    /// failure's victims.
     #[must_use]
     pub fn live_members(&self) -> Vec<Vec<(usize, ProfileSize)>> {
         self.core.live_members()
@@ -925,8 +896,9 @@ impl<'a> ShardEngine<'a> {
     /// Kills the given worker slots immediately (a GPU failure): in-flight
     /// and locally queued queries are requeued through the dispatch path,
     /// the slots never serve again. Returns how many queries were
-    /// requeued. See [`DispatchCore::kill_workers`] for the exact
-    /// semantics; the recovery re-plan is a separate, explicit
+    /// requeued. Killing a slot that drains for an in-flight step counts
+    /// as that drain completing; dead and out-of-range slots are skipped.
+    /// The recovery re-plan is a separate, explicit
     /// [`force_replan`](Self::force_replan) onto the survivor budget.
     pub fn kill_instances(
         &mut self,
@@ -938,9 +910,15 @@ impl<'a> ShardEngine<'a> {
     }
 
     /// Sets the physical service-time multiplier of the given worker slots
-    /// (a slow-GPU fault; 1.0 restores the clean profile). See
-    /// [`DispatchCore::set_degrade`] for the exact semantics and the
-    /// factor-1.0 bit-identity contract.
+    /// (a slow-GPU fault; 1.0 restores the clean profile). Executions
+    /// begun from now on take `factor`× the profiled time, and a visible
+    /// configuration steers ELSA around the slow slots. Slots already at
+    /// `factor` are skipped, so a factor-1.0 degrade/restore cycle is
+    /// bit-for-bit the untouched run.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `factor` is finite and ≥ 1.0.
     pub fn set_degrade(&mut self, workers: &[usize], factor: f64) {
         self.core.set_degrade(workers, factor);
     }
@@ -948,7 +926,8 @@ impl<'a> ShardEngine<'a> {
     /// Aborts an in-flight reconfiguration (a fault landed on hardware it
     /// was rearranging): the current step's quiesced survivors rejoin
     /// their groups and the remaining schedule is dropped. Returns whether
-    /// anything was aborted. See [`DispatchCore::abort_transition`].
+    /// anything was aborted; the transition is reported as a
+    /// [`ReconfigEvent`] with `aborted: true`.
     pub fn abort_reconfig(
         &mut self,
         now: SimTime,
@@ -1360,7 +1339,7 @@ mod tests {
         let mut engine = ShardEngine::new(&server, ReportDetail::Full);
         let mut scheduled = Vec::new();
         let cost = ResliceCostModel::a100_default();
-        // Same budget, declared weights/dists: PARIS lands on the same
+        // Same budget, equal weights, declared dists: PARIS lands on the same
         // plan, so nothing may be scheduled and no reconfig armed.
         let started = engine.force_replan(
             &ReplanRequest {

@@ -6,6 +6,13 @@
 //! partitions, each partition executes its queue in FIFO order with the
 //! profiled latency as service time, and every completion is recorded.
 //!
+//! [`InferenceServer`] keeps no event loop of its own: a run is a 1-model
+//! [`MultiModelServer`] over the server's partitions, scheduler and noise,
+//! driven by [`MultiModelServer::run_stream`] — the crate's one driver —
+//! and its [`MultiRunReport`] translates back into a [`RunReport`].
+//! [`InferenceServer::run_reference`] stays a separate, pure
+//! implementation: the oracle that driver is checked against.
+//!
 //! # Hot path invariants
 //!
 //! [`InferenceServer::run`] is the workhorse behind every sweep, so its
@@ -34,20 +41,21 @@
 //!   [`LatencyHistogram`], making a sweep's memory O(1) in the trace
 //!   length.
 //!
-//! The equivalence contract between the fast path and the pure reference
-//! implementations is enforced by `runs_are_deterministic` /
+//! The equivalence contract between the shared driver and the pure
+//! reference implementation is enforced by `runs_are_deterministic` /
 //! `fast_path_matches_reference*` below and by the property tests in
 //! `tests/properties.rs`.
 
 use des_engine::{SimDuration, SimTime, Simulation};
-use inference_workload::QuerySpec;
+use inference_workload::{BatchDistribution, QuerySpec, TaggedQuerySpec};
 use mig_gpu::ProfileSize;
-use paris_core::{Elsa, ElsaConfig, PartitionPlan, ProfileTable};
+use paris_core::{Elsa, ElsaConfig, GpcBudget, PartitionPlan, ProfileTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use server_metrics::{LatencyHistogram, LatencyRecorder};
 
-use crate::dispatch::{noisy_service_duration, CoreConfig, DispatchCore, GroupSpec, ShardEvent};
+use crate::dispatch::{noisy_service_duration, FRONTEND_OVERHEAD};
+use crate::multi::{ModelSpec, MultiModelConfig, MultiModelServer, MultiRunReport};
 use crate::query::{Query, QueryId, QueryRecord};
 use crate::worker::PartitionWorker;
 
@@ -80,9 +88,6 @@ pub enum ReportDetail {
 pub struct ServerConfig {
     /// The scheduling policy.
     pub scheduler: SchedulerKind,
-    /// Serial frontend service time per query (query decode + dispatch).
-    /// This is what bottlenecked the paper's 48×GPU(1) MobileNet config.
-    pub frontend_overhead: SimDuration,
     /// Relative standard deviation of multiplicative service-time noise
     /// (0 = perfectly deterministic execution, the paper's observation).
     /// Service times are scaled by `1 + noise·z` with `z` standard normal,
@@ -90,40 +95,26 @@ pub struct ServerConfig {
     pub service_noise: f64,
     /// Seed for the service-noise RNG.
     pub noise_seed: u64,
-    /// How much per-query material [`InferenceServer::run`] keeps.
-    pub detail: ReportDetail,
-    /// When set, runs count SLA violations (`latency > sla_ns`) **exactly**
-    /// at every detail level — including [`ReportDetail::Summary`], whose
-    /// histogram alone is only bucket-accurate (≤ 1.6 % error).
+    /// When set, [`InferenceServer::run`] counts SLA violations
+    /// (`latency > sla_ns`) **exactly** against it.
+    /// [`InferenceServer::run_stream_sla`] takes its target per call
+    /// instead, and counts exactly at every detail level — including
+    /// [`ReportDetail::Summary`], whose histogram alone is only
+    /// bucket-accurate (≤ 1.6 % error).
     pub sla_ns: Option<u64>,
 }
 
 impl ServerConfig {
-    /// A deterministic server with the given policy and a 20 µs frontend.
+    /// A deterministic server with the given policy. Its serial frontend
+    /// charges a fixed 20 µs per query.
     #[must_use]
     pub fn new(scheduler: SchedulerKind) -> Self {
         ServerConfig {
             scheduler,
-            frontend_overhead: SimDuration::from_micros(20),
             service_noise: 0.0,
             noise_seed: 0,
-            detail: ReportDetail::Full,
             sla_ns: None,
         }
-    }
-
-    /// Overrides the frontend service time.
-    #[must_use]
-    pub fn with_frontend_overhead(mut self, overhead: SimDuration) -> Self {
-        self.frontend_overhead = overhead;
-        self
-    }
-
-    /// Sets how much per-query material runs keep.
-    #[must_use]
-    pub fn with_detail(mut self, detail: ReportDetail) -> Self {
-        self.detail = detail;
-        self
     }
 
     /// Sets the SLA target runs count violations against, exactly, at
@@ -249,9 +240,9 @@ impl RunReport {
 }
 
 /// Events driving the pre-loaded reference simulation
-/// ([`InferenceServer::run_reference`]). The fast path shares
-/// [`ShardEvent`] with every other layer through the unified
-/// [`DispatchCore`].
+/// ([`InferenceServer::run_reference`]). Every other run shares
+/// `ShardEvent` and the one dispatch core with the multi-model and
+/// cluster layers.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The frontend finished preparing a query; the scheduler places it.
@@ -343,23 +334,31 @@ impl InferenceServer {
         &self.config
     }
 
-    /// Simulates the server over a query trace until every query completes,
-    /// at the configured [`ReportDetail`].
+    /// Simulates the server over a query trace until every query
+    /// completes, keeping every per-query record ([`ReportDetail::Full`])
+    /// and counting violations against [`ServerConfig::sla_ns`].
     #[must_use]
     pub fn run(&self, trace: &[QuerySpec]) -> RunReport {
-        self.run_with_detail(trace, self.config.detail)
-    }
-
-    /// Simulates the server over a query trace at an explicit detail level.
-    #[must_use]
-    pub fn run_with_detail(&self, trace: &[QuerySpec], detail: ReportDetail) -> RunReport {
-        self.run_stream(trace.iter().copied(), detail)
+        self.run_stream_sla(
+            trace.iter().copied(),
+            ReportDetail::Full,
+            self.config.sla_ns,
+        )
     }
 
     /// Simulates the server over a *streamed* arrival sequence (ascending
-    /// arrival times) without ever materializing the trace: together with
+    /// arrival times) without ever materializing the trace, counting SLA
+    /// violations exactly against `sla_ns` — this run's target in place of
+    /// [`ServerConfig::sla_ns`], `None` for none. Together with
     /// [`ReportDetail::Summary`] this makes a whole measurement O(1) in
-    /// memory regardless of how many queries flow through.
+    /// memory, and it is how sweeps get exact violation rates without a
+    /// per-point server rebuild.
+    ///
+    /// The run is a 1-model [`MultiModelServer`] over this server's
+    /// partitions, scheduler and noise, driven by
+    /// [`MultiModelServer::run_stream`]. Bit-for-bit equality with
+    /// [`run_reference`](Self::run_reference) is enforced by the unit and
+    /// property suites.
     ///
     /// # Examples
     ///
@@ -379,30 +378,10 @@ impl InferenceServer {
     ///     ServerConfig::new(SchedulerKind::Fifs),
     /// );
     /// let gen = TraceGenerator::new(200.0, BatchDistribution::paper_default(), 9);
-    /// let report = server.run_stream(gen.stream_for(0.5), ReportDetail::Summary);
+    /// let report = server.run_stream_sla(gen.stream_for(0.5), ReportDetail::Summary, None);
     /// assert!(report.completed() > 0);
     /// assert!(report.records.is_empty(), "summary keeps no records");
     /// ```
-    #[must_use]
-    pub fn run_stream<I>(&self, arrivals: I, detail: ReportDetail) -> RunReport
-    where
-        I: IntoIterator<Item = QuerySpec>,
-    {
-        self.run_stream_sla(arrivals, detail, self.config.sla_ns)
-    }
-
-    /// [`run_stream`](Self::run_stream) with an explicit SLA target for
-    /// exact violation counting, overriding [`ServerConfig::sla_ns`]. This
-    /// is how sweeps get exact violation rates out of
-    /// [`ReportDetail::Summary`] runs without a per-point server rebuild.
-    ///
-    /// The run is the **identity instantiation** of the unified
-    /// [`DispatchCore`]: one group holding every partition, driven by the
-    /// same streamed event loop as the multi-model and cluster layers, so
-    /// there is exactly one dispatch/complete/drain implementation in the
-    /// codebase. Bit-for-bit equality with
-    /// [`run_reference`](Self::run_reference) is still enforced by the
-    /// unit and property suites.
     #[must_use]
     pub fn run_stream_sla<I>(
         &self,
@@ -413,60 +392,27 @@ impl InferenceServer {
     where
         I: IntoIterator<Item = QuerySpec>,
     {
-        let mut arrivals = arrivals.into_iter();
-        let n = self.partitions.len();
-        // Steady state: ≤ one completion per partition + the next
-        // streamed arrival.
-        let mut sim: Simulation<ShardEvent> = Simulation::with_capacity(n + 2);
-        let mut core = DispatchCore::new(
-            vec![GroupSpec {
-                name: "server",
-                table: &self.table,
-                scheduler: self.config.scheduler.clone(),
-                sla_ns,
-            }],
-            std::slice::from_ref(&self.partitions),
-            CoreConfig {
-                frontend_overhead: self.config.frontend_overhead,
-                service_noise: self.config.service_noise,
-                noise_seed: self.config.noise_seed,
-                detail,
-                degrade_visible: true,
-            },
+        // The groups are given and nothing re-plans, so the distribution
+        // is never read and the budget only has to hold the partitions.
+        let model = ModelSpec {
+            name: "server".to_owned(),
+            table: self.table.clone(),
+            dist: BatchDistribution::constant(1),
+            scheduler: self.config.scheduler.clone(),
+            sla_ns,
+        };
+        let gpcs = self.partitions.iter().map(|p| p.gpcs()).sum();
+        let server = MultiModelServer::with_groups(
+            vec![model],
+            vec![self.partitions.clone()],
+            GpcBudget::new(gpcs, self.partitions.len()),
+            MultiModelConfig::new()
+                .with_service_noise(self.config.service_noise, self.config.noise_seed),
         );
-        if let Some(spec) = arrivals.next() {
-            core.offer(0, spec, &mut |t, k, e| sim.schedule_at_keyed(t, k, e));
-        }
-        // One-slot deferred-push register: each handler's *last* schedule
-        // is held back and fused with the next pop (`Simulation::push_pop`)
-        // — order-preserving, since a later schedule flushes the held one
-        // first. Nothing reads the queue between a handler's schedules and
-        // the next pop, so the deferral is invisible.
-        let mut held: Option<(SimTime, u64, ShardEvent)> = None;
-        loop {
-            let next = match held.take() {
-                Some((t, k, e)) => Some(sim.push_pop(t, k, e)),
-                None => sim.next_event(),
-            };
-            let Some((now, event)) = next else { break };
-            // Keep the pipeline primed: handling a dispatch is the moment
-            // its successor enters the queue, so pending stays O(P).
-            if matches!(event, ShardEvent::Dispatch(..)) {
-                if let Some(spec) = arrivals.next() {
-                    core.offer(0, spec, &mut |t, k, e| {
-                        if let Some((pt, pk, pe)) = held.replace((t, k, e)) {
-                            sim.schedule_at_keyed(pt, pk, pe);
-                        }
-                    });
-                }
-            }
-            core.handle(now, event, &mut |t, k, e| {
-                if let Some((pt, pk, pe)) = held.replace((t, k, e)) {
-                    sim.schedule_at_keyed(pt, pk, pe);
-                }
-            });
-        }
-        core.finish_single(sim.peak_pending())
+        let tagged = arrivals
+            .into_iter()
+            .map(|spec| TaggedQuerySpec { model: 0, spec });
+        server.run_stream(tagged, detail).into()
     }
 
     /// The pre-rearchitecture implementation, kept as the semantic
@@ -500,7 +446,7 @@ impl InferenceServer {
         for (i, spec) in trace.iter().enumerate() {
             let arrival = SimTime::from_nanos(spec.arrival_ns);
             let begin = arrival.max(frontend_free);
-            let dispatched = begin + self.config.frontend_overhead;
+            let dispatched = begin + FRONTEND_OVERHEAD;
             frontend_free = dispatched;
             sim.schedule_at(
                 dispatched,
@@ -658,6 +604,35 @@ impl InferenceServer {
         let duration = self.service_duration(base, noise_rng);
         let end = worker.begin(query, now, duration);
         sim.schedule_at(end, Event::Complete { partition: p });
+    }
+}
+
+/// A 1-model run's report in single-server form: how every
+/// [`InferenceServer`] run reports.
+///
+/// # Panics
+///
+/// Panics if the run hosted more than one model.
+impl From<MultiRunReport> for RunReport {
+    fn from(multi: MultiRunReport) -> Self {
+        let [model] = &multi.per_model[..] else {
+            panic!("single-server report of a multi-model run");
+        };
+        let (sla_ns, sla_violations) = (model.sla_ns, model.sla_violations);
+        RunReport {
+            detail: multi.detail,
+            records: multi.records,
+            latency: multi.latency,
+            histogram: multi.histogram,
+            queue_hist: multi.queue_hist,
+            service_hist: multi.service_hist,
+            makespan: multi.makespan,
+            achieved_qps: multi.achieved_qps,
+            partition_utilization: multi.partition_utilization,
+            peak_pending_events: multi.peak_pending_events,
+            sla_ns,
+            sla_violations,
+        }
     }
 }
 
@@ -825,8 +800,8 @@ mod tests {
             vec![ProfileSize::G1, ProfileSize::G2, ProfileSize::G7],
         );
         let tr = trace(600.0, 17, 0.5);
-        let full = server.run_with_detail(&tr, ReportDetail::Full);
-        let summary = server.run_with_detail(&tr, ReportDetail::Summary);
+        let full = server.run(&tr);
+        let summary = server.run_stream_sla(tr.iter().copied(), ReportDetail::Summary, None);
         assert!(summary.records.is_empty());
         assert!(summary.latency.is_empty());
         assert_eq!(summary.completed(), tr.len() as u64);
@@ -863,7 +838,7 @@ mod tests {
         );
         // Load the two small partitions enough to violate.
         let tr = trace(600.0, 41, 0.5);
-        let summary = server.run_with_detail(&tr, ReportDetail::Summary);
+        let summary = server.run_stream_sla(tr.iter().copied(), ReportDetail::Summary, Some(sla));
         let reference = server.run_reference(&tr);
         let exact = reference
             .records
@@ -884,12 +859,40 @@ mod tests {
     }
 
     #[test]
+    fn per_run_sla_replaces_the_configured_target() {
+        // The call's target reaches the 1-model server as its SLA in place
+        // of the configured one, and `None` counts nothing.
+        let t = table(ModelKind::ResNet50);
+        let sla = t.sla_target_ns(1.5);
+        let server = InferenceServer::new(
+            vec![ProfileSize::G1, ProfileSize::G2],
+            t,
+            ServerConfig::new(SchedulerKind::Elsa(ElsaConfig::new(sla))).with_sla_target(sla),
+        );
+        let tr = trace(600.0, 41, 0.5);
+        let full = server.run(&tr);
+        let other = sla / 2;
+        let exact = full
+            .records
+            .iter()
+            .filter(|r| r.latency().as_nanos() > other)
+            .count() as u64;
+        assert_ne!(exact, full.sla_violations, "the two targets must differ");
+        let summary = server.run_stream_sla(tr.iter().copied(), ReportDetail::Summary, Some(other));
+        assert_eq!(summary.sla_ns, Some(other));
+        assert_eq!(summary.sla_violations, exact);
+        let none = server.run_stream_sla(tr.iter().copied(), ReportDetail::Summary, None);
+        assert_eq!(none.sla_ns, None);
+        assert_eq!(none.sla_violations, 0);
+    }
+
+    #[test]
     fn run_stream_equals_run_on_materialized_trace() {
         let server = elsa_server(ModelKind::BertBase, vec![ProfileSize::G3, ProfileSize::G7]);
         let gen = TraceGenerator::new(150.0, BatchDistribution::paper_default(), 23);
         let tr = gen.generate_for(0.5);
         let from_slice = server.run(&tr);
-        let from_stream = server.run_stream(gen.stream_for(0.5), ReportDetail::Full);
+        let from_stream = server.run_stream_sla(gen.stream_for(0.5), ReportDetail::Full, None);
         assert_reports_identical(&from_slice, &from_stream);
     }
 
@@ -953,7 +956,7 @@ mod tests {
             },
         ];
         let report = server.run(&tr);
-        let overhead = server.config().frontend_overhead.as_nanos();
+        let overhead = FRONTEND_OVERHEAD.as_nanos();
         let mut dispatched: Vec<u64> = report
             .records
             .iter()

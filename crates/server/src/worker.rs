@@ -67,12 +67,6 @@ impl PartitionWorker {
         self.idle_since
     }
 
-    /// Queries waiting in the local queue.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// When the currently executing query will finish (`None` when nothing
     /// is executing).
     #[must_use]

@@ -19,7 +19,6 @@ use rand::Rng;
 /// assert!(gap > 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PoissonProcess {
     rate_qps: f64,
 }

@@ -41,7 +41,6 @@ impl std::error::Error for BuildDistributionError {}
 /// assert!(dist.pmf(4) > dist.pmf(32));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatchDistribution {
     /// `pmf[i]` is the probability of batch size `i + 1`.
     pmf: Vec<f64>,

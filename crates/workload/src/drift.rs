@@ -6,10 +6,10 @@
 //! simulated-time windows over the arrivals; at every window close it
 //! compares each model's arrival rate and mean batch size against the
 //! baseline captured at the last (re)plan, and reports drift when either
-//! moves by more than a configured relative threshold. The closed window's
-//! batch histogram ([`EmpiricalBatchPmf`] per model) is retained so the
-//! re-planner can feed PARIS the *observed* distribution, exactly as §IV-B
-//! suggests a production server would.
+//! moves by more than ±50 %. The closed window's batch histogram
+//! ([`EmpiricalBatchPmf`] per model) is retained so the re-planner can
+//! feed PARIS the *observed* distribution, exactly as §IV-B suggests a
+//! production server would.
 //!
 //! Updates are amortized O(1): the per-arrival path is counter bumps, and
 //! the O(models) estimate vectors are built (allocating) only when a
@@ -18,14 +18,15 @@
 use crate::dist::BatchDistribution;
 use crate::empirical::EmpiricalBatchPmf;
 
+/// Relative change in per-model arrival rate or mean batch that counts as
+/// drift: ±50 %.
+const REL_THRESHOLD: f64 = 0.5;
+
 /// Tuning of the [`DriftDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftDetectorConfig {
     /// Width of the tumbling observation window, nanoseconds.
     pub window_ns: u64,
-    /// Relative change in per-model arrival rate or mean batch that counts
-    /// as drift (e.g. `0.5` = ±50 %).
-    pub rel_threshold: f64,
     /// Minimum arrivals in a window (across all models) before its
     /// estimates are trusted; sparser windows never trigger. A model's
     /// *mean-batch* comparison additionally requires the model itself to
@@ -49,21 +50,8 @@ impl DriftDetectorConfig {
         );
         DriftDetectorConfig {
             window_ns: (window_s * 1e9).round() as u64,
-            rel_threshold: 0.5,
             min_observations: 50,
         }
-    }
-
-    /// Overrides the relative drift threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not positive and finite.
-    #[must_use]
-    pub fn with_threshold(mut self, t: f64) -> Self {
-        assert!(t.is_finite() && t > 0.0, "threshold must be positive");
-        self.rel_threshold = t;
-        self
     }
 
     /// Overrides the minimum-arrivals trust floor.
@@ -203,7 +191,7 @@ impl DriftDetector {
         let mut drifted = false;
         if total >= self.cfg.min_observations {
             if self.epoch_windows > 0 {
-                let t = self.cfg.rel_threshold;
+                let t = REL_THRESHOLD;
                 let epoch_s = self.epoch_windows as f64 * window_s;
                 // Rate drift must clear the relative threshold AND be
                 // statistically significant: a window expecting n Poisson

@@ -28,7 +28,6 @@ use crate::dist::{BatchDistribution, BuildDistributionError};
 /// # Ok::<(), inference_workload::BuildDistributionError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EmpiricalBatchPmf {
     counts: Vec<u64>,
     observations: u64,

@@ -21,7 +21,6 @@ use crate::trace::QuerySpec;
 
 /// A [`QuerySpec`] tagged with the model it targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaggedQuerySpec {
     /// Index of the model this query requests (into the server's model
     /// list).

@@ -8,7 +8,6 @@ use crate::dist::BatchDistribution;
 
 /// One inference request as it arrives at the server frontend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QuerySpec {
     /// Arrival time in nanoseconds since trace start.
     pub arrival_ns: u64,
@@ -62,12 +61,6 @@ impl TraceGenerator {
         self.arrivals.rate_qps()
     }
 
-    /// The batch-size distribution queries are drawn from.
-    #[must_use]
-    pub fn batch_distribution(&self) -> &BatchDistribution {
-        &self.batches
-    }
-
     /// Generates all queries arriving within `duration_s` simulated seconds.
     ///
     /// The same generator always produces the same trace (the RNG is
@@ -118,7 +111,7 @@ impl TraceGenerator {
     ///
     /// let gen = TraceGenerator::new(400.0, BatchDistribution::paper_default(), 7);
     /// // An hour of simulated arrivals, never materialized: the stream is
-    /// // what `InferenceServer::run_stream` consumes for O(1)-memory sweeps.
+    /// // what `InferenceServer::run_stream_sla` consumes for O(1)-memory sweeps.
     /// let mut count = 0usize;
     /// for q in gen.stream_for(3600.0) {
     ///     count += 1;

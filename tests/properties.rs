@@ -430,8 +430,8 @@ proptest! {
         );
         let trace = TraceGenerator::new(rate, BatchDistribution::paper_default(), seed)
             .generate_for(0.2);
-        let full = server.run_with_detail(&trace, ReportDetail::Full);
-        let summary = server.run_with_detail(&trace, ReportDetail::Summary);
+        let full = server.run(&trace);
+        let summary = server.run_stream_sla(trace.iter().copied(), ReportDetail::Summary, None);
         prop_assert!(summary.records.is_empty());
         prop_assert_eq!(summary.completed(), full.completed());
         prop_assert_eq!(summary.makespan, full.makespan);
@@ -472,10 +472,10 @@ proptest! {
         partitions in prop::collection::vec(profile_size_strategy(), 1..6)
     ) {
         // The degeneration contract: a MultiModelServer hosting exactly
-        // one model (no replan policy) must reproduce the single-model
-        // fast path bit-for-bit — same records, same latency samples, same
-        // utilization — so the multi-model dispatch layer provably adds
-        // nothing to the PR-1 hot-path semantics.
+        // one model (no replan policy) reproduces InferenceServer
+        // bit-for-bit — same records, same latency samples, same
+        // utilization. InferenceServer runs as that 1-model server, so
+        // this checks its config-to-ModelSpec and report translation.
         use paris_elsa::server::{ModelSpec, MultiModelConfig, MultiModelServer};
         use paris_elsa::workload::TaggedQuerySpec;
 
