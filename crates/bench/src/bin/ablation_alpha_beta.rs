@@ -6,13 +6,13 @@
 //! cargo run -p paris-bench --release --bin ablation_alpha_beta [-- --quick]
 //! ```
 
-use paris_bench::{print_table, ExperimentOpts};
+use paris_bench::{lbt_search, print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 use paris_elsa::server::measure_point;
 
 fn main() {
-    let opts = ExperimentOpts::from_args();
+    let opts = Opts::from_args(42);
     let bed = Testbed::paper_default(ModelKind::ResNet50);
     let sweep = opts.sweep(&bed);
     let plan = bed.plan(DesignPoint::ParisElsa).expect("plan builds");
@@ -35,13 +35,7 @@ fn main() {
             bed.table().clone(),
             ServerConfig::new(SchedulerKind::Elsa(cfg)),
         );
-        let hint = paris_elsa::server::capacity_hint_qps(&server, bed.distribution());
-        let search = search_latency_bounded_throughput(
-            &server,
-            bed.distribution(),
-            &sweep,
-            (hint * 0.2).max(1.0),
-        );
+        let (hint, search) = lbt_search(&bed, &server, &sweep);
         // Also measure violation behaviour at a fixed 60%-of-capacity load.
         let probe = measure_point(&server, bed.distribution(), hint * 0.6, &sweep);
         rows.push(vec![

@@ -5,14 +5,14 @@
 //! cargo run -p paris-bench --release --bin ablation_fallback [-- --quick]
 //! ```
 
-use paris_bench::{print_table, ExperimentOpts};
+use paris_bench::{lbt_search, print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::paris::FallbackPolicy;
 use paris_elsa::prelude::*;
 use paris_elsa::server::measure_point;
 
 fn main() {
-    let opts = ExperimentOpts::from_args();
+    let opts = Opts::from_args(42);
     let mut rows = Vec::new();
     for model in [ModelKind::MobileNet, ModelKind::BertBase] {
         let bed = Testbed::paper_default(model);
@@ -29,13 +29,7 @@ fn main() {
                 bed.table().clone(),
                 ServerConfig::new(SchedulerKind::Elsa(cfg)),
             );
-            let hint = paris_elsa::server::capacity_hint_qps(&server, bed.distribution());
-            let search = search_latency_bounded_throughput(
-                &server,
-                bed.distribution(),
-                &sweep,
-                (hint * 0.2).max(1.0),
-            );
+            let (hint, search) = lbt_search(&bed, &server, &sweep);
             // Overload probe: 120% of capacity, where Step B actually fires.
             let probe = measure_point(&server, bed.distribution(), hint * 1.2, &sweep);
             rows.push(vec![

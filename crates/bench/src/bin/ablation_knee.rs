@@ -6,13 +6,13 @@
 //! cargo run -p paris-bench --release --bin ablation_knee [-- --quick]
 //! ```
 
-use paris_bench::{print_table, ExperimentOpts};
+use paris_bench::{print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::paris::KneeRule;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = ExperimentOpts::from_args();
+    let opts = Opts::from_args(42);
     let rules = [
         ("takeoff 1.10", KneeRule::LatencyTakeoff(1.10)),
         ("takeoff 1.25*", KneeRule::LatencyTakeoff(1.25)),

@@ -24,9 +24,8 @@
 //! `--smoke` shrinks the timing budget and the deepest queue — CI uses it
 //! to catch regressions; the numbers it writes are not comparable.
 
-use std::fmt::Write as _;
-
 use criterion::{BatchSize, Criterion};
+use paris_bench::json::{fixed, Json, Obj};
 use paris_elsa::des::{EventQueue, SimTime};
 
 /// Events timed per batched iteration of `push`/`pop` (the queue is
@@ -62,7 +61,7 @@ fn filled(depth: usize, mean_gap_ns: u64, seed: u64) -> (EventQueue<u64>, Rng) {
 }
 
 fn main() {
-    let opts = paris_bench::TrajectoryOpts::from_args(11);
+    let opts = paris_bench::Opts::from_args(11);
     if std::env::var("CRITERION_BUDGET_MS").is_err() {
         let ms = opts.pick(300u64, 100, 20);
         std::env::set_var("CRITERION_BUDGET_MS", ms.to_string());
@@ -196,30 +195,31 @@ fn main() {
     }
 
     let mode = opts.pick("full", "quick", "smoke");
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"bench_des/v1\",\n");
-    let _ = writeln!(json, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(json, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(json, "  \"budget_ms\": {budget_ms},");
-    let _ = writeln!(json, "  \"batch_ops\": {BATCH},");
-    json.push_str("  \"ops\": [\n");
     let results = c.results();
     assert_eq!(results.len(), plan.len(), "every planned bench must report");
-    for (i, ((name, depth, pattern, ops), res)) in plan.iter().zip(results).enumerate() {
-        assert_eq!(&res.name, name, "results out of order");
-        let op = name.split('/').next().expect("name has op prefix");
-        let ns_per_op = res.mean_ns / *ops as f64;
-        let ops_per_sec = 1e9 / ns_per_op;
-        let _ = write!(
-            json,
-            "    {{\"op\": \"{op}\", \"depth\": {depth}, \"pattern\": \"{pattern}\", \
-             \"ns_per_op\": {ns_per_op:.2}, \"ops_per_sec\": {ops_per_sec:.0}, \
-             \"iters\": {}}}",
-            res.iters
-        );
-        json.push_str(if i + 1 == plan.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_des.json", &json).expect("write BENCH_des.json");
+    let ops = plan
+        .iter()
+        .zip(results)
+        .map(|((name, depth, pattern, ops), res)| {
+            assert_eq!(&res.name, name, "results out of order");
+            let op = name.split('/').next().expect("name has op prefix");
+            let ns_per_op = res.mean_ns / *ops as f64;
+            Obj::new()
+                .field("op", op)
+                .field("depth", *depth)
+                .field("pattern", *pattern)
+                .field("ns_per_op", fixed(ns_per_op, 2))
+                .field("ops_per_sec", fixed(1e9 / ns_per_op, 0))
+                .field("iters", res.iters)
+        });
+    let json = Obj::new()
+        .field("schema", "bench_des/v1")
+        .field("mode", mode)
+        .field("seed", opts.seed)
+        .field("budget_ms", budget_ms)
+        .field("batch_ops", BATCH)
+        .field("ops", Json::rows(ops))
+        .render();
+    std::fs::write("BENCH_des.json", json).expect("write BENCH_des.json");
     println!("wrote BENCH_des.json ({mode})");
 }

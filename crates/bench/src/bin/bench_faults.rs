@@ -25,12 +25,12 @@
 //! `--smoke` runs a tiny trace — CI uses it to catch bench regressions;
 //! the numbers it writes are not comparable.
 
-use std::fmt::Write as _;
-
+use paris_bench::json::{fixed, Json, Obj};
 use paris_bench::print_table;
-use paris_bench::scenarios::run_plan;
+use paris_bench::scenarios::{
+    empty_plan_run, mobilenet_fleet, mobilenet_table, run_plan, steady_trace,
+};
 use paris_elsa::cluster::{Cluster, LoanPolicy, RouterPolicy};
-use paris_elsa::dnn::ModelKind;
 use paris_elsa::faults::{FaultPlan, FaultReport};
 use paris_elsa::prelude::*;
 use paris_elsa::workload::DriftDetectorConfig;
@@ -41,7 +41,6 @@ struct Scenario {
     shard_gpus: Vec<usize>,
     pool_gpus: usize,
     table: ProfileTable,
-    dist: BatchDistribution,
     rate_qps: f64,
     mttf_s: f64,
     mttr_s: f64,
@@ -49,18 +48,11 @@ struct Scenario {
 
 impl Scenario {
     fn new(duration_s: f64, seed: u64) -> Self {
-        let perf = PerfModel::new(DeviceSpec::a100());
-        let table =
-            ProfileTable::profile(&ModelKind::MobileNet.build(), &perf, &ProfileSize::ALL, 32);
-        let dist = BatchDistribution::paper_default();
+        let table = mobilenet_table();
         let shard_gpus = vec![4, 2];
-        let fleet_capacity: f64 = shard_gpus
+        let fleet_capacity: f64 = mobilenet_fleet(&table, &["mobilenet_v1"], &shard_gpus)
             .iter()
-            .map(|&g| {
-                Self::shard(&table, &dist, g)
-                    .expect("shard plan builds")
-                    .capacity_hint_qps()
-            })
+            .map(MultiModelServer::capacity_hint_qps)
             .sum();
         Scenario {
             duration_s,
@@ -68,7 +60,6 @@ impl Scenario {
             shard_gpus,
             pool_gpus: 2,
             table,
-            dist,
             // 60 % of fleet capacity: healthy runs have headroom, a lost
             // GPU pushes the survivors to ~72 % — degraded but
             // survivable, which is where backfill loans earn their keep.
@@ -80,24 +71,8 @@ impl Scenario {
         }
     }
 
-    fn shard(
-        table: &ProfileTable,
-        dist: &BatchDistribution,
-        gpus: usize,
-    ) -> Result<MultiModelServer, paris_elsa::paris::PlanError> {
-        MultiModelServer::new(
-            vec![ModelSpec::new("mobilenet_v1", table.clone(), dist.clone())],
-            GpcBudget::new(gpus * 7, gpus),
-            MultiModelConfig::new().with_detail(ReportDetail::Summary),
-        )
-    }
-
     fn cluster(&self, loaning: bool) -> Cluster {
-        let shards = self
-            .shard_gpus
-            .iter()
-            .map(|&g| Self::shard(&self.table, &self.dist, g).expect("shard plan builds"))
-            .collect();
+        let shards = mobilenet_fleet(&self.table, &["mobilenet_v1"], &self.shard_gpus);
         let cluster = Cluster::new(shards, RouterPolicy::JoinShortestQueue);
         if loaning {
             // Half-second decision windows with a lower trust floor: the
@@ -110,16 +85,6 @@ impl Scenario {
         } else {
             cluster
         }
-    }
-
-    fn trace(&self) -> MultiTraceGenerator {
-        MultiTraceGenerator::new(
-            vec![PhaseSpec::new(
-                self.duration_s,
-                vec![(self.rate_qps, self.dist.clone())],
-            )],
-            self.seed,
-        )
     }
 
     /// The seeded GPU-MTTF plan; a seed whose draw happens to be empty
@@ -141,89 +106,56 @@ impl Scenario {
     }
 }
 
-struct Row {
-    policy: &'static str,
-    availability: f64,
-    base_availability: f64,
-    worst_violation: f64,
-    requeued: u64,
-    loans: usize,
-    reconfigs: usize,
-    recovery_p99_ms: f64,
-    healthy_p99_ms: f64,
-    achieved_qps: f64,
-}
-
-fn row(policy: &'static str, report: &FaultReport) -> Row {
-    Row {
-        policy,
-        availability: report.effective_availability,
-        base_availability: report.base_availability,
-        worst_violation: report.worst_violation_rate(),
-        requeued: report.requeued,
-        loans: report.cluster.loans.len(),
-        reconfigs: report.cluster.total_reconfigs(),
-        recovery_p99_ms: report.degraded_p99_ms.unwrap_or(0.0),
-        healthy_p99_ms: report.healthy_p99_ms.unwrap_or(0.0),
-        achieved_qps: report.cluster.achieved_qps,
-    }
+/// One configuration's table cells and its `configs` entry.
+fn row(policy: &str, report: &FaultReport) -> (Vec<String>, Obj) {
+    let cluster = &report.cluster;
+    let recovery_p99_ms = report.degraded_p99_ms.unwrap_or(0.0);
+    let healthy_p99_ms = report.healthy_p99_ms.unwrap_or(0.0);
+    let cells = vec![
+        policy.to_owned(),
+        format!("{:.4}", report.effective_availability),
+        format!("{:.4}", report.base_availability),
+        format!("{:.4}", report.worst_violation_rate()),
+        report.requeued.to_string(),
+        cluster.loans.len().to_string(),
+        cluster.total_reconfigs().to_string(),
+        format!("{recovery_p99_ms:.1}"),
+        format!("{healthy_p99_ms:.1}"),
+        format!("{:.0}", cluster.achieved_qps),
+    ];
+    let config = Obj::new()
+        .field("policy", policy)
+        .field("availability", fixed(report.effective_availability, 5))
+        .field("base_availability", fixed(report.base_availability, 5))
+        .field("worst_violation", fixed(report.worst_violation_rate(), 5))
+        .field("requeued", report.requeued)
+        .field("loans", cluster.loans.len())
+        .field("reconfigs", cluster.total_reconfigs())
+        .field("recovery_p99_ms", fixed(recovery_p99_ms, 3))
+        .field("healthy_p99_ms", fixed(healthy_p99_ms, 3))
+        .field("achieved_qps", fixed(cluster.achieved_qps, 1));
+    (cells, config)
 }
 
 fn main() {
-    let opts = paris_bench::TrajectoryOpts::from_args(37);
+    let opts = paris_bench::Opts::from_args(37);
     let duration_s = opts.pick(12.0, 6.0, 2.0);
     let scenario = Scenario::new(duration_s, opts.seed);
     let plan = scenario.plan();
-    let trace: Vec<_> = scenario.trace().generate();
+    let trace = steady_trace(duration_s, scenario.rate_qps, 1, opts.seed);
     let full = || RunSpec::new(ReportDetail::Full);
 
     // The empty-plan degeneration check: the no-fault run through the
     // fault path must be bit-for-bit the plain run.
-    let baseline_cluster = scenario.cluster(false);
-    let plain = baseline_cluster
-        .run_with(trace.iter().map(|&tq| (None, tq)), &full())
-        .report;
-    let (nofault, ..) = run_plan(&baseline_cluster, &trace, &FaultPlan::new(), full());
-    let bit_identical = plain
-        .per_shard
-        .iter()
-        .zip(&nofault.cluster.per_shard)
-        .all(|(a, b)| {
-            a.records == b.records
-                && a.makespan == b.makespan
-                && a.partition_sizes == b.partition_sizes
-        })
-        && plain.routed == nofault.cluster.routed;
-    assert!(
-        bit_identical,
-        "empty FaultPlan must reproduce the plain run bit-for-bit"
-    );
-
+    let nofault = empty_plan_run(&scenario.cluster(false), &trace);
     let (bare, ..) = run_plan(&scenario.cluster(false), &trace, &plan, full());
     let (loaned, ..) = run_plan(&scenario.cluster(true), &trace, &plan, full());
-    let rows = [
-        row("nofault_jsq", &nofault),
-        row("jsq", &bare),
-        row("jsq_loan", &loaned),
+    let runs = [
+        ("nofault_jsq", &nofault),
+        ("jsq", &bare),
+        ("jsq_loan", &loaned),
     ];
-
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.policy.to_owned(),
-                format!("{:.4}", r.availability),
-                format!("{:.4}", r.base_availability),
-                format!("{:.4}", r.worst_violation),
-                r.requeued.to_string(),
-                r.loans.to_string(),
-                r.reconfigs.to_string(),
-                format!("{:.1}", r.recovery_p99_ms),
-                format!("{:.1}", r.healthy_p99_ms),
-                format!("{:.0}", r.achieved_qps),
-            ]
-        })
-        .collect();
+    let (cells, configs): (Vec<_>, Vec<_>) = runs.iter().map(|&(p, r)| row(p, r)).unzip();
     print_table(
         &format!(
             "fault injection, {}+{} GPU shards + {} GPU pool, {}s @ {:.0} q/s, \
@@ -266,59 +198,27 @@ fn main() {
         loaned.worst_violation_rate()
     );
 
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"bench_faults/v1\",\n");
-    json.push_str("  \"model\": \"mobilenet_v1\",\n");
-    let _ = writeln!(
-        json,
-        "  \"shard_gpus\": [{}, {}],",
-        scenario.shard_gpus[0], scenario.shard_gpus[1]
-    );
-    let _ = writeln!(json, "  \"pool_gpus\": {},", scenario.pool_gpus);
-    let _ = writeln!(json, "  \"duration_secs\": {duration_s},");
-    let _ = writeln!(json, "  \"rate_qps\": {:.1},", scenario.rate_qps);
-    let _ = writeln!(json, "  \"seed\": {},", scenario.seed);
-    let _ = writeln!(json, "  \"mttf_s\": {:.2},", scenario.mttf_s);
-    let _ = writeln!(json, "  \"mttr_s\": {:.2},", scenario.mttr_s);
-    let _ = writeln!(json, "  \"gpu_outages\": {},", plan.gpu_outages().len());
-    let _ = writeln!(
-        json,
-        "  \"outage_gpu_seconds\": {:.3},",
-        bare.outage_gpu_seconds
-    );
-    let _ = writeln!(json, "  \"empty_plan_bit_identical\": {bit_identical},");
-    json.push_str("  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"policy\": \"{}\", \"availability\": {:.5}, \
-             \"base_availability\": {:.5}, \"worst_violation\": {:.5}, \
-             \"requeued\": {}, \"loans\": {}, \"reconfigs\": {}, \
-             \"recovery_p99_ms\": {:.3}, \"healthy_p99_ms\": {:.3}, \
-             \"achieved_qps\": {:.1}}}",
-            r.policy,
-            r.availability,
-            r.base_availability,
-            r.worst_violation,
-            r.requeued,
-            r.loans,
-            r.reconfigs,
-            r.recovery_p99_ms,
-            r.healthy_p99_ms,
-            r.achieved_qps
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"loan_availability_gain\": {availability_gain:.5},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"loan_vs_bare_violation_ratio\": {violation_ratio:.4}"
-    );
-    json.push_str("}\n");
-    std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
+    let json = Obj::new()
+        .field("schema", "bench_faults/v1")
+        .field("model", "mobilenet_v1")
+        .field(
+            "shard_gpus",
+            Json::list(scenario.shard_gpus.iter().copied()),
+        )
+        .field("pool_gpus", scenario.pool_gpus)
+        .field("duration_secs", duration_s)
+        .field("rate_qps", fixed(scenario.rate_qps, 1))
+        .field("seed", scenario.seed)
+        .field("mttf_s", fixed(scenario.mttf_s, 2))
+        .field("mttr_s", fixed(scenario.mttr_s, 2))
+        .field("gpu_outages", plan.gpu_outages().len())
+        .field("outage_gpu_seconds", fixed(bare.outage_gpu_seconds, 3))
+        // `empty_plan_run` asserted it.
+        .field("empty_plan_bit_identical", true)
+        .field("configs", Json::rows(configs))
+        .field("loan_availability_gain", fixed(availability_gain, 5))
+        .field("loan_vs_bare_violation_ratio", fixed(violation_ratio, 4))
+        .render();
+    std::fs::write("BENCH_faults.json", json).expect("write BENCH_faults.json");
     println!("\nwrote BENCH_faults.json");
 }

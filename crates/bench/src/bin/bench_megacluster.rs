@@ -29,11 +29,11 @@
 //!
 //! Usage: `cargo run --release --bin bench_megacluster [--quick] [--smoke] [--seed N]`
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use paris_bench::json::{fixed, Json, Obj};
+use paris_bench::scenarios::{mobilenet_shard, mobilenet_table, steady_trace};
 use paris_elsa::cluster::{Cluster, ClusterReport, LoanPolicy, RouterPolicy, WindowProfile};
-use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 /// Lane worker thread counts every mode is verified at.
@@ -59,26 +59,18 @@ struct Scenario {
 impl Scenario {
     fn new(duration_secs: f64, seed: u64) -> Self {
         let (shards, gpus_per_shard, pool_gpus) = (32usize, 4usize, 8usize);
-        let perf = PerfModel::new(DeviceSpec::a100());
-        let table =
-            ProfileTable::profile(&ModelKind::MobileNet.build(), &perf, &ProfileSize::ALL, 32);
-        let dist = BatchDistribution::paper_default();
         // All shards are identical: plan once, clone 32×.
-        let shard = MultiModelServer::new(
-            vec![ModelSpec::new("mobilenet_v1", table, dist.clone())],
-            GpcBudget::new(gpus_per_shard * 7, gpus_per_shard),
-            MultiModelConfig::new().with_detail(ReportDetail::Summary),
-        )
-        .expect("shard plan builds");
+        let shard = mobilenet_shard(
+            &mobilenet_table(),
+            &["mobilenet_v1"],
+            gpus_per_shard,
+            MultiModelConfig::new(),
+        );
         let fleet_qps: f64 = shard.capacity_hint_qps() * shards as f64;
         // 80 % of planned fleet capacity: comfortably past the 100k qps
         // bar at 128 GPUs, with headroom for the injected faults.
         let offered_qps = 0.8 * fleet_qps;
-        let trace = MultiTraceGenerator::new(
-            vec![PhaseSpec::new(duration_secs, vec![(offered_qps, dist)])],
-            seed,
-        )
-        .generate();
+        let trace = steady_trace(duration_secs, offered_qps, 1, seed);
         let cluster = Cluster::new(vec![shard; shards], RouterPolicy::JoinShortestQueue)
             .with_loan(LoanPolicy::new(pool_gpus, 0.25))
             .with_lane_capacity(offered_qps);
@@ -217,7 +209,7 @@ fn curve_of(m: &ModeResult) -> Vec<Point> {
 }
 
 fn main() {
-    let opts = paris_bench::TrajectoryOpts::from_args(67);
+    let opts = paris_bench::Opts::from_args(67);
     let duration_secs = opts.pick(1.0, 0.4, 0.05);
     let reps = opts.pick(15, 9, 1);
     let scenario = Scenario::new(duration_secs, opts.seed);
@@ -249,22 +241,6 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     let pe_curve = curve_of(&per_event);
     let la_curve = curve_of(&lookahead);
-    // New/old single-thread events/sec against the artifact this run is
-    // about to overwrite (the first curve entry after each mode object is
-    // the threads=1 point). The anchor includes the object's brace: the
-    // mode names also key `speedup_vs_prev`, which comes first.
-    let prev = std::fs::read_to_string("BENCH_megacluster.json").ok();
-    let vs_prev = |mode: &str, curve: &[Point]| -> String {
-        prev.as_deref()
-            .and_then(|p| {
-                paris_bench::scrape_number_after(p, &format!("\"{mode}\": {{"), "events_per_sec")
-            })
-            .map_or("null".to_string(), |old| {
-                format!("{:.3}", curve[0].events_per_sec / old)
-            })
-    };
-    let pe_vs_prev = vs_prev("per_event", &pe_curve);
-    let la_vs_prev = vs_prev("lookahead", &la_curve);
     // The headline: measured lookahead speedup at the largest profiled
     // thread count the host has cores for.
     let headline = la_curve
@@ -338,90 +314,57 @@ fn main() {
         }
     }
 
-    let mode_json = |m: &ModeResult, curve: &[Point]| -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"bit_identical\": {}, \"completed\": {}, \"achieved_qps\": {:.1}, \
-             \"events_processed\": {}, \"windows\": {}, \"lane_events\": {}, \"curve\": [",
-            m.bit_identical,
-            m.reference.completed(),
-            m.reference.achieved_qps,
-            m.reference.events_processed,
-            m.profile.windows,
-            m.profile.lane_events,
-        );
-        for (i, p) in curve.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{{\"threads\": {}, \"wall_secs\": {:.4}, \"wall_spread\": {:.4}, \
-                 \"measured_speedup\": {:.4}, \"events_per_sec\": {:.0}, \
-                 \"modeled_speedup\": {:.4}}}",
-                if i == 0 { "" } else { ", " },
-                p.threads,
-                p.wall_secs,
-                p.wall_spread,
-                p.measured_speedup,
-                p.events_per_sec,
-                p.modeled_speedup,
-            );
-        }
-        s.push_str("]}");
-        s
+    let mode_json = |m: &ModeResult, curve: &[Point]| {
+        let points = curve.iter().map(|p| {
+            Obj::new()
+                .field("threads", p.threads)
+                .field("wall_secs", fixed(p.wall_secs, 4))
+                .field("wall_spread", fixed(p.wall_spread, 4))
+                .field("measured_speedup", fixed(p.measured_speedup, 4))
+                .field("events_per_sec", fixed(p.events_per_sec, 0))
+                .field("modeled_speedup", fixed(p.modeled_speedup, 4))
+        });
+        Obj::new()
+            .field("bit_identical", m.bit_identical)
+            .field("completed", m.reference.completed())
+            .field("achieved_qps", fixed(m.reference.achieved_qps, 1))
+            .field("events_processed", m.reference.events_processed)
+            .field("windows", m.profile.windows)
+            .field("lane_events", m.profile.lane_events)
+            .field("curve", Json::list(points))
     };
-
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"bench_megacluster/v2\",\n");
-    json.push_str("  \"model\": \"mobilenet_v1\",\n");
-    let _ = writeln!(json, "  \"shards\": {},", scenario.shards);
-    let _ = writeln!(json, "  \"gpus_per_shard\": {},", scenario.gpus_per_shard);
-    let _ = writeln!(
-        json,
-        "  \"serving_gpus\": {},",
-        scenario.shards * scenario.gpus_per_shard
-    );
-    let _ = writeln!(json, "  \"pool_gpus\": {},", scenario.pool_gpus);
-    let _ = writeln!(json, "  \"seed\": {},", scenario.seed);
-    let _ = writeln!(json, "  \"duration_secs\": {},", scenario.duration_secs);
-    let _ = writeln!(json, "  \"offered_qps\": {:.1},", scenario.offered_qps);
-    let _ = writeln!(json, "  \"queries\": {},", scenario.trace.len());
-    let _ = writeln!(json, "  \"faults\": {},", scenario.faults.events().len());
-    let _ = writeln!(json, "  \"lookahead_ms\": {LOOKAHEAD_MS},");
-    let _ = writeln!(json, "  \"thread_counts\": [1, 2, 4, 8],");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(
-        json,
-        "  \"timing_basis\": \"wall clock on this host, best of reps per thread count \
-         (interleaved, rotating which count runs first); wall_spread = (slowest - \
-         fastest) / fastest rep; measured_speedup = 1-thread wall / wall; \
-         modeled_speedup is the conservative-window critical-path model (lane events \
-         per window bucketed by the pool's contiguous chunks), listed for reference\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"parallel_bit_identical\": {parallel_bit_identical},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"lookahead_measured_speedup\": {{\"threads\": {}, \"speedup\": {:.4}}},",
-        headline.threads, headline.measured_speedup
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_vs_prev\": {{\"per_event\": {pe_vs_prev}, \"lookahead\": {la_vs_prev}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"per_event\": {},",
-        mode_json(&per_event, &pe_curve)
-    );
-    let _ = writeln!(
-        json,
-        "  \"lookahead\": {}",
-        mode_json(&lookahead, &la_curve)
-    );
-    json.push_str("}\n");
-    std::fs::write("BENCH_megacluster.json", &json).expect("write BENCH_megacluster.json");
+    let headline = Obj::new()
+        .field("threads", headline.threads)
+        .field("speedup", fixed(headline.measured_speedup, 4));
+    let json = Obj::new()
+        .field("schema", "bench_megacluster/v3")
+        .field("model", "mobilenet_v1")
+        .field("shards", scenario.shards)
+        .field("gpus_per_shard", scenario.gpus_per_shard)
+        .field("serving_gpus", scenario.shards * scenario.gpus_per_shard)
+        .field("pool_gpus", scenario.pool_gpus)
+        .field("seed", scenario.seed)
+        .field("duration_secs", scenario.duration_secs)
+        .field("offered_qps", fixed(scenario.offered_qps, 1))
+        .field("queries", scenario.trace.len())
+        .field("faults", scenario.faults.events().len())
+        .field("lookahead_ms", LOOKAHEAD_MS)
+        .field("thread_counts", Json::list(THREADS))
+        .field("host_cores", host_cores)
+        .field("reps", reps)
+        .field(
+            "timing_basis",
+            "wall clock on this host, best of reps per thread count (interleaved, rotating \
+             which count runs first); wall_spread = (slowest - fastest) / fastest rep; \
+             measured_speedup = 1-thread wall / wall; modeled_speedup is the \
+             conservative-window critical-path model (lane events per window bucketed by \
+             the pool's contiguous chunks), listed for reference",
+        )
+        .field("parallel_bit_identical", parallel_bit_identical)
+        .field("lookahead_measured_speedup", headline)
+        .field("per_event", mode_json(&per_event, &pe_curve))
+        .field("lookahead", mode_json(&lookahead, &la_curve))
+        .render();
+    std::fs::write("BENCH_megacluster.json", json).expect("write BENCH_megacluster.json");
     println!("\nwrote BENCH_megacluster.json");
 }

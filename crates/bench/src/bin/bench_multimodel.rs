@@ -18,18 +18,13 @@
 //! bench regressions without paying for a real measurement; the numbers it
 //! writes are not comparable.
 
-use std::fmt::Write as _;
-
-use paris_bench::print_table;
+use paris_bench::json::{fixed, Json, Obj};
+use paris_bench::scenarios::reconfig_dip;
+use paris_bench::{max_scale_search, print_table, ScalePoint, P95_TARGET_RATIO};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::paris::ReconfigMode;
 use paris_elsa::prelude::*;
 use paris_elsa::server::ModelReport;
-
-/// The SLA-attainment target: every model's p95 tail latency must stay
-/// within its own SLA (the paper's latency-bounded-throughput criterion,
-/// applied per model).
-const P95_TARGET_RATIO: f64 = 1.0;
 
 struct Scenario {
     phase_secs: f64,
@@ -81,17 +76,7 @@ impl Scenario {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Point {
-    scale: f64,
-    /// max over models of p95 / SLA (≤ 1 means every model met its SLA).
-    worst_p95_ratio: f64,
-    worst_violation: f64,
-    achieved_qps: f64,
-    reconfigs: usize,
-}
-
-fn measure(server: &MultiModelServer, scenario: &Scenario, scale: f64) -> Point {
+fn measure(server: &MultiModelServer, scenario: &Scenario, scale: f64) -> ScalePoint {
     let report = server.run_stream(scenario.trace(scale).stream(), ReportDetail::Summary);
     let worst_p95_ratio = report
         .per_model
@@ -101,40 +86,18 @@ fn measure(server: &MultiModelServer, scenario: &Scenario, scale: f64) -> Point 
             m.p95_ms() / sla_ms
         })
         .fold(0.0, f64::max);
-    Point {
+    ScalePoint {
         scale,
         worst_p95_ratio,
         worst_violation: report.worst_violation_rate(),
         achieved_qps: report.achieved_qps,
         reconfigs: report.reconfigs.len(),
+        ..ScalePoint::default()
     }
 }
 
-/// Doubling + bisection over the load scale
-/// (`paris_bench::max_scale_search`): the largest scale at which every
-/// model's p95 stays within its SLA ([`P95_TARGET_RATIO`]), plus the
-/// nominal (scale 1.0) operating point the search probed on the way.
-fn search(
-    server: &MultiModelServer,
-    scenario: &Scenario,
-    steps: usize,
-) -> paris_bench::ScaleSearch<Point> {
-    paris_bench::max_scale_search(
-        steps,
-        |scale| measure(server, scenario, scale),
-        |p: &Point| p.worst_p95_ratio <= P95_TARGET_RATIO,
-        Point {
-            scale: 0.0,
-            worst_p95_ratio: f64::INFINITY,
-            worst_violation: 1.0,
-            achieved_qps: 0.0,
-            reconfigs: 0,
-        },
-    )
-}
-
 fn main() {
-    let opts = paris_bench::TrajectoryOpts::from_args(13);
+    let opts = paris_bench::Opts::from_args(13);
     // Quick mode still needs phases comfortably longer than the
     // detection window + reslice outage (~1 s), or re-planning has no
     // runway to pay for itself and the quick numbers are meaningless.
@@ -144,17 +107,16 @@ fn main() {
         seed: opts.seed,
         budget: GpcBudget::new(48, 8),
     };
-    let steps = if opts.smoke { 2 } else { 6 };
     let seed = opts.seed;
 
-    let mut results: Vec<(&str, Point, Point)> = Vec::new();
+    let mut results = Vec::new();
     // The replan config runs at the workspace default staging (Rolling
     // since PR 6); the dip comparison below still pins both modes.
     for (name, replan) in [("static", None), ("replan", Some(ReconfigMode::default()))] {
         let server = scenario.server(replan);
         // The nominal point (scale 1.0) shows what drift does to each
         // policy at the nominal load; the search probed it first.
-        let found = search(&server, &scenario, steps);
+        let found = max_scale_search(&opts, |scale| measure(&server, &scenario, scale));
         results.push((name, found.best, found.nominal));
     }
 
@@ -194,48 +156,27 @@ fn main() {
     let speedup = replan_qps / static_qps.max(1e-9);
     println!("\nreplan vs static latency-bounded throughput: {speedup:.2}x");
 
-    // Transition-dip comparison: the worst tumbling-window p99 over the
-    // queries that complete *during a reconfiguration* (trigger →
-    // completion, plus one window of backlog drain). Whole-run
-    // percentiles average the outage away, and at light load the kept
-    // instances absorb it — so the dip is measured at the re-planning
-    // config's own latency-bounded max scale, where capacity is binding
-    // and the transition spike is visible. Rolling staging should shrink
-    // it: only one GPU's worth of capacity is ever offline.
-    let dip_window_ms = 250.0_f64;
-    let dip_scale = results[1].1.scale.max(0.25);
-    let dip = |mode: ReconfigMode| {
+    // Transition-dip comparison at the re-planning config's own
+    // latency-bounded max scale; a reconfiguration's window runs from
+    // trigger to completion plus one window of backlog drain. At light
+    // load the kept instances absorb the outage. Rolling staging should
+    // shrink the dip: only one GPU's worth of capacity is ever offline.
+    let reconfig_dip = reconfig_dip(results[1].1.scale, |mode, scale| {
         let server = scenario.server(Some(mode));
-        let report = server.run_stream(scenario.trace(dip_scale).stream(), ReportDetail::Full);
-        let transitions: Vec<(u64, u64)> = report
-            .reconfigs
-            .iter()
-            .map(|rc| (rc.triggered_at.as_nanos(), rc.completed_at.as_nanos()))
-            .collect();
-        paris_bench::transition_dip_p99_ms(
-            (dip_window_ms * 1e6) as u64,
-            &transitions,
+        let report = server.run_stream(scenario.trace(scale).stream(), ReportDetail::Full);
+        (
+            report
+                .reconfigs
+                .iter()
+                .map(|rc| (rc.triggered_at.as_nanos(), rc.completed_at.as_nanos()))
+                .collect(),
             report
                 .records
                 .iter()
-                .map(|r| (r.completed.as_nanos(), r.latency().as_nanos())),
+                .map(|r| (r.completed.as_nanos(), r.latency().as_nanos()))
+                .collect(),
         )
-    };
-    let dip_all_at_once = dip(ReconfigMode::AllAtOnce);
-    let dip_rolling = dip(ReconfigMode::Rolling);
-    let dip_fallback = dip_all_at_once.fallback_whole_run || dip_rolling.fallback_whole_run;
-    let dip_ratio = dip_rolling.worst_p99_ms / dip_all_at_once.worst_p99_ms.max(1e-9);
-    println!(
-        "reconfig dip (worst {dip_window_ms:.0} ms-window p99 during re-plans @ {dip_scale:.2}x): \
-         all-at-once {:.2} ms, rolling {:.2} ms ({dip_ratio:.2}x{})",
-        dip_all_at_once.worst_p99_ms,
-        dip_rolling.worst_p99_ms,
-        if dip_fallback {
-            ", whole-run fallback"
-        } else {
-            ""
-        }
-    );
+    });
 
     // Per-model detail at the nominal load for the winning policy.
     let detail = scenario
@@ -245,47 +186,37 @@ fn main() {
         print_model(m);
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"bench_multimodel/v2\",\n");
-    json.push_str("  \"models\": [\"mobilenet_v1\", \"resnet50\"],\n");
-    let _ = writeln!(
-        json,
-        "  \"budget\": {{\"total_gpcs\": {}, \"num_gpus\": {}}},",
-        scenario.budget.total_gpcs, scenario.budget.num_gpus
-    );
-    let _ = writeln!(json, "  \"phase_secs\": {},", scenario.phase_secs);
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"p95_target_ratio\": {P95_TARGET_RATIO},");
-    json.push_str("  \"configs\": [\n");
-    for (i, (name, best, nominal)) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"policy\": \"{name}\", \"max_scale\": {:.4}, \
-             \"latency_bounded_qps\": {:.1}, \"worst_p95_sla_ratio_at_max\": {:.4}, \
-             \"worst_p95_sla_ratio_at_nominal\": {:.4}, \
-             \"worst_violation_at_nominal\": {:.5}, \"reconfigs_at_nominal\": {}}}",
-            best.scale,
-            best.achieved_qps,
-            best.worst_p95_ratio,
-            nominal.worst_p95_ratio,
-            nominal.worst_violation,
-            nominal.reconfigs
-        );
-        json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"replan_vs_static_speedup\": {speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"reconfig_dip\": {{\"window_ms\": {dip_window_ms}, \"scale\": {dip_scale:.4}, \
-         \"all_at_once_worst_p99_ms\": {:.3}, \
-         \"rolling_worst_p99_ms\": {:.3}, \
-         \"rolling_vs_all_at_once\": {dip_ratio:.4}, \
-         \"fallback_whole_run\": {dip_fallback}}}",
-        dip_all_at_once.worst_p99_ms, dip_rolling.worst_p99_ms
-    );
-    json.push_str("}\n");
-    std::fs::write("BENCH_multimodel.json", &json).expect("write BENCH_multimodel.json");
+    let configs = results.iter().map(|(name, best, nominal)| {
+        Obj::new()
+            .field("policy", *name)
+            .field("max_scale", fixed(best.scale, 4))
+            .field("latency_bounded_qps", fixed(best.achieved_qps, 1))
+            .field("worst_p95_sla_ratio_at_max", fixed(best.worst_p95_ratio, 4))
+            .field(
+                "worst_p95_sla_ratio_at_nominal",
+                fixed(nominal.worst_p95_ratio, 4),
+            )
+            .field(
+                "worst_violation_at_nominal",
+                fixed(nominal.worst_violation, 5),
+            )
+            .field("reconfigs_at_nominal", nominal.reconfigs)
+    });
+    let budget = Obj::new()
+        .field("total_gpcs", scenario.budget.total_gpcs)
+        .field("num_gpus", scenario.budget.num_gpus);
+    let json = Obj::new()
+        .field("schema", "bench_multimodel/v2")
+        .field("models", Json::list(["mobilenet_v1", "resnet50"]))
+        .field("budget", budget)
+        .field("phase_secs", scenario.phase_secs)
+        .field("seed", seed)
+        .field("p95_target_ratio", P95_TARGET_RATIO)
+        .field("configs", Json::rows(configs))
+        .field("replan_vs_static_speedup", fixed(speedup, 3))
+        .field("reconfig_dip", reconfig_dip)
+        .render();
+    std::fs::write("BENCH_multimodel.json", json).expect("write BENCH_multimodel.json");
     println!("\nwrote BENCH_multimodel.json");
 }
 

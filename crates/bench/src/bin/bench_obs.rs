@@ -55,17 +55,19 @@
 //! the numbers it writes are not comparable.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use paris_bench::json::{fixed, Json, Obj};
 use paris_bench::print_table;
-use paris_bench::scenarios::{mobilenet_table, run_plan, RackScenario};
+use paris_bench::scenarios::{
+    alert_trace_json, mobilenet_fleet, mobilenet_table, print_attributions, run_plan, steady_trace,
+    RackScenario,
+};
 use paris_elsa::cluster::Cluster;
 use paris_elsa::faults::{FaultPlan, FaultReport};
 use paris_elsa::obs::{
-    alert_records, analyze, attribute_alerts, check_conservation, evaluate_slos, jsonl,
-    write_alert_rows, write_query_trace, ChromeTraceWriter, MetricRegistry, QueryTrace, SloSpec,
+    analyze, attribute_alerts, check_conservation, evaluate_slos, jsonl, MetricRegistry, QueryTrace,
 };
 use paris_elsa::prelude::*;
 
@@ -158,35 +160,10 @@ fn dense_fleet(
     seed: u64,
 ) -> (Cluster, Vec<TaggedQuerySpec>) {
     use paris_elsa::cluster::RouterPolicy;
-    let dist = BatchDistribution::paper_default();
-    let gpus = 4;
-    let mk = || {
-        MultiModelServer::new(
-            vec![
-                ModelSpec::new("m0", table.clone(), dist.clone()),
-                ModelSpec::new("m1", table.clone(), dist.clone()),
-            ],
-            GpcBudget::new(gpus * 7, gpus),
-            MultiModelConfig::new().with_detail(ReportDetail::Summary),
-        )
-        .expect("shard plan builds")
-    };
-    let shards = 32;
-    let capacity: f64 = (0..shards).map(|_| mk().capacity_hint_qps()).sum();
-    let cluster = Cluster::new(
-        (0..shards).map(|_| mk()).collect(),
-        RouterPolicy::JoinShortestQueue,
-    );
-    let qps = 0.4 * capacity;
-    let trace = MultiTraceGenerator::new(
-        vec![PhaseSpec::new(
-            duration_s,
-            vec![(qps, dist.clone()), (qps, dist)],
-        )],
-        seed,
-    )
-    .generate();
-    (cluster, trace)
+    let fleet = mobilenet_fleet(table, &["m0", "m1"], &[4; 32]);
+    let capacity: f64 = fleet.iter().map(MultiModelServer::capacity_hint_qps).sum();
+    let cluster = Cluster::new(fleet, RouterPolicy::JoinShortestQueue);
+    (cluster, steady_trace(duration_s, 0.4 * capacity, 2, seed))
 }
 
 /// The retained trace's bytes per served query on the dense fleet, from
@@ -199,7 +176,7 @@ const TRACE_BYTES_PER_QUERY_BOUND: f64 = 120.0;
 const TRACED_OVERHEAD_TARGET_PCT: f64 = 60.0;
 
 fn main() {
-    let opts = paris_bench::TrajectoryOpts::from_args(41);
+    let opts = paris_bench::Opts::from_args(41);
     let duration_s = opts.pick(8.0, 4.0, 1.5);
     let table = mobilenet_table();
     let rack = RackScenario::new(duration_s, opts.seed, &table);
@@ -394,10 +371,7 @@ fn main() {
     );
 
     // -- 7. SLO burn-rate alerts + causal tail attribution -----------------
-    let slo_specs = [
-        SloSpec::new("premium-avail", 0, 0.95).with_windows(2, 6),
-        SloSpec::new("batch-avail", 1, 0.5).with_windows(2, 6),
-    ];
+    let slo_specs = RackScenario::slos();
     let alerts = evaluate_slos(&ireg1, &slo_specs);
     let alerts4 = evaluate_slos(&ireg4, &slo_specs);
     let alerts_deterministic = format!("{alerts:?}") == format!("{alerts4:?}");
@@ -450,37 +424,10 @@ fn main() {
         ],
         &rows,
     );
-    let attribution_rows: Vec<Vec<String>> = attributions
-        .iter()
-        .flat_map(|a| {
-            let mut first = true;
-            a.causes
-                .iter()
-                .filter(|c| c.share_ns != 0)
-                .map(move |c| {
-                    let head = if first {
-                        first = false;
-                        vec![
-                            format!("{}", a.group),
-                            format!("{}", a.bin),
-                            format!("{:.1}", a.p99_latency_ns as f64 / 1e6),
-                            format!("{}", a.excess_ns as f64 / 1e6),
-                        ]
-                    } else {
-                        vec![String::new(), String::new(), String::new(), String::new()]
-                    };
-                    let mut row = head;
-                    row.push(c.cause.to_string());
-                    row.push(format!("{:.2}", c.share_ns as f64 / 1e6));
-                    row
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    print_table(
+    print_attributions(
         "causal tail attribution (per fired alert's worst window)",
-        &["class", "bin", "p99 ms", "excess ms", "cause", "share ms"],
-        &attribution_rows,
+        &attributions,
+        |excess| format!("{excess}"),
     );
     println!(
         "\nzero observer effect:      {zero_observer} (threads 1 & 4)\n\
@@ -506,186 +453,103 @@ fn main() {
         conservation.completed,
     );
 
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"bench_obs/v2\",\n");
-    json.push_str("  \"model\": \"mobilenet_v1\",\n");
-    let _ = writeln!(json, "  \"duration_secs\": {duration_s},");
-    let _ = writeln!(json, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(json, "  \"zero_observer_effect\": {zero_observer},");
-    let _ = writeln!(json, "  \"trace_thread_invariant\": {thread_invariant},");
-    let _ = writeln!(json, "  \"disabled_path_alloc_free\": {alloc_free},");
-    json.push_str("  \"online\": {\n");
-    let _ = writeln!(json, "    \"window_ns\": {online_window_ns},");
-    let _ = writeln!(
-        json,
-        "    \"online_matches_oracle\": {online_matches_oracle},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"online_zero_observer\": {online_zero_observer},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"online_overhead_pct\": {online_overhead_pct:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"online_cheaper_than_trace\": {online_cheaper_than_trace},"
-    );
-    let _ = writeln!(json, "    \"online_secs\": {online_secs:.6},");
-    let _ = writeln!(json, "    \"online_base_secs\": {online_base_secs:.6},");
-    let _ = writeln!(json, "    \"peak_bytes_untraced\": {peak_untraced_bytes},");
-    let _ = writeln!(json, "    \"peak_bytes_traced\": {peak_traced_bytes},");
-    let _ = writeln!(json, "    \"peak_bytes_online\": {peak_online_bytes},");
-    let _ = writeln!(
-        json,
-        "    \"online_peak_below_trace\": {online_peak_below_trace}"
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"slo\": {\n");
-    let _ = writeln!(json, "    \"alerts_fired\": {},", alerts.len());
-    let _ = writeln!(
-        json,
-        "    \"alerts_deterministic\": {alerts_deterministic},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"attribution_zero_residual\": {attribution_zero_residual},"
-    );
-    json.push_str("    \"alerts\": [\n");
-    for (i, (a, attr)) in alerts.iter().zip(&attributions).enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"slo\": {}, \"group\": {}, \"fired_bin\": {}, \"resolved_bin\": {}, \
-             \"worst_bin\": {}, \"burn_short\": {:.3}, \"p99_latency_ns\": {}, \
-             \"excess_ns\": {}, \"causes\": [",
-            a.slo,
-            a.group,
-            a.fired_bin,
-            a.resolved_bin.map_or(-1i64, |b| b as i64),
-            a.worst_bin,
-            a.burn_short,
-            attr.p99_latency_ns,
-            attr.excess_ns,
-        );
-        for (j, c) in attr.causes.iter().filter(|c| c.share_ns != 0).enumerate() {
-            if j > 0 {
-                json.push_str(", ");
-            }
-            let _ = write!(
-                json,
-                "{{\"cause\": \"{}\", \"share_ns\": {}}}",
-                c.cause, c.share_ns
-            );
-        }
-        json.push_str("]}");
-        json.push_str(if i + 1 < attributions.len().min(alerts.len()) {
-            ",\n"
-        } else {
-            "\n"
+    let online = Obj::new()
+        .field("window_ns", online_window_ns)
+        .field("online_matches_oracle", online_matches_oracle)
+        .field("online_zero_observer", online_zero_observer)
+        .field("online_overhead_pct", fixed(online_overhead_pct, 3))
+        .field("online_cheaper_than_trace", online_cheaper_than_trace)
+        .field("online_secs", fixed(online_secs, 6))
+        .field("online_base_secs", fixed(online_base_secs, 6))
+        .field("peak_bytes_untraced", peak_untraced_bytes)
+        .field("peak_bytes_traced", peak_traced_bytes)
+        .field("peak_bytes_online", peak_online_bytes)
+        .field("online_peak_below_trace", online_peak_below_trace);
+    let alert_rows = alerts.iter().zip(&attributions).map(|(a, attr)| {
+        let causes = attr.causes.iter().filter(|c| c.share_ns != 0).map(|c| {
+            Obj::new()
+                .field("cause", c.cause.to_string().as_str())
+                .field("share_ns", c.share_ns)
         });
-    }
-    json.push_str("    ]\n  },\n");
-    json.push_str("  \"recorder\": {\n");
-    json.push_str("    \"workload\": \"32x4gpu-jsq-lookahead2ms\",\n");
-    let _ = writeln!(json, "    \"workload_secs\": {dense_duration_s},");
-    let _ = writeln!(json, "    \"events\": {events},");
-    let _ = writeln!(
-        json,
-        "    \"events_per_sec_traced\": {events_per_sec_traced:.0},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"events_per_sec_untraced\": {events_per_sec_untraced:.0},"
-    );
-    let _ = writeln!(json, "    \"untraced_secs\": {untraced_secs:.6},");
-    let _ = writeln!(json, "    \"traced_secs\": {traced_secs:.6},");
-    let _ = writeln!(json, "    \"traced_overhead_pct\": {overhead_pct:.3},");
-    let _ = writeln!(
-        json,
-        "    \"overhead_target_pct\": {TRACED_OVERHEAD_TARGET_PCT:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"overhead_within_target\": {overhead_within_target},"
-    );
-    let _ = writeln!(json, "    \"served_queries\": {served},");
-    let _ = writeln!(json, "    \"trace_bytes\": {trace_bytes},");
-    let _ = writeln!(
-        json,
-        "    \"trace_bytes_per_query\": {trace_bytes_per_query:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"trace_bytes_per_query_bound\": {TRACE_BYTES_PER_QUERY_BOUND:.1}"
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"breakdown\": {\n");
-    let _ = writeln!(json, "    \"queue_ns_p50\": {},", breakdown.queue_ns_p50);
-    let _ = writeln!(json, "    \"queue_ns_p99\": {},", breakdown.queue_ns_p99);
-    let _ = writeln!(
-        json,
-        "    \"service_ns_p50\": {},",
-        breakdown.service_ns_p50
-    );
-    let _ = writeln!(
-        json,
-        "    \"service_ns_p99\": {},",
-        breakdown.service_ns_p99
-    );
-    let _ = writeln!(
-        json,
-        "    \"reconfig_wait_ns_total\": {}",
-        breakdown.reconfig_wait_ns_total
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"classes\": [\n");
-    for (i, c) in analysis.classes.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"group\": {}, \"completed\": {}, \"frontend_ns\": {}, \
-             \"queue_ns\": {}, \"reconfig_wait_ns\": {}, \"service_clean_ns\": {}, \
-             \"degrade_inflation_ns\": {}, \"noise_delta_ns\": {}, \
-             \"total_latency_ns\": {}, \"sum_exact\": {}}}",
-            c.group,
-            c.completed,
-            c.frontend_ns,
-            c.queue_ns,
-            c.reconfig_wait_ns,
-            c.service_clean_ns,
-            c.degrade_inflation_ns,
-            c.noise_delta_ns,
-            c.total_latency_ns,
-            c.components_sum() == c.total_latency_ns as i128,
+        Obj::new()
+            .field("slo", a.slo)
+            .field("group", a.group)
+            .field("fired_bin", a.fired_bin)
+            .field("resolved_bin", a.resolved_bin.map_or(-1i64, |b| b as i64))
+            .field("worst_bin", a.worst_bin)
+            .field("burn_short", fixed(a.burn_short, 3))
+            .field("p99_latency_ns", attr.p99_latency_ns)
+            .field("excess_ns", attr.excess_ns)
+            .field("causes", Json::list(causes))
+    });
+    let slo = Obj::new()
+        .field("alerts_fired", alerts.len())
+        .field("alerts_deterministic", alerts_deterministic)
+        .field("attribution_zero_residual", attribution_zero_residual)
+        .field("alerts", Json::rows(alert_rows));
+    let recorder = Obj::new()
+        .field("workload", "32x4gpu-jsq-lookahead2ms")
+        .field("workload_secs", dense_duration_s)
+        .field("events", events)
+        .field("events_per_sec_traced", fixed(events_per_sec_traced, 0))
+        .field("events_per_sec_untraced", fixed(events_per_sec_untraced, 0))
+        .field("untraced_secs", fixed(untraced_secs, 6))
+        .field("traced_secs", fixed(traced_secs, 6))
+        .field("traced_overhead_pct", fixed(overhead_pct, 3))
+        .field("overhead_target_pct", fixed(TRACED_OVERHEAD_TARGET_PCT, 1))
+        .field("overhead_within_target", overhead_within_target)
+        .field("served_queries", served)
+        .field("trace_bytes", trace_bytes)
+        .field("trace_bytes_per_query", fixed(trace_bytes_per_query, 2))
+        .field(
+            "trace_bytes_per_query_bound",
+            fixed(TRACE_BYTES_PER_QUERY_BOUND, 1),
         );
-        json.push_str(if i + 1 < analysis.classes.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"conservation\": {\n");
-    let _ = writeln!(json, "    \"offered\": {},", conservation.offered);
-    let _ = writeln!(json, "    \"routed\": {},", conservation.routed);
-    let _ = writeln!(json, "    \"shed\": {},", conservation.shed);
-    let _ = writeln!(json, "    \"arrivals\": {},", conservation.arrivals);
-    let _ = writeln!(json, "    \"completed\": {}", conservation.completed);
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
-    // Chrome trace: the annotated query trace (alert fire/resolve
-    // instants in the global event order) plus one slice per fired alert
-    // spanning fire → resolve.
-    let annotated = itrace1.annotated(alert_records(&alerts, online_window_ns).into_records());
-    let mut w = ChromeTraceWriter::new();
-    write_query_trace(&mut w, &annotated);
-    write_alert_rows(
-        &mut w,
-        &alerts,
-        &slo_specs,
-        online_window_ns,
-        annotated.horizon().as_nanos(),
-    );
-    std::fs::write("BENCH_obs.trace.json", w.finish()).expect("write BENCH_obs.trace.json");
+    let breakdown = Obj::new()
+        .field("queue_ns_p50", breakdown.queue_ns_p50)
+        .field("queue_ns_p99", breakdown.queue_ns_p99)
+        .field("service_ns_p50", breakdown.service_ns_p50)
+        .field("service_ns_p99", breakdown.service_ns_p99)
+        .field("reconfig_wait_ns_total", breakdown.reconfig_wait_ns_total);
+    let classes = analysis.classes.iter().map(|c| {
+        Obj::new()
+            .field("group", c.group)
+            .field("completed", c.completed)
+            .field("frontend_ns", c.frontend_ns)
+            .field("queue_ns", c.queue_ns)
+            .field("reconfig_wait_ns", c.reconfig_wait_ns)
+            .field("service_clean_ns", c.service_clean_ns)
+            .field("degrade_inflation_ns", c.degrade_inflation_ns)
+            .field("noise_delta_ns", c.noise_delta_ns)
+            .field("total_latency_ns", c.total_latency_ns)
+            .field(
+                "sum_exact",
+                c.components_sum() == c.total_latency_ns as i128,
+            )
+    });
+    let conservation = Obj::new()
+        .field("offered", conservation.offered)
+        .field("routed", conservation.routed)
+        .field("shed", conservation.shed)
+        .field("arrivals", conservation.arrivals)
+        .field("completed", conservation.completed);
+    let json = Obj::new()
+        .field("schema", "bench_obs/v2")
+        .field("model", "mobilenet_v1")
+        .field("duration_secs", duration_s)
+        .field("seed", opts.seed)
+        .field("zero_observer_effect", zero_observer)
+        .field("trace_thread_invariant", thread_invariant)
+        .field("disabled_path_alloc_free", alloc_free)
+        .field("online", Json::Block(online))
+        .field("slo", Json::Block(slo))
+        .field("recorder", Json::Block(recorder))
+        .field("breakdown", Json::Block(breakdown))
+        .field("classes", Json::rows(classes))
+        .field("conservation", Json::Block(conservation))
+        .render();
+    std::fs::write("BENCH_obs.json", json).expect("write BENCH_obs.json");
+    let chrome = alert_trace_json(&itrace1, &alerts, &slo_specs, online_window_ns);
+    std::fs::write("BENCH_obs.trace.json", chrome).expect("write BENCH_obs.trace.json");
     println!("\nwrote BENCH_obs.json and BENCH_obs.trace.json");
 }

@@ -33,112 +33,97 @@
 //! `--smoke` runs a tiny trace — CI uses it to catch bench regressions;
 //! the numbers it writes are not comparable.
 
-use std::fmt::Write as _;
-
+use paris_bench::json::{fixed, Json, Obj};
 use paris_bench::print_table;
-use paris_bench::scenarios::{mobilenet_table, run_plan, RackScenario, SlowScenario};
-use paris_elsa::faults::{FaultPlan, FaultReport};
+use paris_bench::scenarios::{
+    empty_plan_run, mobilenet_table, run_plan, RackScenario, SlowScenario,
+};
+use paris_elsa::faults::FaultReport;
 use paris_elsa::metrics::LatencyHistogram;
 use paris_elsa::prelude::*;
 
-/// Model 0 = premium, model 1 = batch throughout the rack scenario.
-struct RackRow {
-    policy: &'static str,
-    premium_p99_ms: f64,
-    premium_violation: f64,
-    batch_p99_ms: f64,
-    shed_premium: u64,
-    shed_batch: u64,
-    served_premium: u64,
-    served_batch: u64,
-    goodput_qps: f64,
-    availability: f64,
-}
-
-/// Fleet-wide latency histogram of one model across every shard.
-fn model_histogram(report: &FaultReport, model: usize) -> LatencyHistogram {
-    LatencyHistogram::merged(
-        report
-            .cluster
-            .per_shard
-            .iter()
-            .map(|s| &s.per_model[model].histogram),
-    )
-}
-
-/// Fleet-wide exact SLA violation rate of one model.
-fn model_violation_rate(report: &FaultReport, model: usize) -> f64 {
-    let (violations, completed) = report
-        .cluster
-        .per_shard
-        .iter()
-        .map(|s| {
-            (
-                s.per_model[model].sla_violations,
-                s.per_model[model].completed,
-            )
-        })
-        .fold((0u64, 0u64), |(v, c), (dv, dc)| (v + dv, c + dc));
-    if completed == 0 {
+/// One model's fleet-wide latency histogram, exact SLA violation rate and
+/// completions, over every shard.
+fn model_stats(report: &FaultReport, model: usize) -> (LatencyHistogram, f64, u64) {
+    let per_shard = || report.cluster.per_shard.iter().map(|s| &s.per_model[model]);
+    let completed: u64 = per_shard().map(|m| m.completed).sum();
+    let violations: u64 = per_shard().map(|m| m.sla_violations).sum();
+    let rate = if completed == 0 {
         0.0
     } else {
         violations as f64 / completed as f64
-    }
+    };
+    let histogram = LatencyHistogram::merged(per_shard().map(|m| &m.histogram));
+    (histogram, rate, completed)
 }
 
-fn rack_row(policy: &'static str, report: &FaultReport) -> RackRow {
-    let class = |v: &[u64], c: usize| v.get(c).copied().unwrap_or(0);
+/// One rack-scenario configuration's table cells and its `configs`
+/// entry. Model 0 = premium, model 1 = batch throughout the scenario.
+fn rack_row(policy: &str, report: &FaultReport) -> (Vec<String>, Obj) {
+    let shed = |c: usize| report.shed_per_class.get(c).copied().unwrap_or(0);
     // Served counts come from per-model completions so the no-policy
     // baseline row is populated too (served_per_class is empty without a
     // ShedPolicy).
-    let served = |m: usize| {
-        report
-            .cluster
-            .per_shard
-            .iter()
-            .map(|s| s.per_model[m].completed)
-            .sum::<u64>()
-    };
-    RackRow {
-        policy,
-        premium_p99_ms: model_histogram(report, 0).percentile_ms(0.99),
-        premium_violation: model_violation_rate(report, 0),
-        batch_p99_ms: model_histogram(report, 1).percentile_ms(0.99),
-        shed_premium: class(&report.shed_per_class, 0),
-        shed_batch: class(&report.shed_per_class, 1),
-        served_premium: served(0),
-        served_batch: served(1),
-        goodput_qps: report.goodput_qps(),
-        availability: report.effective_availability,
-    }
+    let (premium, premium_violation, served_premium) = model_stats(report, 0);
+    let (batch, _, served_batch) = model_stats(report, 1);
+    let premium_p99_ms = premium.percentile_ms(0.99);
+    let batch_p99_ms = batch.percentile_ms(0.99);
+    let cells = vec![
+        policy.to_owned(),
+        format!("{premium_p99_ms:.1}"),
+        format!("{premium_violation:.4}"),
+        format!("{batch_p99_ms:.1}"),
+        shed(0).to_string(),
+        shed(1).to_string(),
+        served_premium.to_string(),
+        served_batch.to_string(),
+        format!("{:.0}", report.goodput_qps()),
+        format!("{:.4}", report.effective_availability),
+    ];
+    let config = Obj::new()
+        .field("policy", policy)
+        .field("premium_p99_ms", fixed(premium_p99_ms, 3))
+        .field("premium_violation", fixed(premium_violation, 5))
+        .field("batch_p99_ms", fixed(batch_p99_ms, 3))
+        .field("shed_premium", shed(0))
+        .field("shed_batch", shed(1))
+        .field("served_premium", served_premium)
+        .field("served_batch", served_batch)
+        .field("goodput_qps", fixed(report.goodput_qps(), 1))
+        .field("availability", fixed(report.effective_availability, 5));
+    (cells, config)
 }
 
 // ---------------------------------------------------------------------------
 // Scenario 2: slow-GPU partial degradation, placement-aware vs blind.
 // ---------------------------------------------------------------------------
 
-struct SlowRow {
-    policy: &'static str,
-    p99_ms: f64,
-    degraded_p99_ms: f64,
-    healthy_p99_ms: f64,
-    violation: f64,
-    achieved_qps: f64,
-}
-
-fn slow_row(policy: &'static str, report: &FaultReport) -> SlowRow {
-    SlowRow {
-        policy,
-        p99_ms: report.cluster.histogram.percentile_ms(0.99),
-        degraded_p99_ms: report.degraded_p99_ms.unwrap_or(0.0),
-        healthy_p99_ms: report.healthy_p99_ms.unwrap_or(0.0),
-        violation: report.worst_violation_rate(),
-        achieved_qps: report.cluster.achieved_qps,
-    }
+/// One slow-GPU configuration's table cells and its `configs` entry.
+fn slow_row(policy: &str, report: &FaultReport) -> (Vec<String>, Obj) {
+    let p99_ms = report.cluster.histogram.percentile_ms(0.99);
+    let degraded_p99_ms = report.degraded_p99_ms.unwrap_or(0.0);
+    let healthy_p99_ms = report.healthy_p99_ms.unwrap_or(0.0);
+    let violation = report.worst_violation_rate();
+    let cells = vec![
+        policy.to_owned(),
+        format!("{p99_ms:.1}"),
+        format!("{degraded_p99_ms:.1}"),
+        format!("{healthy_p99_ms:.1}"),
+        format!("{violation:.4}"),
+        format!("{:.0}", report.cluster.achieved_qps),
+    ];
+    let config = Obj::new()
+        .field("policy", policy)
+        .field("p99_ms", fixed(p99_ms, 3))
+        .field("degraded_p99_ms", fixed(degraded_p99_ms, 3))
+        .field("healthy_p99_ms", fixed(healthy_p99_ms, 3))
+        .field("worst_violation", fixed(violation, 5))
+        .field("achieved_qps", fixed(report.cluster.achieved_qps, 1));
+    (cells, config)
 }
 
 fn main() {
-    let opts = paris_bench::TrajectoryOpts::from_args(41);
+    let opts = paris_bench::Opts::from_args(41);
     let duration_s = opts.pick(12.0, 6.0, 2.0);
     let table = mobilenet_table();
 
@@ -150,25 +135,7 @@ fn main() {
 
     // Empty-plan degeneration guard: the fault path must cost nothing
     // until an event fires.
-    let baseline = rack.cluster(false);
-    let plain = baseline
-        .run_with(rack_trace.iter().map(|&tq| (None, tq)), &full())
-        .report;
-    let (nofault, ..) = run_plan(&baseline, &rack_trace, &FaultPlan::new(), full());
-    let bit_identical = plain
-        .per_shard
-        .iter()
-        .zip(&nofault.cluster.per_shard)
-        .all(|(a, b)| {
-            a.records == b.records
-                && a.makespan == b.makespan
-                && a.partition_sizes == b.partition_sizes
-        })
-        && plain.routed == nofault.cluster.routed;
-    assert!(
-        bit_identical,
-        "empty FaultPlan must reproduce the plain run bit-for-bit"
-    );
+    let _ = empty_plan_run(&rack.cluster(false), &rack_trace);
 
     let (noshed, ..) = run_plan(&rack.cluster(false), &rack_trace, &rack_plan, full());
     let (shed, ..) = run_plan(&rack.cluster(true), &rack_trace, &rack_plan, full());
@@ -192,24 +159,10 @@ fn main() {
         "premium (class 0) is never shed"
     );
 
-    let rack_rows = [rack_row("noshed", &noshed), rack_row("shed", &shed)];
-    let cells: Vec<Vec<String>> = rack_rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.policy.to_owned(),
-                format!("{:.1}", r.premium_p99_ms),
-                format!("{:.4}", r.premium_violation),
-                format!("{:.1}", r.batch_p99_ms),
-                r.shed_premium.to_string(),
-                r.shed_batch.to_string(),
-                r.served_premium.to_string(),
-                r.served_batch.to_string(),
-                format!("{:.0}", r.goodput_qps),
-                format!("{:.4}", r.availability),
-            ]
-        })
-        .collect();
+    let (cells, rack_configs): (Vec<_>, Vec<_>) = [("noshed", &noshed), ("shed", &shed)]
+        .into_iter()
+        .map(|(policy, report)| rack_row(policy, report))
+        .unzip();
     print_table(
         &format!(
             "rack outage + surge: {:?} GPU shards racked by {}, rack0 out [{:.1}s, {:.1}s], \
@@ -250,20 +203,10 @@ fn main() {
         );
         assert_eq!(report.shed_total, 0, "{name}: no shed policy, no shedding");
     }
-    let slow_rows = [slow_row("blind", &blind), slow_row("aware", &aware)];
-    let cells: Vec<Vec<String>> = slow_rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.policy.to_owned(),
-                format!("{:.1}", r.p99_ms),
-                format!("{:.1}", r.degraded_p99_ms),
-                format!("{:.1}", r.healthy_p99_ms),
-                format!("{:.4}", r.violation),
-                format!("{:.0}", r.achieved_qps),
-            ]
-        })
-        .collect();
+    let (cells, slow_configs): (Vec<_>, Vec<_>) = [("blind", &blind), ("aware", &aware)]
+        .into_iter()
+        .map(|(policy, report)| slow_row(policy, report))
+        .unzip();
     print_table(
         &format!(
             "slow GPU: 1 of {} GPUs at {:.0}x service time over [{:.1}s, {:.1}s]",
@@ -280,98 +223,59 @@ fn main() {
         &cells,
     );
 
-    let violation_cut = rack_rows[1].premium_violation / rack_rows[0].premium_violation.max(1e-9);
+    let (noshed_violation, shed_violation) = (model_stats(&noshed, 0).1, model_stats(&shed, 0).1);
+    let violation_cut = shed_violation / noshed_violation.max(1e-9);
     println!(
         "\nshed vs noshed premium violations:   {violation_cut:.3}x \
-         ({:.4} -> {:.4})",
-        rack_rows[0].premium_violation, rack_rows[1].premium_violation
+         ({noshed_violation:.4} -> {shed_violation:.4})"
     );
-    let aware_ratio = slow_rows[1].p99_ms / slow_rows[0].p99_ms.max(1e-9);
+    let p99_ms = |r: &FaultReport| r.cluster.histogram.percentile_ms(0.99);
+    let (blind_p99_ms, aware_p99_ms) = (p99_ms(&blind), p99_ms(&aware));
+    let aware_ratio = aware_p99_ms / blind_p99_ms.max(1e-9);
     println!(
         "aware vs blind p99 under slow GPU:   {aware_ratio:.3}x \
-         ({:.1} ms -> {:.1} ms)",
-        slow_rows[0].p99_ms, slow_rows[1].p99_ms
+         ({blind_p99_ms:.1} ms -> {aware_p99_ms:.1} ms)"
     );
 
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"bench_resilience/v1\",\n");
-    json.push_str("  \"model\": \"mobilenet_v1\",\n");
-    let _ = writeln!(json, "  \"duration_secs\": {duration_s},");
-    let _ = writeln!(json, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(json, "  \"empty_plan_bit_identical\": {bit_identical},");
-    json.push_str("  \"rack_outage\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"shard_gpus\": [{}, {}],",
-        rack.shard_gpus[0], rack.shard_gpus[1]
-    );
-    let _ = writeln!(json, "    \"gpus_per_rack\": {},", rack.gpus_per_rack);
-    let _ = writeln!(
-        json,
-        "    \"outage_secs\": [{:.3}, {:.3}],",
-        rack.outage.0, rack.outage.1
-    );
-    let _ = writeln!(
-        json,
-        "    \"calm_qps\": {:.1}, \"surge_qps\": {:.1},",
-        rack.calm_qps, rack.surge_qps
-    );
-    json.push_str("    \"configs\": [\n");
-    for (i, r) in rack_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"policy\": \"{}\", \"premium_p99_ms\": {:.3}, \
-             \"premium_violation\": {:.5}, \"batch_p99_ms\": {:.3}, \
-             \"shed_premium\": {}, \"shed_batch\": {}, \
-             \"served_premium\": {}, \"served_batch\": {}, \
-             \"goodput_qps\": {:.1}, \"availability\": {:.5}}}",
-            r.policy,
-            r.premium_p99_ms,
-            r.premium_violation,
-            r.batch_p99_ms,
-            r.shed_premium,
-            r.shed_batch,
-            r.served_premium,
-            r.served_batch,
-            r.goodput_qps,
-            r.availability
-        );
-        json.push_str(if i + 1 < rack_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(
-        json,
-        "    \"shed_vs_noshed_premium_violation_ratio\": {violation_cut:.4}"
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"slow_gpu\": {\n");
-    let _ = writeln!(json, "    \"gpus\": {},", slow.gpus);
-    let _ = writeln!(json, "    \"factor\": {:.1},", slow.factor);
-    let _ = writeln!(
-        json,
-        "    \"window_secs\": [{:.3}, {:.3}],",
-        slow.window.0, slow.window.1
-    );
-    let _ = writeln!(
-        json,
-        "    \"degrade_gpu_seconds\": {:.3},",
-        aware.degrade_gpu_seconds
-    );
-    json.push_str("    \"configs\": [\n");
-    for (i, r) in slow_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"policy\": \"{}\", \"p99_ms\": {:.3}, \
-             \"degraded_p99_ms\": {:.3}, \"healthy_p99_ms\": {:.3}, \
-             \"worst_violation\": {:.5}, \"achieved_qps\": {:.1}}}",
-            r.policy, r.p99_ms, r.degraded_p99_ms, r.healthy_p99_ms, r.violation, r.achieved_qps
-        );
-        json.push_str(if i + 1 < slow_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(json, "    \"aware_vs_blind_p99_ratio\": {aware_ratio:.4}");
-    json.push_str("  }\n");
-    json.push_str("}\n");
-    std::fs::write("BENCH_resilience.json", &json).expect("write BENCH_resilience.json");
+    let secs = |(a, b): (f64, f64)| Json::List(vec![fixed(a, 3), fixed(b, 3)]);
+    let json = Obj::new()
+        .field("schema", "bench_resilience/v1")
+        .field("model", "mobilenet_v1")
+        .field("duration_secs", duration_s)
+        .field("seed", opts.seed)
+        // `empty_plan_run` asserted it.
+        .field("empty_plan_bit_identical", true)
+        .field(
+            "rack_outage",
+            Json::Block(
+                Obj::new()
+                    .field("shard_gpus", Json::list(rack.shard_gpus.iter().copied()))
+                    .field("gpus_per_rack", rack.gpus_per_rack)
+                    .field("outage_secs", secs(rack.outage))
+                    .line([
+                        ("calm_qps", fixed(rack.calm_qps, 1)),
+                        ("surge_qps", fixed(rack.surge_qps, 1)),
+                    ])
+                    .field("configs", Json::rows(rack_configs))
+                    .field(
+                        "shed_vs_noshed_premium_violation_ratio",
+                        fixed(violation_cut, 4),
+                    ),
+            ),
+        )
+        .field(
+            "slow_gpu",
+            Json::Block(
+                Obj::new()
+                    .field("gpus", slow.gpus)
+                    .field("factor", fixed(slow.factor, 1))
+                    .field("window_secs", secs(slow.window))
+                    .field("degrade_gpu_seconds", fixed(aware.degrade_gpu_seconds, 3))
+                    .field("configs", Json::rows(slow_configs))
+                    .field("aware_vs_blind_p99_ratio", fixed(aware_ratio, 4)),
+            ),
+        )
+        .render();
+    std::fs::write("BENCH_resilience.json", json).expect("write BENCH_resilience.json");
     println!("\nwrote BENCH_resilience.json");
 }

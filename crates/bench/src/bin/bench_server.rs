@@ -5,8 +5,7 @@
 //! pre-rearchitecture **reference path** (`run_reference`: trace pre-loaded
 //! into the event queue, fresh snapshots + pure `Elsa::place` per query)
 //! for FIFS and ELSA at 8/56/224 partitions, then writes wall time,
-//! events/sec and the fast-vs-reference speedup to `BENCH_server.json` so
-//! future PRs can track the dispatch-path trajectory.
+//! events/sec and the fast-vs-reference speedup to `BENCH_server.json`.
 //!
 //! Usage: `cargo run --release --bin bench_server [--quick] [--smoke] [--queries N]`
 //!
@@ -14,9 +13,9 @@
 //! regressions (panics, schema drift, broken paths) without paying for a
 //! real measurement; the numbers it writes are not comparable.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use paris_bench::json::{fixed, Json, Obj};
 use paris_bench::print_table;
 use paris_elsa::prelude::*;
 
@@ -71,17 +70,13 @@ fn measure(
 }
 
 fn main() {
-    let opts = paris_bench::TrajectoryOpts::from_args(42);
+    let opts = paris_bench::Opts::from_args(42);
     let queries: usize =
-        paris_bench::arg_value("queries").unwrap_or_else(|| opts.pick(1_000_000, 100_000, 5_000));
+        paris_bench::flag("queries").unwrap_or_else(|| opts.pick(1_000_000, 100_000, 5_000));
     if queries == 0 {
         eprintln!("error: --queries must be at least 1");
         std::process::exit(2);
     }
-
-    // Snapshot the previous artifact before this run overwrites it: the
-    // regenerated JSON records new/old fast-path events/sec per config.
-    let prev = std::fs::read_to_string("BENCH_server.json").ok();
 
     // The fast path is cheap to repeat, so it gets more best-of samples
     // than the (up to 50× slower) reference path.
@@ -148,41 +143,25 @@ fn main() {
         println!("speedup {name}: {s:.2}x");
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"bench_server/v1\",\n");
-    let _ = writeln!(json, "  \"queries_per_config\": {queries},");
-    json.push_str("  \"model\": \"mobilenet_v1\",\n  \"configs\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"scheduler\": \"{}\", \"partitions\": {}, \"path\": \"{}\", \
-             \"wall_s\": {:.4}, \"events_per_sec\": {:.1}, \"wall_per_1m_queries_s\": {:.3}}}",
-            m.scheduler, m.partitions, m.path, m.wall_s, m.events_per_sec, m.wall_per_1m_queries_s
-        );
-        json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"fast_vs_reference_speedup\": {\n");
-    for (i, (name, s)) in speedups.iter().enumerate() {
-        let _ = write!(json, "    \"{name}\": {s:.2}");
-        json.push_str(if i + 1 < speedups.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  },\n  \"speedup_vs_prev\": {\n");
-    let fast: Vec<&Measurement> = results.iter().filter(|m| m.path == "fast").collect();
-    for (i, m) in fast.iter().enumerate() {
-        let anchor = format!(
-            "\"scheduler\": \"{}\", \"partitions\": {}, \"path\": \"fast\"",
-            m.scheduler, m.partitions
-        );
-        let ratio = prev
-            .as_deref()
-            .and_then(|p| paris_bench::scrape_number_after(p, &anchor, "events_per_sec"))
-            .map_or("null".to_string(), |old| {
-                format!("{:.3}", m.events_per_sec / old)
-            });
-        let _ = write!(json, "    \"{}_{}\": {ratio}", m.scheduler, m.partitions);
-        json.push_str(if i + 1 < fast.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
+    let configs = results.iter().map(|m| {
+        Obj::new()
+            .field("scheduler", m.scheduler)
+            .field("partitions", m.partitions)
+            .field("path", m.path)
+            .field("wall_s", fixed(m.wall_s, 4))
+            .field("events_per_sec", fixed(m.events_per_sec, 1))
+            .field("wall_per_1m_queries_s", fixed(m.wall_per_1m_queries_s, 3))
+    });
+    let speedups = speedups
+        .iter()
+        .fold(Obj::new(), |o, (name, s)| o.field(name, fixed(*s, 2)));
+    let json = Obj::new()
+        .field("schema", "bench_server/v2")
+        .field("queries_per_config", queries)
+        .field("model", "mobilenet_v1")
+        .field("configs", Json::rows(configs))
+        .field("fast_vs_reference_speedup", Json::Block(speedups))
+        .render();
+    std::fs::write("BENCH_server.json", json).expect("write BENCH_server.json");
     println!("\nwrote BENCH_server.json");
 }

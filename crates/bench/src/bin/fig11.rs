@@ -6,12 +6,12 @@
 //! cargo run -p paris-bench --release --bin fig11 [-- --quick] [--seed N]
 //! ```
 
-use paris_bench::{print_table, ExperimentOpts};
+use paris_bench::{lbt_search, print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = ExperimentOpts::from_args();
+    let opts = Opts::from_args(42);
     for model in ModelKind::ALL {
         let bed = Testbed::paper_default(model);
         let sweep_cfg = opts.sweep(&bed);
@@ -33,13 +33,7 @@ fn main() {
         let mut bounded = Vec::new();
         for (name, design) in &designs {
             let server = bed.server(*design).expect("plan builds");
-            let hint = paris_elsa::server::capacity_hint_qps(&server, bed.distribution());
-            let search = search_latency_bounded_throughput(
-                &server,
-                bed.distribution(),
-                &sweep_cfg,
-                (hint * 0.2).max(1.0),
-            );
+            let (_, search) = lbt_search(&bed, &server, &sweep_cfg);
             let mut points = search.points.clone();
             points.sort_by(|a, b| a.achieved_qps.total_cmp(&b.achieved_qps));
             for p in points.iter().filter(|p| p.p95_ms.is_finite()) {

@@ -5,12 +5,12 @@
 //! cargo run -p paris-bench --release --bin fig12 [-- --quick] [--seed N]
 //! ```
 
-use paris_bench::{figure12_designs, measure_designs, print_table, ExperimentOpts};
+use paris_bench::{figure12_designs, measure_designs, print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = ExperimentOpts::from_args();
+    let opts = Opts::from_args(42);
     let designs = figure12_designs(opts.seed);
     let headers: Vec<&str> = std::iter::once("Model")
         .chain(designs.iter().map(|&(name, _)| name))

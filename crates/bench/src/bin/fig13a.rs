@@ -6,12 +6,12 @@
 //! cargo run -p paris-bench --release --bin fig13a [-- --quick] [--seed N]
 //! ```
 
-use paris_bench::{measure_designs, print_table, ExperimentOpts};
+use paris_bench::{measure_designs, print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = ExperimentOpts::from_args();
+    let opts = Opts::from_args(42);
     let designs = [
         ("GPU(7)+FIFS", DesignPoint::HomogeneousFifs(ProfileSize::G7)),
         ("GPU(3)+FIFS", DesignPoint::HomogeneousFifs(ProfileSize::G3)),

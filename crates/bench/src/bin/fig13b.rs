@@ -6,12 +6,12 @@
 //! cargo run -p paris-bench --release --bin fig13b [-- --quick] [--seed N]
 //! ```
 
-use paris_bench::{print_table, ExperimentOpts};
+use paris_bench::{print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = ExperimentOpts::from_args();
+    let opts = Opts::from_args(42);
     let mut rows = Vec::new();
     for model in ModelKind::ALL {
         for max_batch in [16usize, 32, 64] {

@@ -7,12 +7,12 @@
 //! cargo run -p paris-bench --release --bin sla_sensitivity [-- --quick]
 //! ```
 
-use paris_bench::{print_table, ExperimentOpts};
+use paris_bench::{print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = ExperimentOpts::from_args();
+    let opts = Opts::from_args(42);
     for n in [1.5f64, 2.0] {
         let mut rows = Vec::new();
         let mut geo_gpu7 = 1.0f64;

@@ -33,12 +33,13 @@
 //!          [--seed N] [--slo] [--metrics out.jsonl|out.csv] \
 //!          [--trace out.trace.json] [--jsonl out.jsonl]`
 
-use paris_bench::scenarios::{mobilenet_table, run_plan, RackScenario};
-use paris_bench::{arg_value, print_table};
+use paris_bench::scenarios::{
+    alert_trace_json, mobilenet_table, print_attributions, run_plan, RackScenario,
+};
+use paris_bench::{flag, print_table};
 use paris_elsa::obs::{
-    alert_records, analyze, attribute_alerts, check_conservation, chrome_trace_json, evaluate_slos,
-    jsonl, metrics_csv, metrics_jsonl, write_alert_rows, write_query_trace, ChromeTraceWriter,
-    MetricRegistry, SloSpec,
+    analyze, attribute_alerts, check_conservation, chrome_trace_json, evaluate_slos, jsonl,
+    metrics_csv, metrics_jsonl, MetricRegistry,
 };
 use paris_elsa::prelude::*;
 
@@ -58,7 +59,13 @@ fn digit_strip(values: &[f64]) -> String {
 }
 
 fn main() {
-    let opts = paris_bench::TrajectoryOpts::from_args(41);
+    let opts = paris_bench::Opts::from_args(41);
+    let slo_on = std::env::args().any(|a| a == "--slo");
+    let (metrics_path, trace_path, jsonl_path) = (
+        flag::<String>("metrics"),
+        flag::<String>("trace"),
+        flag::<String>("jsonl"),
+    );
     let duration_s = opts.pick(8.0, 4.0, 1.5);
     let table = mobilenet_table();
     let rack = RackScenario::new(duration_s, opts.seed, &table);
@@ -161,12 +168,8 @@ fn main() {
     );
 
     // -- SLO burn-rate alerts + causal tail attribution (--slo) ------------
-    let slo_on = std::env::args().any(|a| a == "--slo");
     let mut alerts = Vec::new();
-    let specs = [
-        SloSpec::new("premium-avail", 0, 0.95).with_windows(2, 6),
-        SloSpec::new("batch-avail", 1, 0.5).with_windows(2, 6),
-    ];
+    let specs = RackScenario::slos();
     if slo_on {
         alerts = evaluate_slos(&registry, &specs);
         let alert_rows: Vec<Vec<String>> = alerts
@@ -201,42 +204,15 @@ fn main() {
             &alert_rows,
         );
         let attributions = attribute_alerts(&trace, WINDOW_NS, &alerts);
-        let attribution_rows: Vec<Vec<String>> = attributions
-            .iter()
-            .flat_map(|a| {
-                let mut first = true;
-                a.causes
-                    .iter()
-                    .filter(|c| c.share_ns != 0)
-                    .map(move |c| {
-                        let head = if first {
-                            first = false;
-                            vec![
-                                a.group.to_string(),
-                                a.bin.to_string(),
-                                format!("{:.1}", a.p99_latency_ns as f64 / 1e6),
-                                format!("{:.2}", a.excess_ns as f64 / 1e6),
-                            ]
-                        } else {
-                            vec![String::new(); 4]
-                        };
-                        let mut row = head;
-                        row.push(c.cause.to_string());
-                        row.push(format!("{:.2}", c.share_ns as f64 / 1e6));
-                        row
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        print_table(
+        print_attributions(
             "causal tail attribution (per fired alert's worst window, zero residual)",
-            &["class", "bin", "p99 ms", "excess ms", "cause", "share ms"],
-            &attribution_rows,
+            &attributions,
+            |excess| format!("{excess:.2}"),
         );
     }
 
     // -- Optional exports --------------------------------------------------
-    if let Some(path) = arg_value::<String>("metrics") {
+    if let Some(path) = metrics_path {
         let dump = if path.ends_with(".csv") {
             metrics_csv(&registry)
         } else {
@@ -245,26 +221,16 @@ fn main() {
         std::fs::write(&path, dump).expect("write metrics dump");
         println!("wrote {path}");
     }
-    if let Some(path) = arg_value::<String>("trace") {
+    if let Some(path) = trace_path {
         let body = if slo_on {
-            let annotated = trace.annotated(alert_records(&alerts, WINDOW_NS).into_records());
-            let mut w = ChromeTraceWriter::new();
-            write_query_trace(&mut w, &annotated);
-            write_alert_rows(
-                &mut w,
-                &alerts,
-                &specs,
-                WINDOW_NS,
-                annotated.horizon().as_nanos(),
-            );
-            w.finish()
+            alert_trace_json(&trace, &alerts, &specs, WINDOW_NS)
         } else {
             chrome_trace_json(&trace)
         };
         std::fs::write(&path, body).expect("write chrome trace");
         println!("wrote {path}");
     }
-    if let Some(path) = arg_value::<String>("jsonl") {
+    if let Some(path) = jsonl_path {
         std::fs::write(&path, jsonl(&trace)).expect("write jsonl");
         println!("wrote {path}");
     }

@@ -1,108 +1,47 @@
 //! Shared harness utilities for the experiment binaries that regenerate the
-//! paper's tables and figures (see DESIGN.md §4 for the experiment index).
+//! paper's tables and figures (README, "Figure / table reproduction map",
+//! lists them): one flag parser ([`Opts`]), one JSON writer ([`json`]) and
+//! the shared scenarios ([`scenarios`]).
 
 use paris_elsa::prelude::*;
 
+pub mod json;
 pub mod scenarios;
 
-/// Runtime options shared by every experiment binary.
-///
-/// Every binary accepts `--quick` (shorter simulated windows for smoke
-/// runs) and `--seed <n>`.
-#[derive(Debug, Clone, Copy)]
-pub struct ExperimentOpts {
-    /// Simulated seconds of arrivals per operating point.
-    pub duration_s: f64,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl ExperimentOpts {
-    /// Parses options from the process arguments.
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick");
-        let seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42);
-        ExperimentOpts {
-            duration_s: if quick { 0.5 } else { 2.0 },
-            seed,
-        }
-    }
-
-    /// The sweep configuration for a testbed.
-    #[must_use]
-    pub fn sweep(&self, bed: &Testbed) -> SweepConfig {
-        SweepConfig::new(self.duration_s, self.seed, bed.sla_ns())
-    }
-}
-
-impl Default for ExperimentOpts {
-    fn default() -> Self {
-        ExperimentOpts {
-            duration_s: 2.0,
-            seed: 42,
-        }
-    }
-}
-
-/// Scrapes the first `"key": <number>` appearing after `anchor` in a JSON
-/// text — enough to read a metric back out of a previously generated
-/// `BENCH_*.json` without a JSON parser. The trajectory benches use this
-/// to compute `speedup_vs_prev` against the checked-in artifact before
-/// overwriting it.
-#[must_use]
-pub fn scrape_number_after(text: &str, anchor: &str, key: &str) -> Option<f64> {
-    let rest = &text[text.find(anchor)? + anchor.len()..];
-    let needle = format!("\"{key}\":");
-    let after = rest[rest.find(&needle)? + needle.len()..].trim_start();
-    let end = after
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
-}
-
-/// Parses `--<name> <value>` from the process arguments.
-#[must_use]
-pub fn arg_value<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = format!("--{name}");
-    args.iter()
-        .position(|a| *a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-}
-
-/// Runtime options shared by the trajectory benches (`bench_server`,
-/// `bench_multimodel`, `bench_cluster`): `--quick` (shorter runs),
-/// `--smoke` (tiny traces + shallow searches for CI fail-fast; numbers
-/// not comparable) and `--seed <n>`.
-#[derive(Debug, Clone, Copy)]
-pub struct TrajectoryOpts {
-    /// Shorter measurement (still meaningful numbers).
+/// The command line every experiment binary reads: `--quick`, `--smoke`
+/// and `--seed <n>`. The figure binaries read only `--quick` and
+/// `--seed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Opts {
+    /// Shorter runs whose numbers still mean something.
     pub quick: bool,
-    /// Tiny-trace CI smoke mode (numbers not comparable).
+    /// Tiny CI runs; their numbers are not comparable.
     pub smoke: bool,
     /// Base RNG seed.
     pub seed: u64,
 }
 
-impl TrajectoryOpts {
-    /// Parses options from the process arguments, with the bench's
-    /// default seed.
+impl Opts {
+    /// Reads the process's arguments, with the binary's default seed.
+    /// A malformed `--seed` ends the process with status 2 (see
+    /// [`parse_flag`]).
     #[must_use]
     pub fn from_args(default_seed: u64) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        TrajectoryOpts {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        or_exit(Self::parse(&args, default_seed))
+    }
+
+    /// [`from_args`](Self::from_args) over an explicit argument list.
+    ///
+    /// # Errors
+    ///
+    /// A malformed `--seed`, as [`parse_flag`] says.
+    pub fn parse(args: &[String], default_seed: u64) -> Result<Self, String> {
+        Ok(Opts {
             quick: args.iter().any(|a| a == "--quick"),
             smoke: args.iter().any(|a| a == "--smoke"),
-            seed: arg_value("seed").unwrap_or(default_seed),
-        }
+            seed: parse_flag(args, "seed")?.unwrap_or(default_seed),
+        })
     }
 
     /// Picks the value matching the run mode (smoke wins over quick).
@@ -116,42 +55,109 @@ impl TrajectoryOpts {
             full
         }
     }
+
+    /// A figure binary's sweep on `bed`: 2 simulated seconds of arrivals
+    /// per operating point, 0.5 under `--quick`.
+    #[must_use]
+    pub fn sweep(&self, bed: &Testbed) -> SweepConfig {
+        let duration_s = if self.quick { 0.5 } else { 2.0 };
+        SweepConfig::new(duration_s, self.seed, bed.sla_ns())
+    }
+}
+
+/// The one rule for valued flags: the value of `--<name>` in `args`,
+/// `Ok(None)` when the flag is absent.
+///
+/// # Errors
+///
+/// An error naming the flag when its value is missing, is another
+/// `--flag`, or does not parse as a `T`.
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let flag = format!("--{name}");
+    let Some(i) = args.iter().position(|a| *a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{flag}: cannot parse {v:?}")),
+        _ => Err(format!("{flag} needs a value")),
+    }
+}
+
+/// [`parse_flag`] over the process's arguments: a binary's own valued
+/// flags (`--queries`, `--metrics`, `--trace`, `--jsonl`). An error ends
+/// the process with status 2.
+#[must_use]
+pub fn flag<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    or_exit(parse_flag(&args, name))
+}
+
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The SLA-attainment target of the trajectory benches' load-scale
+/// search: the worst p95 ÷ SLA must stay within it.
+pub const P95_TARGET_RATIO: f64 = 1.0;
+
+/// One run of a trajectory bench at a load scale.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScalePoint {
+    /// The load scale (1.0 = nominal).
+    pub scale: f64,
+    /// The worst p95 ÷ SLA over every model (and shard).
+    pub worst_p95_ratio: f64,
+    /// The worst exact SLA-violation rate.
+    pub worst_violation: f64,
+    /// Achieved throughput, queries/second.
+    pub achieved_qps: f64,
+    /// Reconfigurations made.
+    pub reconfigs: usize,
+    /// Capacity loans granted (0 off a cluster).
+    pub loans: usize,
+    /// GPU-seconds on loan (0 off a cluster).
+    pub loaned_gpu_seconds: f64,
 }
 
 /// Result of [`max_scale_search`].
 #[derive(Debug, Clone, Copy)]
-pub struct ScaleSearch<P> {
-    /// The outcome at the largest passing scale (the caller's `failed`
-    /// sentinel when no probed scale passed).
-    pub best: P,
-    /// The outcome at the *nominal* scale 1.0 — always the search's first
+pub struct ScaleSearch {
+    /// The point at the largest passing scale (scale 0, an infinite p95
+    /// ratio and a violation rate of 1 when no probed scale passed).
+    pub best: ScalePoint,
+    /// The point at the *nominal* scale 1.0 — always the search's first
     /// probe, returned so callers need not re-run that simulation.
-    pub nominal: P,
+    pub nominal: ScalePoint,
 }
 
 /// The trajectory benches' shared load-scale search: the largest scale at
-/// which `ok` holds, via [`parallel_doubling_search`] seeded at the
-/// *nominal* scale 1.0 (very light loads starve drift detectors of
-/// samples, so probing deep underload first would measure detector
-/// blindness, not capacity; failures bisect downward from nominal).
-///
-/// # Panics
-///
-/// Panics if `steps` is zero (the nominal point would never be probed).
+/// which the worst p95 stays within [`P95_TARGET_RATIO`] of the SLA, via
+/// [`parallel_doubling_search`] seeded at the *nominal* scale 1.0 (very
+/// light loads starve drift detectors of samples, so probing deep
+/// underload first would measure detector blindness, not capacity;
+/// failures bisect downward from nominal). At most six doublings, then
+/// six bisection steps; two of each under `--smoke`.
 #[must_use]
-pub fn max_scale_search<P, M, O>(steps: usize, measure: M, ok: O, failed: P) -> ScaleSearch<P>
+pub fn max_scale_search<M>(opts: &Opts, measure: M) -> ScaleSearch
 where
-    P: Copy + Send,
-    M: Fn(f64) -> P + Sync,
-    O: Fn(&P) -> bool,
+    M: Fn(f64) -> ScalePoint + Sync,
 {
-    assert!(
-        steps >= 1,
-        "the search must probe at least the nominal scale"
-    );
+    let steps = opts.pick(6, 6, 2);
+    let ok = |p: &ScalePoint| p.worst_p95_ratio <= P95_TARGET_RATIO;
     let result = parallel_doubling_search(1.0, steps, steps, true, measure, ok);
+    let failed = ScalePoint {
+        worst_p95_ratio: f64::INFINITY,
+        worst_violation: 1.0,
+        ..ScalePoint::default()
+    };
     ScaleSearch {
-        best: result.best().map(|&(_, p)| p).unwrap_or(failed),
+        best: result.best().map_or(failed, |&(_, p)| p),
         nominal: result.points[0].1,
     }
 }
@@ -184,63 +190,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// One side of a transition-dip measurement: the spike statistic plus
-/// whether it had to fall back to whole-run windows.
-#[derive(Debug, Clone, Copy)]
-pub struct TransitionDip {
-    /// Worst tumbling-window p99, milliseconds.
-    pub worst_p99_ms: f64,
-    /// `true` when **no completion landed in a transition interval** (e.g.
-    /// a smoke run that never reconfigured) and the statistic is the whole
-    /// run's worst window instead. Benches must surface this flag next to
-    /// the number: a ratio of one fallback side against one transition
-    /// side compares incomparable statistics.
-    pub fallback_whole_run: bool,
-}
-
-/// The transition-dip spike statistic shared by `bench_multimodel` and
-/// `bench_cluster`: the worst `window_ns` tumbling-window p99 (in
-/// milliseconds) over the completions that land **during a
-/// reconfiguration** — inside any `[triggered_ns, completed_ns +
-/// window_ns]` interval — so the spike a drain/reslice outage causes is
-/// not averaged away by the calm rest of the run. One implementation for
-/// both benches, or their `reconfig_dip` JSON fields silently stop being
-/// comparable; the fallback case is flagged, not silent (see
-/// [`TransitionDip::fallback_whole_run`]).
-///
-/// `completions` yields `(completed_ns, latency_ns)` pairs;
-/// `transitions` holds each reconfiguration's
-/// `(triggered_ns, completed_ns)`.
-#[must_use]
-pub fn transition_dip_p99_ms(
-    window_ns: u64,
-    transitions: &[(u64, u64)],
-    completions: impl Iterator<Item = (u64, u64)>,
-) -> TransitionDip {
-    let mut tail = WindowedTail::new(window_ns);
-    let mut whole_run = WindowedTail::new(window_ns);
-    for (done, latency_ns) in completions {
-        whole_run.record(done, latency_ns);
-        let in_transition = transitions
-            .iter()
-            .any(|&(start, end)| done >= start && done <= end + window_ns);
-        if in_transition {
-            tail.record(done, latency_ns);
-        }
-    }
-    if tail.windows() == 0 {
-        TransitionDip {
-            worst_p99_ms: whole_run.worst_p99_ms(),
-            fallback_whole_run: true,
-        }
-    } else {
-        TransitionDip {
-            worst_p99_ms: tail.worst_p99_ms(),
-            fallback_whole_run: false,
-        }
-    }
-}
-
 /// The dispatch-path benchmark workload shared by the criterion
 /// microbench (`dispatch_path_20k_queries`) and the `bench_server` bin:
 /// both must measure the *same* configuration or `BENCH_server.json`
@@ -254,10 +203,7 @@ pub fn dispatch_workload(
     n_partitions: usize,
     queries: usize,
 ) -> (InferenceServer, InferenceServer, Vec<QuerySpec>) {
-    use paris_elsa::gpu::DeviceSpec;
-    let perf = PerfModel::new(DeviceSpec::a100());
-    let model = paris_elsa::dnn::ModelKind::MobileNet.build();
-    let table = ProfileTable::profile(&model, &perf, &ProfileSize::ALL, 32);
+    let table = scenarios::mobilenet_table();
     let sla = table.sla_target_ns(1.5);
     let partitions: Vec<ProfileSize> = (0..n_partitions)
         .map(|i| ProfileSize::ALL[i % ProfileSize::ALL.len()])
@@ -284,6 +230,22 @@ pub fn dispatch_workload(
 /// The partition counts the dispatch-path benchmarks sweep.
 pub const DISPATCH_BENCH_PARTITIONS: [usize; 3] = [8, 56, 224];
 
+/// The latency-bounded throughput search the figure and ablation
+/// binaries run on one of `bed`'s servers, started at 0.2× the server's
+/// capacity hint as [`Testbed::latency_bounded_qps`] starts it. Returns
+/// the hint beside the search.
+#[must_use]
+pub fn lbt_search(
+    bed: &Testbed,
+    server: &InferenceServer,
+    sweep: &SweepConfig,
+) -> (f64, paris_elsa::server::ThroughputSearch) {
+    let dist = bed.distribution();
+    let hint = paris_elsa::server::capacity_hint_qps(server, dist);
+    let search = search_latency_bounded_throughput(server, dist, sweep, (hint * 0.2).max(1.0));
+    (hint, search)
+}
+
 /// The full Figure 12 design list: four homogeneous baselines, the two
 /// random-partitioned baselines, and the two PARIS designs.
 #[must_use]
@@ -301,7 +263,7 @@ pub fn figure12_designs(seed: u64) -> Vec<(&'static str, DesignPoint)> {
 }
 
 /// Measures latency-bounded throughput for several designs on one testbed,
-/// in parallel.
+/// in parallel on the bounded [`parallel_map_indexed`] pool.
 ///
 /// # Panics
 ///
@@ -312,28 +274,60 @@ pub fn measure_designs(
     designs: &[(&'static str, DesignPoint)],
     sweep: &SweepConfig,
 ) -> Vec<(&'static str, f64)> {
-    let mut results: Vec<Option<(&'static str, f64)>> = vec![None; designs.len()];
-    std::thread::scope(|scope| {
-        for (slot, &(name, design)) in results.iter_mut().zip(designs.iter()) {
-            scope.spawn(move || {
-                let qps = bed
-                    .latency_bounded_qps(design, sweep)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-                *slot = Some((name, qps));
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("measured")).collect()
+    parallel_map_indexed(designs.len(), |i| {
+        let (name, design) = designs[i];
+        let qps = bed
+            .latency_bounded_qps(design, sweep)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        (name, qps)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
     #[test]
     fn default_opts_are_sane() {
-        let o = ExperimentOpts::default();
-        assert!(o.duration_s > 0.0);
+        let o = Opts::parse(&[], 29).expect("no flags parse");
+        assert_eq!(
+            o,
+            Opts {
+                quick: false,
+                smoke: false,
+                seed: 29
+            }
+        );
+        let bed = Testbed::paper_default(paris_elsa::dnn::ModelKind::MobileNet);
+        assert!(o.sweep(&bed).duration_s > 0.0);
+        let o = Opts::parse(&args("--smoke --quick --seed 7"), 29).expect("valid flags parse");
+        assert_eq!((o.quick, o.smoke, o.seed), (true, true, 7));
+        assert_eq!(o.pick("full", "quick", "smoke"), "smoke");
+    }
+
+    #[test]
+    fn a_valued_flag_without_a_value_names_the_flag() {
+        let err = Opts::parse(&args("--smoke --seed"), 29).expect_err("value missing");
+        assert_eq!(err, "--seed needs a value");
+    }
+
+    #[test]
+    fn a_valued_flag_followed_by_a_flag_names_the_flag() {
+        let err = parse_flag::<String>(&args("--smoke --trace --slo"), "trace")
+            .expect_err("value is a flag");
+        assert_eq!(err, "--trace needs a value");
+    }
+
+    #[test]
+    fn a_valued_flag_that_does_not_parse_names_the_flag() {
+        let err = Opts::parse(&args("--smoke --seed x"), 29).expect_err("not a number");
+        assert_eq!(err, "--seed: cannot parse \"x\"");
+        let err = parse_flag::<usize>(&args("--queries -5"), "queries").expect_err("negative");
+        assert_eq!(err, "--queries: cannot parse \"-5\"");
     }
 
     #[test]

@@ -21,7 +21,8 @@ use mig_gpu::ProfileSize;
 
 use crate::profile::ProfileTable;
 
-/// Iteration order of Algorithm 2 Step A (ablation D4 in DESIGN.md).
+/// Iteration order of Algorithm 2 Step A (ablation D4 in the README's
+/// reproduction map).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanOrder {
     /// The paper's order: smallest partitions first (Algorithm 2, line 3).

@@ -8,8 +8,8 @@
 //! latency-takeoff rule (the first batch where latency exceeds the batch-1
 //! latency by a configurable factor), which is robust on overhead-bound
 //! models whose SM utilization never reaches the threshold. The
-//! latency-takeoff rule is the default; the choice is ablation D1 in
-//! DESIGN.md.
+//! latency-takeoff rule is the default; the choice is ablation D1 in the
+//! README's reproduction map.
 
 use mig_gpu::ProfileSize;
 

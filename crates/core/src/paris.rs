@@ -14,8 +14,7 @@
 //! and finally (an implementation necessity the paper leaves implicit)
 //! **packs** the chosen instances onto physical GPUs honouring the real MIG
 //! placement rules. Rounding is largest-remainder under the GPC budget and
-//! leftover GPCs are backfilled with `GPU(1)` instances (design decision D5
-//! in DESIGN.md).
+//! leftover GPCs are backfilled with `GPU(1)` instances.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -313,7 +312,7 @@ fn pack_instances(
 /// The PARIS planner.
 ///
 /// See [`PartitionPlan`] for a usage example; ablation knobs are the knee
-/// threshold (D1 in DESIGN.md).
+/// threshold (D1 in the README's reproduction map).
 #[derive(Debug, Clone)]
 pub struct Paris<'a> {
     table: &'a ProfileTable,

@@ -6,9 +6,10 @@
 //! using (GPU partition size, batch size)".
 //!
 //! On the paper's testbed this table is measured on real A100 partitions;
-//! here it is filled by the analytical [`PerfModel`] (see DESIGN.md). The
-//! algorithms never look past this table, so swapping in NVML-measured
-//! numbers would not change a line of PARIS or ELSA.
+//! here it is filled by the analytical [`PerfModel`] (see the README's
+//! paragraph on the analytical A100 model). The algorithms never look past
+//! this table, so swapping in NVML-measured numbers would not change a line
+//! of PARIS or ELSA.
 
 use std::fmt;
 

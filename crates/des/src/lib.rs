@@ -16,7 +16,7 @@
 //! world state mutably while scheduling follow-up events.
 //!
 //! ```
-//! use des_engine::{SimDuration, Simulation};
+//! use des_engine::{SimDuration, SimTime, Simulation};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Event {
@@ -24,8 +24,8 @@
 //! }
 //!
 //! let mut sim = Simulation::new();
-//! sim.schedule_in(SimDuration::from_millis(5), Event::Ping(1));
-//! sim.schedule_in(SimDuration::from_millis(2), Event::Ping(2));
+//! sim.schedule_at(SimTime::ZERO + SimDuration::from_millis(5), Event::Ping(1));
+//! sim.schedule_at(SimTime::ZERO + SimDuration::from_millis(2), Event::Ping(2));
 //!
 //! let mut order = Vec::new();
 //! while let Some((time, event)) = sim.next_event() {

@@ -1,7 +1,7 @@
 //! The simulation driver: a clock plus an event queue.
 
-use crate::queue::{pack_stamp, EventQueue};
-use crate::time::{SimDuration, SimTime};
+use crate::queue::EventQueue;
+use crate::time::SimTime;
 
 /// A discrete-event simulation: a monotonically advancing clock and a queue
 /// of future events.
@@ -17,13 +17,13 @@ use crate::time::{SimDuration, SimTime};
 /// A single-server queue where each job takes 10 µs:
 ///
 /// ```
-/// use des_engine::{SimDuration, Simulation};
+/// use des_engine::{SimDuration, SimTime, Simulation};
 ///
 /// enum Ev { Arrive, Done }
 ///
 /// let mut sim = Simulation::new();
 /// for i in 0..3u64 {
-///     sim.schedule_in(SimDuration::from_micros(i * 4), Ev::Arrive);
+///     sim.schedule_at(SimTime::ZERO + SimDuration::from_micros(i * 4), Ev::Arrive);
 /// }
 /// let (mut busy_until, mut completed) = (sim.now(), 0u32);
 /// while let Some((now, ev)) = sim.next_event() {
@@ -82,12 +82,6 @@ impl<E> Simulation<E> {
         self.processed
     }
 
-    /// Number of events still pending.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The largest number of events that were ever pending at once.
     #[must_use]
     pub fn peak_pending(&self) -> usize {
@@ -110,12 +104,6 @@ impl<E> Simulation<E> {
     /// Events scheduled in the past are clamped to fire "now".
     pub fn schedule_at_keyed(&mut self, at: SimTime, key: u64, event: E) {
         self.queue.push_keyed(at.max(self.now), key, event);
-        self.peak_pending = self.peak_pending.max(self.queue.len());
-    }
-
-    /// Schedules `event` to fire `delay` after the current instant.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.push(self.now + delay, event);
         self.peak_pending = self.peak_pending.max(self.queue.len());
     }
 
@@ -147,59 +135,29 @@ impl<E> Simulation<E> {
         (time, event)
     }
 
-    /// Like [`next_event`](Simulation::next_event), but returns `None`
-    /// (leaving the event queued) once the next event lies strictly beyond
-    /// `horizon`. The clock is advanced to `horizon` in that case, so
-    /// utilization accounting over a fixed window stays exact.
-    pub fn next_event_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.queue.peek_time() {
-            Some(t) if t <= horizon => self.next_event(),
-            _ => {
-                if self.now < horizon {
-                    self.now = horizon;
-                }
-                None
-            }
-        }
-    }
-
-    /// The `(time, key)` stamp of the earliest pending event, if any.
-    ///
-    /// This is the lexicographic position the queue will pop next — what a
-    /// conservative windowed driver merges against its own pending items.
-    #[must_use]
-    pub fn peek_time_key(&self) -> Option<(SimTime, u64)> {
-        self.queue.peek_time_key()
-    }
-
-    /// Like [`next_event`](Simulation::next_event), but only pops while the
-    /// earliest pending event's `(time, key)` stamp is lexicographically
-    /// **strictly before** `bound` — the conservative-window advancement
-    /// primitive: a shard lane drains everything it already knows about up
-    /// to the next synchronization point without ever touching an event at
-    /// or beyond it.
-    ///
-    /// Unlike [`next_event_before`](Simulation::next_event_before), a
-    /// declined pop leaves the clock untouched: the lane's `now` keeps
-    /// meaning "last local activity", which windowed utilization and
-    /// loan-integral accounting rely on.
-    pub fn next_event_if_before(&mut self, bound: (SimTime, u64)) -> Option<(SimTime, E)> {
-        self.next_event_if_before_stamp(pack_stamp(bound.0, bound.1))
-    }
-
     /// The packed `(time << 64) | key` stamp of the earliest pending event,
-    /// if any — [`peek_time_key`](Self::peek_time_key) as one integer. The
-    /// packing is bijective (see [`pack_stamp`]), so comparing stamps is
-    /// exactly comparing `(time, key)` pairs lexicographically.
+    /// if any — the lexicographic position the queue will pop next, what a
+    /// conservative windowed driver merges against its own pending items.
+    /// The packing is bijective (see [`pack_stamp`](crate::pack_stamp)), so
+    /// comparing stamps is exactly comparing `(time, key)` pairs
+    /// lexicographically.
     #[must_use]
     pub fn peek_stamp(&self) -> Option<u128> {
         self.queue.peek_stamp()
     }
 
-    /// [`next_event_if_before`](Self::next_event_if_before) against a
-    /// pre-[`pack_stamp`]ed bound: the windowed drivers pack each
-    /// synchronization bound once and merge mailboxed commands against
+    /// Like [`next_event`](Simulation::next_event), but only pops while the
+    /// earliest pending event's stamp is **strictly before** the
+    /// pre-[`pack_stamp`](crate::pack_stamp)ed `bound` — the
+    /// conservative-window advancement primitive: a shard lane drains
+    /// everything it already knows about up to the next synchronization
+    /// point without ever touching an event at or beyond it. The windowed
+    /// drivers pack each bound once and merge mailboxed commands against
     /// lane events with single-integer compares.
+    ///
+    /// A declined pop leaves the clock untouched: the lane's `now` keeps
+    /// meaning "last local activity", which windowed utilization and
+    /// loan-integral accounting rely on.
     pub fn next_event_if_before_stamp(&mut self, bound: u128) -> Option<(SimTime, E)> {
         match self.queue.peek_stamp() {
             Some(stamp) if stamp < bound => self.next_event(),
@@ -216,12 +174,6 @@ impl<E> Simulation<E> {
         if at > self.now {
             self.now = at;
         }
-    }
-
-    /// Whether any events remain.
-    #[must_use]
-    pub fn has_pending(&self) -> bool {
-        !self.queue.is_empty()
     }
 }
 
@@ -244,21 +196,22 @@ impl<E: std::fmt::Debug> std::fmt::Debug for Simulation<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::pack_stamp;
 
     #[test]
     fn clock_starts_at_zero() {
         let sim: Simulation<()> = Simulation::new();
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.events_processed(), 0);
-        assert!(!sim.has_pending());
+        assert_eq!(sim.peek_stamp(), None);
     }
 
     #[test]
     fn clock_advances_with_events() {
         let mut sim = Simulation::new();
         sim.schedule_at(SimTime::from_nanos(100), "a");
-        sim.schedule_in(SimDuration::from_nanos(40), "b");
-        assert_eq!(sim.pending_events(), 2);
+        sim.schedule_at(SimTime::from_nanos(40), "b");
+        assert_eq!(sim.peak_pending(), 2);
 
         let (t1, e1) = sim.next_event().unwrap();
         assert_eq!((t1.as_nanos(), e1), (40, "b"));
@@ -281,36 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_nanos(1_000), "first");
-        sim.next_event().unwrap();
-        sim.schedule_in(SimDuration::from_nanos(5), "second");
-        let (t, _) = sim.next_event().unwrap();
-        assert_eq!(t.as_nanos(), 1_005);
-    }
-
-    #[test]
-    fn horizon_stops_and_advances_clock() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_nanos(100), "early");
-        sim.schedule_at(SimTime::from_nanos(900), "late");
-        let horizon = SimTime::from_nanos(500);
-
-        assert!(sim.next_event_before(horizon).is_some());
-        assert!(sim.next_event_before(horizon).is_none());
-        assert_eq!(sim.now(), horizon);
-        assert!(sim.has_pending(), "late event must remain queued");
-    }
-
-    #[test]
-    fn horizon_is_inclusive() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_nanos(500), "edge");
-        assert!(sim.next_event_before(SimTime::from_nanos(500)).is_some());
-    }
-
-    #[test]
     fn keyed_scheduling_orders_same_instant_events() {
         let mut sim = Simulation::new();
         let t = SimTime::from_nanos(100);
@@ -327,19 +250,29 @@ mod tests {
         sim.schedule_at_keyed(t, 3, "k3");
         sim.schedule_at_keyed(t, 7, "k7");
         sim.schedule_at_keyed(SimTime::from_nanos(50), 9, "early");
-        assert_eq!(sim.peek_time_key(), Some((SimTime::from_nanos(50), 9)));
-        // Everything strictly before (100, 7) pops; (100, 7) itself stays.
-        let bound = (t, 7);
         assert_eq!(
-            sim.next_event_if_before(bound).map(|(_, e)| e),
+            sim.peek_stamp(),
+            Some(pack_stamp(SimTime::from_nanos(50), 9))
+        );
+        // Everything strictly before (100, 7) pops; (100, 7) itself stays.
+        let bound = pack_stamp(t, 7);
+        assert_eq!(
+            sim.next_event_if_before_stamp(bound).map(|(_, e)| e),
             Some("early")
         );
-        assert_eq!(sim.next_event_if_before(bound).map(|(_, e)| e), Some("k3"));
-        assert_eq!(sim.next_event_if_before(bound), None);
+        assert_eq!(
+            sim.next_event_if_before_stamp(bound).map(|(_, e)| e),
+            Some("k3")
+        );
+        assert_eq!(sim.next_event_if_before_stamp(bound), None);
         assert_eq!(sim.now(), t, "clock sits at the last popped event");
-        assert!(sim.has_pending(), "the bound event itself is untouched");
+        assert_eq!(
+            sim.peek_stamp(),
+            Some(bound),
+            "the bound event is untouched"
+        );
         // A declined pop never advances the clock past the last activity.
-        assert_eq!(sim.next_event_if_before((t, 7)), None);
+        assert_eq!(sim.next_event_if_before_stamp(bound), None);
         assert_eq!(sim.now(), t);
     }
 

@@ -11,8 +11,8 @@
 //!   [`GpuLayout`] placement with the real A100 slice/alignment rules, and
 //!   [`valid_gpu_configurations`] enumeration,
 //! * [`PerfModel`] — an analytical latency/utilization model standing in
-//!   for profiling on real hardware (see DESIGN.md for the substitution
-//!   argument),
+//!   for profiling on real hardware (see the README's paragraph on the
+//!   analytical A100 model),
 //! * [`ResliceCostModel`] — the driver-side downtime of re-partitioning a
 //!   running server (what the online re-planning loop charges).
 //!

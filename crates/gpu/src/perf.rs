@@ -1,8 +1,9 @@
 //! The analytical GPU performance model.
 //!
 //! This replaces the paper's one-time profiling on real A100 hardware (see
-//! DESIGN.md, substitution table). For every `(layer, batch, partition)` it
-//! estimates execution time and SM occupancy from first principles:
+//! the README's paragraph on the analytical A100 model). For every
+//! `(layer, batch, partition)` it estimates execution time and SM
+//! occupancy from first principles:
 //!
 //! 1. **Parallelism** — the layer's [`WorkShape`] is tiled into thread
 //!    blocks; occupancy is the fraction of the partition's concurrent

@@ -67,36 +67,13 @@ impl TraceGenerator {
     /// re-seeded per call).
     #[must_use]
     pub fn generate_for(&self, duration_s: f64) -> Vec<QuerySpec> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut trace = Vec::new();
-        let mut t = 0.0f64;
-        loop {
-            t += self.arrivals.sample_interarrival_s(&mut rng);
-            if t >= duration_s {
-                break;
-            }
-            trace.push(QuerySpec {
-                arrival_ns: (t * 1e9).round() as u64,
-                batch: self.batches.sample(&mut rng),
-            });
-        }
-        trace
+        self.stream_for(duration_s).collect()
     }
 
     /// Generates exactly `count` queries.
     #[must_use]
     pub fn generate_count(&self, count: usize) -> Vec<QuerySpec> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut trace = Vec::with_capacity(count);
-        let mut t = 0.0f64;
-        for _ in 0..count {
-            t += self.arrivals.sample_interarrival_s(&mut rng);
-            trace.push(QuerySpec {
-                arrival_ns: (t * 1e9).round() as u64,
-                batch: self.batches.sample(&mut rng),
-            });
-        }
-        trace
+        self.stream_count(count).collect()
     }
 
     /// Streams the queries of [`generate_for`](Self::generate_for) one at a
