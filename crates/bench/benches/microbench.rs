@@ -129,7 +129,7 @@ fn bench_trace_generation(c: &mut Criterion) {
 fn bench_dispatch_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_path_20k_queries");
     for n in paris_bench::DISPATCH_BENCH_PARTITIONS {
-        let (fifs, elsa, trace) = paris_bench::dispatch_workload(n, 20_000);
+        let (fifs, elsa, trace) = paris_bench::dispatch_workload(n, 20_000, 7);
         for (name, server) in [("fifs", &fifs), ("elsa", &elsa)] {
             group.bench_function(format!("{name}_{n}_partitions"), |b| {
                 b.iter(|| {

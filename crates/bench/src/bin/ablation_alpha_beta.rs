@@ -6,7 +6,7 @@
 //! cargo run -p paris-bench --release --bin ablation_alpha_beta [-- --quick]
 //! ```
 
-use paris_bench::{lbt_search, print_table, Opts};
+use paris_bench::{print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 use paris_elsa::server::measure_point;
@@ -35,7 +35,7 @@ fn main() {
             bed.table().clone(),
             ServerConfig::new(SchedulerKind::Elsa(cfg)),
         );
-        let (hint, search) = lbt_search(&bed, &server, &sweep);
+        let (hint, search) = bed.latency_bounded_search(&server, &sweep);
         // Also measure violation behaviour at a fixed 60%-of-capacity load.
         let probe = measure_point(&server, bed.distribution(), hint * 0.6, &sweep);
         rows.push(vec![

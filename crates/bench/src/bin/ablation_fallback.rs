@@ -5,7 +5,7 @@
 //! cargo run -p paris-bench --release --bin ablation_fallback [-- --quick]
 //! ```
 
-use paris_bench::{lbt_search, print_table, Opts};
+use paris_bench::{print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::paris::FallbackPolicy;
 use paris_elsa::prelude::*;
@@ -29,7 +29,7 @@ fn main() {
                 bed.table().clone(),
                 ServerConfig::new(SchedulerKind::Elsa(cfg)),
             );
-            let (hint, search) = lbt_search(&bed, &server, &sweep);
+            let (hint, search) = bed.latency_bounded_search(&server, &sweep);
             // Overload probe: 120% of capacity, where Step B actually fires.
             let probe = measure_point(&server, bed.distribution(), hint * 1.2, &sweep);
             rows.push(vec![

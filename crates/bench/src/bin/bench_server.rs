@@ -7,7 +7,9 @@
 //! for FIFS and ELSA at 8/56/224 partitions, then writes wall time,
 //! events/sec and the fast-vs-reference speedup to `BENCH_server.json`.
 //!
-//! Usage: `cargo run --release --bin bench_server [--quick] [--smoke] [--queries N]`
+//! Usage: `cargo run --release --bin bench_server [--quick] [--smoke] [--queries N] [--seed N]`
+//!
+//! `--seed` picks the trace (default 7, the microbench's trace).
 //!
 //! `--smoke` runs a tiny trace (5 k queries) — CI uses it to catch bench
 //! regressions (panics, schema drift, broken paths) without paying for a
@@ -70,7 +72,7 @@ fn measure(
 }
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(42);
+    let opts = paris_bench::Opts::from_args(7);
     let queries: usize =
         paris_bench::flag("queries").unwrap_or_else(|| opts.pick(1_000_000, 100_000, 5_000));
     if queries == 0 {
@@ -84,7 +86,7 @@ fn main() {
     let ref_reps: usize = opts.pick(3, 2, 1);
     let mut results: Vec<Measurement> = Vec::new();
     for n in paris_bench::DISPATCH_BENCH_PARTITIONS {
-        let (fifs, elsa, trace) = paris_bench::dispatch_workload(n, queries);
+        let (fifs, elsa, trace) = paris_bench::dispatch_workload(n, queries, opts.seed);
         for (scheduler, server) in [("fifs", &fifs), ("elsa", &elsa)] {
             results.push(measure(
                 (scheduler, "fast"),

@@ -6,7 +6,7 @@
 //! cargo run -p paris-bench --release --bin fig11 [-- --quick] [--seed N]
 //! ```
 
-use paris_bench::{lbt_search, print_table, Opts};
+use paris_bench::{print_table, Opts};
 use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
@@ -33,7 +33,7 @@ fn main() {
         let mut bounded = Vec::new();
         for (name, design) in &designs {
             let server = bed.server(*design).expect("plan builds");
-            let (_, search) = lbt_search(&bed, &server, &sweep_cfg);
+            let (_, search) = bed.latency_bounded_search(&server, &sweep_cfg);
             let mut points = search.points.clone();
             points.sort_by(|a, b| a.achieved_qps.total_cmp(&b.achieved_qps));
             for p in points.iter().filter(|p| p.p95_ms.is_finite()) {

@@ -197,11 +197,13 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 ///
 /// Returns, for a partition count `n`, the FIFS server, the ELSA server
 /// (paper-default SLA) and a dispatch-heavy trace of `queries` queries
-/// offered at `200·n` q/s over a cycling mix of all five MIG profiles.
+/// drawn from `seed` and offered at `200·n` q/s over a cycling mix of all
+/// five MIG profiles.
 #[must_use]
 pub fn dispatch_workload(
     n_partitions: usize,
     queries: usize,
+    seed: u64,
 ) -> (InferenceServer, InferenceServer, Vec<QuerySpec>) {
     let table = scenarios::mobilenet_table();
     let sla = table.sla_target_ns(1.5);
@@ -211,7 +213,7 @@ pub fn dispatch_workload(
     let trace = TraceGenerator::new(
         n_partitions as f64 * 200.0,
         BatchDistribution::paper_default(),
-        7,
+        seed,
     )
     .generate_count(queries);
     let fifs = InferenceServer::new(
@@ -229,22 +231,6 @@ pub fn dispatch_workload(
 
 /// The partition counts the dispatch-path benchmarks sweep.
 pub const DISPATCH_BENCH_PARTITIONS: [usize; 3] = [8, 56, 224];
-
-/// The latency-bounded throughput search the figure and ablation
-/// binaries run on one of `bed`'s servers, started at 0.2× the server's
-/// capacity hint as [`Testbed::latency_bounded_qps`] starts it. Returns
-/// the hint beside the search.
-#[must_use]
-pub fn lbt_search(
-    bed: &Testbed,
-    server: &InferenceServer,
-    sweep: &SweepConfig,
-) -> (f64, paris_elsa::server::ThroughputSearch) {
-    let dist = bed.distribution();
-    let hint = paris_elsa::server::capacity_hint_qps(server, dist);
-    let search = search_latency_bounded_throughput(server, dist, sweep, (hint * 0.2).max(1.0));
-    (hint, search)
-}
 
 /// The full Figure 12 design list: four homogeneous baselines, the two
 /// random-partitioned baselines, and the two PARIS designs.
@@ -328,6 +314,26 @@ mod tests {
         assert_eq!(err, "--seed: cannot parse \"x\"");
         let err = parse_flag::<usize>(&args("--queries -5"), "queries").expect_err("negative");
         assert_eq!(err, "--queries: cannot parse \"-5\"");
+    }
+
+    /// Seed 7 still draws the dispatch trace `bench_server` and the
+    /// microbench have always measured (fingerprints taken before the
+    /// seed became a parameter), and another seed draws a different one.
+    #[test]
+    fn dispatch_workload_trace_follows_the_seed() {
+        fn fingerprint(trace: &[QuerySpec]) -> u64 {
+            trace.iter().fold(0xcbf2_9ce4_8422_2325, |h, q| {
+                (h ^ q.arrival_ns).wrapping_mul(0x0100_0000_01b3) ^ q.batch as u64
+            })
+        }
+        for (n, expected) in [(8, 0x81eb_8120_de42_3722), (224, 0x42b9_7bf4_d132_fb92)] {
+            let (_, _, seven) = dispatch_workload(n, 2_000, 7);
+            assert_eq!(seven.len(), 2_000);
+            assert_eq!(fingerprint(&seven), expected, "{n} partitions, seed 7");
+            let (_, _, other) = dispatch_workload(n, 2_000, 8);
+            assert_eq!(other.len(), 2_000);
+            assert_ne!(other, seven, "{n} partitions: seed 8 draws another trace");
+        }
     }
 
     #[test]

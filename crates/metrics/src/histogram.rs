@@ -1,4 +1,5 @@
-//! Fixed-footprint latency histogram for O(1)-memory sweeps.
+//! Octave-window latency histogram: memory set by the span of the
+//! samples, never by their count.
 //!
 //! [`LatencyRecorder`](crate::LatencyRecorder) keeps every sample, which is
 //! exact but costs 8 bytes per query — a rate sweep pushing millions of
@@ -6,8 +7,11 @@
 //! that end up summarized to a handful of percentiles. `LatencyHistogram`
 //! is the summary-mode alternative: an HDR-style log-linear histogram with
 //! 64 sub-buckets per power of two, giving ≤ 1.6 % relative error on any
-//! percentile while occupying a fixed ~30 KB regardless of how many
-//! samples are recorded.
+//! percentile. It stores counts only for the whole octaves between its
+//! lowest and its highest sample: nothing until the first sample, 512
+//! bytes per octave the samples span, and never more than the 3,776
+//! buckets (~30 KB) that cover all of `u64`, however many samples are
+//! recorded.
 
 use std::fmt;
 
@@ -15,11 +19,10 @@ use std::fmt;
 /// bucket spans at most `2^-6 = 1.56 %` of its value.
 const MANTISSA_BITS: u32 = 6;
 const SUB_BUCKETS: usize = 1 << MANTISSA_BITS;
-/// Bucket count covering the full `u64` nanosecond range.
-const BUCKETS: usize = (64 - MANTISSA_BITS as usize + 1) * SUB_BUCKETS;
 
-/// A fixed-size log-linear histogram of latency samples (nanoseconds) with
-/// bounded-relative-error percentile queries.
+/// A log-linear histogram of latency samples (nanoseconds) with
+/// bounded-relative-error percentile queries, holding counts for the whole
+/// octaves its samples span.
 ///
 /// # Examples
 ///
@@ -37,7 +40,14 @@ const BUCKETS: usize = (64 - MANTISSA_BITS as usize + 1) * SUB_BUCKETS;
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct LatencyHistogram {
-    counts: Vec<u64>,
+    /// Counts of buckets `lo..lo + counts.len()`: the whole octaves from
+    /// the lowest sample's to the highest's, empty before the first
+    /// sample. The window is a function of the min and max alone, so the
+    /// derived `==` compares contents.
+    counts: Box<[u64]>,
+    /// First bucket `counts` holds, a multiple of `SUB_BUCKETS` (0 while
+    /// empty).
+    lo: usize,
     count: u64,
     sum_ns: u128,
     min_ns: u64,
@@ -84,7 +94,8 @@ fn bucket_high(bucket: usize) -> u64 {
 
 /// The lowest bucket whose samples violate `sla_ns`: buckets above the
 /// SLA's own bucket always do, and the SLA's own bucket does when its
-/// midpoint exceeds the SLA. May be `BUCKETS` (nothing violates).
+/// midpoint exceeds the SLA. May be one past the top bucket (nothing
+/// violates).
 #[inline]
 fn first_violating_bucket(sla_ns: u64) -> usize {
     let boundary = bucket_of(sla_ns);
@@ -96,11 +107,13 @@ fn first_violating_bucket(sla_ns: u64) -> usize {
 }
 
 impl LatencyHistogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram; it allocates nothing until its first
+    /// sample.
     #[must_use]
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; BUCKETS],
+            counts: Box::default(),
+            lo: 0,
             count: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
@@ -111,11 +124,46 @@ impl LatencyHistogram {
     /// Records one latency sample in nanoseconds.
     #[inline]
     pub fn record(&mut self, latency_ns: u64) {
-        self.counts[bucket_of(latency_ns)] += 1;
+        let bucket = bucket_of(latency_ns);
+        // Below `lo` the index wraps past any length, so one bounds check
+        // covers both sides of the window.
+        match self.counts.get_mut(bucket.wrapping_sub(self.lo)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(bucket),
+        }
         self.count += 1;
         self.sum_ns += u128::from(latency_ns);
         self.min_ns = self.min_ns.min(latency_ns);
         self.max_ns = self.max_ns.max(latency_ns);
+    }
+
+    /// The growth path of [`record`](Self::record): a sample outside the
+    /// window widens it to the sample's octave first.
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, bucket: usize) {
+        self.cover(bucket, bucket + 1);
+        self.counts[bucket - self.lo] += 1;
+    }
+
+    /// Widens the window to the whole octaves spanning both itself and
+    /// buckets `first..end`, keeping every count in place.
+    fn cover(&mut self, first: usize, end: usize) {
+        let mut lo = first & !(SUB_BUCKETS - 1);
+        let mut hi = end.next_multiple_of(SUB_BUCKETS);
+        if !self.counts.is_empty() {
+            let old_hi = self.lo + self.counts.len();
+            if self.lo <= lo && hi <= old_hi {
+                return;
+            }
+            lo = lo.min(self.lo);
+            hi = hi.max(old_hi);
+        }
+        let mut counts = vec![0; hi - lo].into_boxed_slice();
+        // An empty window sits at `lo == 0`, so the offset is 0 then.
+        counts[self.lo.saturating_sub(lo)..][..self.counts.len()].copy_from_slice(&self.counts);
+        self.counts = counts;
+        self.lo = lo;
     }
 
     /// Number of samples recorded.
@@ -181,7 +229,7 @@ impl LatencyHistogram {
         }
         let rank = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (bucket, &c) in self.counts.iter().enumerate() {
+        for (bucket, &c) in (self.lo..).zip(self.counts.iter()) {
             if c == 0 {
                 continue;
             }
@@ -217,7 +265,8 @@ impl LatencyHistogram {
     /// the threshold may be mis-attributed.
     #[must_use]
     pub fn violations(&self, sla_ns: u64) -> u64 {
-        self.counts[first_violating_bucket(sla_ns)..].iter().sum()
+        let first = first_violating_bucket(sla_ns).saturating_sub(self.lo);
+        self.counts.get(first..).map_or(0, |c| c.iter().sum())
     }
 
     /// Whether one `latency_ns` sample counts as a violation of `sla_ns`
@@ -240,10 +289,15 @@ impl LatencyHistogram {
         self.violations(sla_ns) as f64 / self.count as f64
     }
 
-    /// Merges another histogram's samples into this one.
+    /// Merges another histogram's samples into this one, widening the
+    /// window to the union of both.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
+        if !other.counts.is_empty() {
+            self.cover(other.lo, other.lo + other.counts.len());
+            let mine = &mut self.counts[other.lo - self.lo..];
+            for (mine, theirs) in mine.iter_mut().zip(&other.counts) {
+                *mine += theirs;
+            }
         }
         self.count += other.count;
         self.sum_ns += other.sum_ns;
@@ -326,6 +380,9 @@ impl FromIterator<u64> for LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bucket count covering the full `u64` nanosecond range.
+    const BUCKETS: usize = (64 - MANTISSA_BITS as usize + 1) * SUB_BUCKETS;
 
     #[test]
     fn buckets_partition_the_u64_range() {
@@ -457,14 +514,208 @@ mod tests {
         assert_eq!(a.max_ns(), 3_000);
     }
 
+    /// The window is exactly the whole octaves from the min sample's to
+    /// the max sample's, and samples inside it never reallocate it.
     #[test]
-    fn footprint_is_fixed() {
-        let mut h = LatencyHistogram::new();
-        let before = h.counts.capacity();
-        for v in 0..100_000u64 {
-            h.record(v * 7919);
+    fn window_covers_exactly_the_sample_octaves() {
+        fn assert_window(h: &LatencyHistogram) {
+            let lo = bucket_of(h.min_ns()) / SUB_BUCKETS * SUB_BUCKETS;
+            let hi = (bucket_of(h.max_ns()) / SUB_BUCKETS + 1) * SUB_BUCKETS;
+            assert_eq!((h.lo, h.lo + h.counts.len()), (lo, hi), "{h:?}");
         }
-        assert_eq!(h.counts.capacity(), before, "no growth while recording");
+        let mut h = LatencyHistogram::new();
+        assert!(h.counts.is_empty(), "no allocation before the first sample");
+        for v in [1_500_000u64, 1_600_000, 90_000, 7, 3 << 40, u64::MAX] {
+            h.record(v);
+            assert_window(&h);
+        }
+        let (ptr, len) = (h.counts.as_ptr(), h.counts.len());
+        for v in 0..100_000u64 {
+            h.record(7 + v * 7919);
+        }
+        assert_eq!(h.counts.as_ptr(), ptr, "no growth inside the window");
+        assert_eq!(h.counts.len(), len);
+        assert_window(&h);
+
+        let one: LatencyHistogram = [1_000_000u64].into_iter().collect();
+        assert_eq!(one.counts.len(), SUB_BUCKETS, "one sample, one octave");
+        let all: LatencyHistogram = [0, u64::MAX].into_iter().collect();
+        assert_eq!(
+            all.counts.len(),
+            BUCKETS,
+            "never more than the dense layout"
+        );
+    }
+
+    /// The dense layout the octave window replaced: one counter for every
+    /// bucket of the `u64` range, summed and scanned in full. It is the
+    /// independent reference the windowed histogram must agree with.
+    struct Dense {
+        counts: Vec<u64>,
+        sum_ns: u128,
+        min_ns: u64,
+        max_ns: u64,
+    }
+
+    impl Dense {
+        fn of(samples: &[u64]) -> Self {
+            let mut d = Dense {
+                counts: vec![0; BUCKETS],
+                sum_ns: 0,
+                min_ns: u64::MAX,
+                max_ns: 0,
+            };
+            for &v in samples {
+                d.counts[bucket_of(v)] += 1;
+                d.sum_ns += u128::from(v);
+                d.min_ns = d.min_ns.min(v);
+                d.max_ns = d.max_ns.max(v);
+            }
+            d
+        }
+
+        fn count(&self) -> u64 {
+            self.counts.iter().sum()
+        }
+
+        fn percentile_ns(&self, p: f64) -> u64 {
+            let count = self.count();
+            if count == 0 {
+                return 0;
+            }
+            let rank = ((p * count as f64).ceil() as u64).clamp(1, count);
+            let mut seen = 0;
+            let bucket = (0..BUCKETS)
+                .find(|&b| {
+                    seen += self.counts[b];
+                    self.counts[b] > 0 && seen >= rank
+                })
+                .expect("rank within count");
+            let mid = bucket_low(bucket).midpoint(bucket_high(bucket));
+            mid.clamp(self.min_ns, self.max_ns)
+        }
+
+        fn violations(&self, sla_ns: u64) -> u64 {
+            (0..BUCKETS)
+                .filter(|&b| bucket_low(b).midpoint(bucket_high(b)) > sla_ns)
+                .map(|b| self.counts[b])
+                .sum()
+        }
+    }
+
+    /// splitmix64: a self-contained sample stream for the sweeps.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A sample from the awkward places: 0, below 64, either side of
+        /// an octave edge, near `u64::MAX`, or log-uniform anywhere.
+        fn sample(&mut self) -> u64 {
+            let edge = 1u64 << self.below(64);
+            match self.below(6) {
+                0 => 0,
+                1 => self.below(SUB_BUCKETS as u64),
+                2 => edge.wrapping_add(self.below(3)).wrapping_sub(1),
+                3 => u64::MAX - self.below(1 << 20),
+                _ => self.next() >> self.below(64),
+            }
+        }
+
+        fn shuffle<T>(&mut self, v: &mut [T]) {
+            for i in (1..v.len()).rev() {
+                v.swap(i, self.below(i as u64 + 1) as usize);
+            }
+        }
+    }
+
+    /// Builds a histogram from `parts`, merging them in a random tree.
+    fn merge_tree(parts: &[&[u64]], mix: &mut Mix) -> LatencyHistogram {
+        let mut hists: Vec<LatencyHistogram> =
+            parts.iter().map(|p| p.iter().copied().collect()).collect();
+        while hists.len() > 1 {
+            let mut a = hists.swap_remove(mix.below(hists.len() as u64) as usize);
+            let b = hists.swap_remove(mix.below(hists.len() as u64) as usize);
+            if mix.below(2) == 0 {
+                a.merge(&b);
+                hists.push(a);
+            } else {
+                hists.push(LatencyHistogram::merged([&b, &a]));
+            }
+        }
+        hists.pop().expect("at least one part")
+    }
+
+    #[test]
+    fn window_agrees_with_the_dense_layout() {
+        let quantiles = [
+            0.0, 1e-6, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 0.999_999, 1.0,
+        ];
+        for seed in 0..400u64 {
+            let mut mix = Mix(seed);
+            let n = match seed % 4 {
+                0 => mix.below(4) as usize,
+                1 => mix.below(64) as usize,
+                _ => mix.below(2_000) as usize,
+            };
+            let samples: Vec<u64> = (0..n).map(|_| mix.sample()).collect();
+            let dense = Dense::of(&samples);
+            let h: LatencyHistogram = samples.iter().copied().collect();
+            assert_eq!(h.count(), dense.count(), "seed {seed}");
+            assert_eq!(h.sum_ns, dense.sum_ns, "seed {seed}");
+            if n > 0 {
+                assert_eq!(h.min_ns(), dense.min_ns, "seed {seed}");
+                assert_eq!(h.max_ns(), dense.max_ns, "seed {seed}");
+                let mean = dense.sum_ns as f64 / n as f64 / 1e6;
+                assert_eq!(h.mean_ms().to_bits(), mean.to_bits(), "seed {seed}");
+            }
+            let random_q = (0..20).map(|_| mix.below(1_000_001) as f64 / 1e6);
+            for p in quantiles.into_iter().chain(random_q) {
+                assert_eq!(
+                    h.percentile_ns(p),
+                    dense.percentile_ns(p),
+                    "seed {seed} p{p}"
+                );
+            }
+            let near = samples
+                .iter()
+                .flat_map(|&v| [v.saturating_sub(1), v, v.saturating_add(1)]);
+            let slas: Vec<u64> = [0, 1, 63, 64, u64::MAX]
+                .into_iter()
+                .chain((0..20).map(|_| mix.sample()))
+                .chain(near.take(60))
+                .collect();
+            for &sla in &slas {
+                assert_eq!(
+                    h.violations(sla),
+                    dense.violations(sla),
+                    "seed {seed} sla {sla}"
+                );
+            }
+
+            // Equal contents compare equal, whatever built them.
+            let mut shuffled = samples.clone();
+            mix.shuffle(&mut shuffled);
+            let reordered: LatencyHistogram = shuffled.iter().copied().collect();
+            assert_eq!(reordered, h, "seed {seed}: insertion order");
+            let mut cuts: Vec<usize> = (0..mix.below(6))
+                .map(|_| mix.below(n as u64 + 1) as usize)
+                .collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            let parts: Vec<&[u64]> = cuts.windows(2).map(|w| &shuffled[w[0]..w[1]]).collect();
+            assert_eq!(merge_tree(&parts, &mut mix), h, "seed {seed}: merge tree");
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //!
 //! * [`LatencyRecorder`] — per-query latency samples with percentile and
 //!   SLA-violation queries (the paper's p95 tail-latency metric),
-//! * [`LatencyHistogram`] — a fixed-footprint log-linear alternative for
-//!   O(1)-memory sweeps (≤ 1.6 % percentile error),
+//! * [`LatencyHistogram`] — a log-linear alternative for O(1)-memory
+//!   sweeps (≤ 1.6 % percentile error) that holds counts only for the
+//!   octaves between its lowest and highest sample, never more than
+//!   3,776 buckets,
 //! * [`BusyTracker`] — time-weighted busy/idle accounting for partitions,
 //! * [`ThroughputPoint`] / [`latency_bounded_throughput`] — the
 //!   latency-bounded throughput metric of §VI-B,

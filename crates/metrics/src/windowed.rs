@@ -11,9 +11,10 @@ use crate::LatencyHistogram;
 
 /// Tumbling-window tail-latency tracker: latencies are bucketed by their
 /// *completion* timestamp into fixed windows, each window holding a
-/// fixed-footprint [`LatencyHistogram`], and the worst window's percentile
-/// is the spike statistic. Memory is O(run length / window), independent
-/// of the query count.
+/// [`LatencyHistogram`] over the octaves its samples span (an empty window
+/// holds no counts), and the worst window's percentile is the spike
+/// statistic. Memory is O(run length / window), independent of the query
+/// count.
 ///
 /// # Examples
 ///

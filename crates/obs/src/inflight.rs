@@ -5,12 +5,17 @@
 //! starts at the oldest id still in flight (`base`) and advances as the
 //! front completes. An id too far past the window — which only a
 //! hand-built lane uses — lives in an ordered map instead, so no
-//! allocation is ever sized by an id.
+//! allocation is ever sized by an id. [`InFlight::release_spare`] gives
+//! back a drained backlog's slots, so the window can be sized by the work
+//! in flight now, not by the worst backlog of the run.
 
 use std::collections::{BTreeMap, VecDeque};
 
 /// Ids at or beyond `base + DENSE_WINDOW` go to the ordered map.
 const DENSE_WINDOW: u64 = 1 << 16;
+
+/// The dense window keeps at least this many slots when it shrinks.
+const MIN_SLOTS: usize = 64;
 
 /// Query id → `T` for the queries a lane has seen arrive and not yet
 /// consumed. Ids below `base` count as consumed: inserting one is a no-op
@@ -82,6 +87,16 @@ impl<T: Copy> InFlight<T> {
         taken
     }
 
+    /// Gives back the dense window's spare slots when they outnumber the
+    /// live ones three to one, keeping twice the live ones. Not on the
+    /// per-query path: a backlog that swings by 4× between calls would
+    /// otherwise reallocate the window on every swing.
+    pub(crate) fn release_spare(&mut self) {
+        if self.dense.capacity() > MIN_SLOTS && self.dense.len() < self.dense.capacity() / 4 {
+            self.dense.shrink_to(MIN_SLOTS.max(2 * self.dense.len()));
+        }
+    }
+
     #[inline]
     fn dense_index(&self, query: u64) -> Option<usize> {
         let idx = query.checked_sub(self.base)?;
@@ -96,6 +111,11 @@ impl<T: Copy> InFlight<T> {
     #[cfg(test)]
     pub(crate) fn dense_len(&self) -> usize {
         self.dense.len()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn dense_capacity(&self) -> usize {
+        self.dense.capacity()
     }
 }
 
@@ -118,6 +138,46 @@ mod tests {
         assert_eq!(t.take(5), Some(30));
         t.insert(2, 40);
         assert_eq!(t.get(2), None, "ids below the base are consumed");
+    }
+
+    #[test]
+    fn a_drained_backlog_gives_its_slots_back() {
+        let mut t: InFlight<u64> = InFlight::default();
+        for q in 0..5_000 {
+            t.insert(q, q);
+        }
+        assert!(t.dense_capacity() >= 5_000);
+        // The backlog drains to the newest few queries, in order.
+        for q in 0..4_990 {
+            assert_eq!(t.take(q), Some(q));
+        }
+        assert_eq!(t.dense_len(), 10);
+        assert!(t.dense_capacity() >= 5_000, "takes alone keep the slots");
+        t.release_spare();
+        assert_eq!(t.dense_capacity(), MIN_SLOTS, "spare slots released");
+        for q in 4_990..5_000 {
+            assert_eq!(t.get(q), Some(q), "live entries survive the shrink");
+        }
+        // A backlog drained out of order shrinks too, keeping its hole.
+        for q in 5_000..9_000 {
+            t.insert(q, q);
+        }
+        for q in (4_990..9_000).filter(|q| q % 1_000 != 7) {
+            assert_eq!(t.take(q), Some(q));
+        }
+        assert_eq!((t.base(), t.dense_len()), (5_007, 3_993));
+        let before = t.dense_capacity();
+        t.release_spare();
+        assert_eq!(t.dense_capacity(), before, "a quarter or more is live");
+        for q in [5_007, 6_007, 7_007] {
+            assert_eq!(t.take(q), Some(q));
+        }
+        t.release_spare();
+        assert_eq!(t.dense_len(), 993);
+        assert!(t.dense_capacity() < before && t.dense_capacity() >= 2 * 993);
+        assert_eq!(t.take(8_007), Some(8_007));
+        t.release_spare();
+        assert_eq!((t.dense_len(), t.dense_capacity()), (0, MIN_SLOTS));
     }
 
     #[test]

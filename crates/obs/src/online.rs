@@ -188,6 +188,7 @@ pub struct OnlineLane {
     /// In-flight query → `(model, sla_ns)` of its arrival: dense slots
     /// from the oldest id still in flight, an ordered map for ids far past
     /// them, so the table tracks the outstanding window, not the whole run.
+    /// Each bin transition gives back a drained backlog's spare slots.
     groups: InFlight<(usize, u64)>,
 }
 
@@ -263,11 +264,20 @@ impl OnlineLane {
         if at_ns < self.cur_bin_end {
             self.cur_bin
         } else {
-            let b = (at_ns / self.window_ns) as usize;
-            self.cur_bin = b;
-            self.cur_bin_end = (b as u64 + 1).saturating_mul(self.window_ns);
-            b
+            self.next_bin(at_ns)
         }
+    }
+
+    /// The bin-transition path of [`bin`](Self::bin): moves the cached
+    /// bin and gives back a drained backlog's in-flight slots.
+    #[cold]
+    #[inline(never)]
+    fn next_bin(&mut self, at_ns: u64) -> usize {
+        let b = (at_ns / self.window_ns) as usize;
+        self.cur_bin = b;
+        self.cur_bin_end = (b as u64 + 1).saturating_mul(self.window_ns);
+        self.groups.release_spare();
+        b
     }
 
     #[inline]

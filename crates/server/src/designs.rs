@@ -12,7 +12,9 @@ use paris_core::{
 };
 
 use crate::server::{InferenceServer, SchedulerKind, ServerConfig};
-use crate::sweep::{capacity_hint_qps, search_latency_bounded_throughput, SweepConfig};
+use crate::sweep::{
+    capacity_hint_qps, search_latency_bounded_throughput, SweepConfig, ThroughputSearch,
+};
 
 /// One of the evaluated server designs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,11 +236,26 @@ impl Testbed {
         sweep: &SweepConfig,
     ) -> Result<f64, PlanError> {
         let server = self.server(design)?;
-        let hint = capacity_hint_qps(&server, &self.dist);
-        Ok(
-            search_latency_bounded_throughput(&server, &self.dist, sweep, (hint * 0.2).max(1.0))
-                .latency_bounded_qps,
-        )
+        Ok(self
+            .latency_bounded_search(&server, sweep)
+            .1
+            .latency_bounded_qps)
+    }
+
+    /// Runs the latency-bounded throughput search on `server` (any server
+    /// over this testbed's traffic, e.g. one with a tuned scheduler),
+    /// starting at 0.2× its capacity hint. Returns the hint beside the
+    /// search.
+    #[must_use]
+    pub fn latency_bounded_search(
+        &self,
+        server: &InferenceServer,
+        sweep: &SweepConfig,
+    ) -> (f64, ThroughputSearch) {
+        let hint = capacity_hint_qps(server, &self.dist);
+        let search =
+            search_latency_bounded_throughput(server, &self.dist, sweep, (hint * 0.2).max(1.0));
+        (hint, search)
     }
 
     /// Determines `GPU(max)`: the best-performing homogeneous design

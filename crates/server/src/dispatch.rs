@@ -241,7 +241,9 @@ pub(crate) struct DispatchCore<'a> {
     records: Vec<QueryRecord>,
     record_groups: Vec<usize>,
     latency: LatencyRecorder,
-    histogram: LatencyHistogram,
+    /// Completions so far, over every group (each group's histogram holds
+    /// its own; the report's combined histogram is their merge).
+    completed: u64,
     /// Queue-wait decomposition (`started − dispatched`), recorded for
     /// every completion regardless of detail or tracing — O(1) memory, the
     /// source of the report's `queue_ns_p50/p99` summary fields.
@@ -337,7 +339,7 @@ impl<'a> DispatchCore<'a> {
             records: Vec::new(),
             record_groups: Vec::new(),
             latency: LatencyRecorder::new(),
-            histogram: LatencyHistogram::new(),
+            completed: 0,
             queue_hist: LatencyHistogram::new(),
             service_hist: LatencyHistogram::new(),
             per_group,
@@ -508,7 +510,7 @@ impl<'a> DispatchCore<'a> {
     /// balances on.
     #[must_use]
     pub fn outstanding_queries(&self) -> u64 {
-        self.next_query_id - self.histogram.count()
+        self.next_query_id - self.completed
     }
 
     /// Whether a reconfiguration is currently mid-schedule (draining a
@@ -672,7 +674,7 @@ impl<'a> DispatchCore<'a> {
         let g = self.slots[w].group;
         let (query, started) = self.slots[w].worker.finish(now);
         let latency_ns = (now - query.arrival).as_nanos();
-        self.histogram.record(latency_ns);
+        self.completed += 1;
         self.queue_hist
             .record((started - query.dispatched).as_nanos());
         self.service_hist.record((now - started).as_nanos());
@@ -1191,9 +1193,8 @@ impl<'a> DispatchCore<'a> {
     pub fn finish(self, peak_pending_events: usize) -> MultiRunReport {
         let makespan = self.last_completion.saturating_since(SimTime::ZERO);
         let makespan_s = makespan.as_secs_f64();
-        let completed = self.histogram.count();
         let achieved_qps = if makespan_s > 0.0 {
-            completed as f64 / makespan_s
+            self.completed as f64 / makespan_s
         } else {
             0.0
         };
@@ -1214,7 +1215,7 @@ impl<'a> DispatchCore<'a> {
             records: self.records,
             record_models: self.record_groups,
             latency: self.latency,
-            histogram: self.histogram,
+            histogram: LatencyHistogram::merged(self.per_group.iter().map(|a| &a.histogram)),
             queue_hist: self.queue_hist,
             service_hist: self.service_hist,
             per_model: self

@@ -402,7 +402,8 @@ pub struct MultiRunReport {
     pub record_models: Vec<usize>,
     /// Exact combined latency samples (empty under summary detail).
     pub latency: LatencyRecorder,
-    /// Combined fixed-footprint latency histogram.
+    /// Combined latency histogram: the merge of the per-model ones, over
+    /// the octaves their samples span.
     pub histogram: LatencyHistogram,
     /// Queue-wait (`started − dispatched`) histogram across all models,
     /// filled at every detail level — the O(1)-memory source of
@@ -1386,5 +1387,85 @@ mod tests {
             "streamed multi-model queue stays O(partitions), got {}",
             report.peak_pending_events
         );
+    }
+
+    /// Drives `server` over `trace` event by event at full detail,
+    /// checking after every event that `outstanding_queries` is the
+    /// offered count minus the completions handled so far.
+    fn run_checking_outstanding(
+        server: &MultiModelServer,
+        trace: &[TaggedQuerySpec],
+    ) -> MultiRunReport {
+        let mut sim: Simulation<ShardEvent> = Simulation::new();
+        let mut engine = ShardEngine::new(server, ReportDetail::Full);
+        let mut arrivals = trace.iter().copied();
+        let (mut offered, mut completed) = (0u64, 0u64);
+        if let Some(tq) = arrivals.next() {
+            engine.offer(tq, &mut |t, k, e| sim.schedule_at_keyed(t, k, e));
+            offered += 1;
+        }
+        while let Some((now, event)) = sim.next_event() {
+            if matches!(event, ShardEvent::Dispatch(..)) {
+                if let Some(tq) = arrivals.next() {
+                    engine.offer(tq, &mut |t, k, e| sim.schedule_at_keyed(t, k, e));
+                    offered += 1;
+                }
+            }
+            // No fault kills a slot here, so every completion event is a
+            // served query.
+            completed += u64::from(matches!(event, ShardEvent::Complete { .. }));
+            engine.handle(now, event, &mut |t, k, e| sim.schedule_at_keyed(t, k, e));
+            assert_eq!(
+                engine.outstanding_queries(),
+                offered - completed,
+                "at {now:?}"
+            );
+        }
+        assert_eq!(
+            (offered, completed),
+            (trace.len() as u64, trace.len() as u64)
+        );
+        engine.finish(sim.peak_pending())
+    }
+
+    /// The combined histogram is the merge of the per-model ones and holds
+    /// exactly the records' latencies, on a 1-model run and on a 2-model
+    /// run through a drift re-plan.
+    #[test]
+    fn combined_histogram_is_the_per_model_merge() {
+        let dist = BatchDistribution::paper_default();
+        let one = MultiModelServer::new(
+            vec![ModelSpec::new(
+                "mobilenet",
+                table(ModelKind::MobileNet),
+                dist.clone(),
+            )],
+            GpcBudget::new(48, 8),
+            MultiModelConfig::new(),
+        )
+        .expect("plan builds");
+        let one_trace =
+            MultiTraceGenerator::new(vec![PhaseSpec::new(1.0, vec![(400.0, dist)])], 23).generate();
+        let policy = ReplanPolicy::new(0.25).with_cost(ResliceCostModel::a100_default());
+        let two = two_model_server(Some(policy));
+        let two_trace = drifting_trace(2.0, 11).generate();
+        for (server, trace, models) in [(&one, one_trace, 1), (&two, two_trace, 2)] {
+            let report = run_checking_outstanding(server, &trace);
+            assert_eq!(report.per_model.len(), models);
+            assert_eq!(
+                report.reconfigs.is_empty(),
+                models == 1,
+                "only the drift re-plans"
+            );
+            let merged = LatencyHistogram::merged(report.per_model.iter().map(|m| &m.histogram));
+            assert_eq!(report.histogram, merged);
+            let from_records: LatencyHistogram = report
+                .records
+                .iter()
+                .map(|r| r.latency().as_nanos())
+                .collect();
+            assert_eq!(report.histogram, from_records);
+            assert_eq!(report.histogram.count(), trace.len() as u64);
+        }
     }
 }

@@ -37,8 +37,9 @@
 //! * Profiled latencies come from borrowed per-partition rows
 //!   ([`ProfileTable::latency_row`]), one slice index per estimate.
 //! * With [`ReportDetail::Summary`], per-query records are not
-//!   materialized at all: latency goes straight into a fixed-footprint
-//!   [`LatencyHistogram`], making a sweep's memory O(1) in the trace
+//!   materialized at all: latency goes straight into a
+//!   [`LatencyHistogram`] holding only the octaves its samples span (never
+//!   more than 3,776 buckets), making a sweep's memory O(1) in the trace
 //!   length.
 //!
 //! The equivalence contract between the shared driver and the pure
@@ -77,9 +78,10 @@ pub enum ReportDetail {
     /// samples. Memory grows O(trace).
     #[default]
     Full,
-    /// Keep only aggregates: latencies go straight into the fixed-size
-    /// [`LatencyHistogram`], no records are materialized, and run memory
-    /// is O(partitions). The mode sweeps use.
+    /// Keep only aggregates: latencies go straight into a
+    /// [`LatencyHistogram`] bounded by the samples' octave span, no
+    /// records are materialized, and run memory is O(partitions). The
+    /// mode sweeps use.
     Summary,
 }
 
@@ -152,7 +154,8 @@ pub struct RunReport {
     /// Exact end-to-end latency samples. Empty under
     /// [`ReportDetail::Summary`].
     pub latency: LatencyRecorder,
-    /// Fixed-footprint latency histogram, filled at every detail level.
+    /// Latency histogram over the octaves the samples span, filled at
+    /// every detail level.
     pub histogram: LatencyHistogram,
     /// Queue-wait (`started − dispatched`) histogram, filled at every
     /// detail level — the O(1)-memory source of
