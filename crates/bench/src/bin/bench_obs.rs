@@ -427,7 +427,6 @@ fn main() {
     print_attributions(
         "causal tail attribution (per fired alert's worst window)",
         &attributions,
-        |excess| format!("{excess}"),
     );
     println!(
         "\nzero observer effect:      {zero_observer} (threads 1 & 4)\n\

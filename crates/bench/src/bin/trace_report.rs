@@ -207,7 +207,6 @@ fn main() {
         print_attributions(
             "causal tail attribution (per fired alert's worst window, zero residual)",
             &attributions,
-            |excess| format!("{excess:.2}"),
         );
     }
 

@@ -296,13 +296,9 @@ impl RackScenario {
 }
 
 /// Prints each fired alert's causal tail attribution: one row per nonzero
-/// cause, with the alert's class, bin, p99 and `excess_ms` text on its
+/// cause, with the alert's class, bin, p99 and excess over the SLO on its
 /// first row only.
-pub fn print_attributions(
-    title: &str,
-    attributions: &[WindowAttribution],
-    excess_ms: fn(f64) -> String,
-) {
+pub fn print_attributions(title: &str, attributions: &[WindowAttribution]) {
     let mut rows = Vec::new();
     for a in attributions {
         for (i, c) in a.causes.iter().filter(|c| c.share_ns != 0).enumerate() {
@@ -311,7 +307,7 @@ pub fn print_attributions(
                     a.group.to_string(),
                     a.bin.to_string(),
                     format!("{:.1}", a.p99_latency_ns as f64 / 1e6),
-                    excess_ms(a.excess_ns as f64 / 1e6),
+                    format!("{:.2}", a.excess_ns as f64 / 1e6),
                 ]
             } else {
                 vec![String::new(); 4]

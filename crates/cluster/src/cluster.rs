@@ -8,10 +8,12 @@ use inference_obs::{
     merge_online, FaultKind, FlightRecorder, MetricRegistry, ObsRequest, ObsSink, OnlineLane,
     QueryTrace, TraceEvent, TraceSink,
 };
-use inference_server::{MultiModelServer, MultiRunReport, ReportDetail, ShardEngine};
-use inference_workload::{BatchDistribution, DriftDetector, TaggedQuerySpec};
-use mig_gpu::COMPUTE_SLICES;
-use paris_core::GpcBudget;
+use inference_server::{
+    observed_shares, MultiModelServer, MultiRunReport, ReportDetail, ShardEngine,
+};
+use inference_workload::{DriftDetector, TaggedQuerySpec};
+use mig_gpu::{ResliceCostModel, COMPUTE_SLICES};
+use paris_core::{GpcBudget, ReconfigMode};
 use server_metrics::LatencyHistogram;
 
 use crate::faults::{FaultEvent, FaultTimeline};
@@ -723,8 +725,6 @@ struct Gateway<'a, I> {
     fault_queue: VecDeque<(SimTime, FaultEvent)>,
     fault_clock: SimTime,
     next_fault: Option<(SimTime, u64, FaultEvent)>,
-    fault_cost: mig_gpu::ResliceCostModel,
-    fault_mode: paris_core::ReconfigMode,
     fault_log: Vec<FaultRecord>,
     /// Tie-break key sequence for fault items.
     fault_seq: u64,
@@ -804,8 +804,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             fault_queue: faults.events().iter().copied().collect(),
             fault_clock: SimTime::ZERO,
             next_fault: None,
-            fault_cost: faults.cost,
-            fault_mode: faults.mode,
             fault_log: Vec::with_capacity(faults.events().len()),
             fault_seq: 0,
             out_est: vec![0; n],
@@ -1184,27 +1182,11 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 _ => return,
             }
         }
-        let policy = self.cluster.loan.as_ref().expect("loan policy present");
         let detector = self.detector.as_ref().expect("transfer implies detector");
-        let specs = self.cluster.shards[s].models();
-        // Budget shares from the observed traffic — the same
-        // `ModelSpec::demand_weight` the shard's own drift re-planner
-        // splits budgets with.
-        let mut weights = Vec::with_capacity(specs.len());
-        let mut dists: Vec<BatchDistribution> = Vec::with_capacity(specs.len());
-        for (m, spec) in specs.iter().enumerate() {
-            let lane = s * self.n_models + m;
-            let dist = detector
-                .observed_distribution(lane)
-                .unwrap_or_else(|| spec.dist.clone());
-            let rate = detector
-                .observed_rates_qps()
-                .get(lane)
-                .copied()
-                .unwrap_or(0.0);
-            weights.push(spec.demand_weight(&dist, rate));
-            dists.push(dist);
-        }
+        // Budget shares from the observed traffic — the same rule the
+        // shard's own drift re-planner splits budgets by.
+        let (weights, dists) =
+            observed_shares(self.cluster.shards[s].models(), detector, s * self.n_models);
 
         // Opportunity-cost integral: close the period at the old loan
         // level before the transfer changes it.
@@ -1218,15 +1200,20 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
             self.loan_out_total - moved
         };
 
-        let cost = policy.cost;
-        let mode = policy.mode;
+        let mode = self
+            .cluster
+            .loan
+            .as_ref()
+            .expect("loan policy present")
+            .mode;
         let ledger = self.ledger.as_mut().expect("ledger exists with policy");
         let held = ledger.transfer(s, delta);
         let pool_free_after = ledger.pool_free;
         let budget = self
             .minus_failed(s, held)
             .expect("feasibility was checked before the transfer");
-        let extra = SimDuration::from_nanos(cost.gpu_handover_ns(moved));
+        let extra =
+            SimDuration::from_nanos(ResliceCostModel::a100_default().gpu_handover_ns(moved));
         self.deliver(
             lanes,
             s,
@@ -1237,7 +1224,6 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 budget,
                 weights,
                 dists,
-                cost,
                 extra_downtime: extra,
                 mode,
             })),
@@ -1459,25 +1445,13 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
         }
         let budget = self.effective_budget(s).expect("feasibility checked");
         let specs = self.cluster.shards[s].models();
-        let mut weights = Vec::with_capacity(specs.len());
-        let mut dists: Vec<BatchDistribution> = Vec::with_capacity(specs.len());
-        for (m, spec) in specs.iter().enumerate() {
-            match &self.detector {
-                Some(det) => {
-                    let lane = s * self.n_models + m;
-                    let dist = det
-                        .observed_distribution(lane)
-                        .unwrap_or_else(|| spec.dist.clone());
-                    let rate = det.observed_rates_qps().get(lane).copied().unwrap_or(0.0);
-                    weights.push(spec.demand_weight(&dist, rate));
-                    dists.push(dist);
-                }
-                None => {
-                    weights.push(1.0);
-                    dists.push(spec.dist.clone());
-                }
-            }
-        }
+        let (weights, dists) = match &self.detector {
+            Some(det) => observed_shares(specs, det, s * self.n_models),
+            None => (
+                vec![1.0; specs.len()],
+                specs.iter().map(|spec| spec.dist.clone()).collect(),
+            ),
+        };
         self.arm_seq += 1;
         let id = self.arm_seq;
         self.outstanding_arm[s] = Some(id);
@@ -1491,9 +1465,8 @@ impl<'a, I: Iterator<Item = PinnedQuery>> Gateway<'a, I> {
                 budget,
                 weights,
                 dists,
-                cost: self.fault_cost,
                 extra_downtime: SimDuration::ZERO,
-                mode: self.fault_mode,
+                mode: ReconfigMode::Rolling,
             })),
         );
     }

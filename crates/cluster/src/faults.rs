@@ -2,8 +2,10 @@
 //! injects into its shared DES.
 //!
 //! This is the *execution* half of the fault subsystem — the sorted event
-//! schedule the cluster engine consumes, plus the recovery knobs (reslice
-//! cost model and staging mode) every recovery re-plan uses. The
+//! schedule the cluster engine consumes. Every recovery re-plan it
+//! triggers is priced by the A100 reslice model
+//! ([`ResliceCostModel::a100_default`](mig_gpu::ResliceCostModel::a100_default))
+//! and staged rolling ([`paris_core::ReconfigMode::Rolling`]). The
 //! *scenario* half — outage-pair builders, MTTF/MTTR sampling, availability
 //! accounting — lives one layer up in the `inference-faults` crate, whose
 //! `FaultPlan` compiles down to these timelines.
@@ -24,8 +26,6 @@
 //! every event: fail → drain/requeue → re-plan never strands a query.
 
 use des_engine::SimTime;
-use mig_gpu::ResliceCostModel;
-use paris_core::ReconfigMode;
 
 /// One hardware fault or repair in a cluster run.
 ///
@@ -93,8 +93,7 @@ pub enum FaultEvent {
     },
 }
 
-/// A time-sorted, executable fault schedule plus the recovery knobs
-/// every recovery re-plan shares.
+/// A time-sorted, executable fault schedule.
 ///
 /// # Examples
 ///
@@ -114,10 +113,6 @@ pub enum FaultEvent {
 #[derive(Debug, Clone)]
 pub struct FaultTimeline {
     events: Vec<(SimTime, FaultEvent)>,
-    /// Prices the reslice of every fault-recovery re-plan.
-    pub cost: ResliceCostModel,
-    /// How recovery re-plans stage their edits.
-    pub mode: ReconfigMode,
 }
 
 impl FaultTimeline {
@@ -128,8 +123,8 @@ impl FaultTimeline {
     /// silently erase the second window; degrades classify with fails,
     /// restores with repairs, for the same back-to-back-window reason);
     /// remaining same-instant ties keep their given order (stable sort).
-    /// A100 recovery cost model and rolling staging (the workspace
-    /// default) out of the box.
+    /// Recovery re-plans are always priced by the A100 reslice model and
+    /// staged rolling; the timeline carries only its events.
     #[must_use]
     pub fn new(mut events: Vec<(SimTime, FaultEvent)>) -> Self {
         events.sort_by_key(|&(at, ev)| {
@@ -143,31 +138,13 @@ impl FaultTimeline {
                 ),
             )
         });
-        FaultTimeline {
-            events,
-            cost: ResliceCostModel::a100_default(),
-            mode: ReconfigMode::Rolling,
-        }
+        FaultTimeline { events }
     }
 
     /// The empty timeline — a run with it is exactly the fault-free run.
     #[must_use]
     pub fn empty() -> Self {
         Self::new(Vec::new())
-    }
-
-    /// Overrides the recovery reslice cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: ResliceCostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Overrides the staging mode of recovery re-plans.
-    #[must_use]
-    pub fn with_mode(mut self, mode: ReconfigMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Whether the timeline holds no events.
@@ -235,8 +212,6 @@ mod tests {
         let tl = FaultTimeline::default();
         assert!(tl.is_empty());
         assert_eq!(tl.len(), 0);
-        assert_eq!(tl.cost, ResliceCostModel::a100_default());
-        assert_eq!(tl.mode, ReconfigMode::Rolling);
     }
 
     #[test]

@@ -330,52 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_timeline_degenerates_to_run_stream_bit_for_bit() {
-        // The fault subsystem's ground rule: a timeline with no events is
-        // byte-identical to the fault-free run whatever its recovery knobs
-        // say — the machinery costs nothing until an event fires. This is
-        // what keeps BENCH_cluster.json reproducible under an empty
-        // FaultPlan.
-        let t = table();
-        let dist = BatchDistribution::paper_default();
-        let cluster = Cluster::new(
-            vec![shard(2, &t, &dist), shard(1, &t, &dist)],
-            RouterPolicy::JoinShortestQueue,
-        )
-        .with_loan(
-            LoanPolicy::new(1, 0.25)
-                .with_detector(DriftDetectorConfig::new(0.25).with_min_observations(20)),
-        );
-        let rate = 0.8
-            * cluster
-                .shards()
-                .iter()
-                .map(MultiModelServer::capacity_hint_qps)
-                .sum::<f64>();
-        let trace = MultiTraceGenerator::new(
-            vec![
-                PhaseSpec::new(0.6, vec![(0.5 * rate, dist.clone())]),
-                PhaseSpec::new(0.8, vec![(rate, dist)]),
-            ],
-            31,
-        )
-        .generate();
-        let plain = run(&cluster, &trace, FaultTimeline::empty());
-        let knobs = FaultTimeline::empty()
-            .with_cost(mig_gpu::ResliceCostModel::free())
-            .with_mode(paris_core::ReconfigMode::AllAtOnce);
-        let faulted = run(&cluster, &trace, knobs);
-        assert!(faulted.faults.is_empty());
-        assert_eq!(faulted.routed, plain.routed);
-        assert_eq!(faulted.loans, plain.loans);
-        assert_eq!(faulted.makespan, plain.makespan);
-        assert_eq!(faulted.peak_pending_events, plain.peak_pending_events);
-        for (a, b) in faulted.per_shard.iter().zip(&plain.per_shard) {
-            assert_shard_reports_identical(a, b);
-        }
-    }
-
-    #[test]
     fn gpu_fail_requeues_work_and_recovery_replans() {
         use des_engine::SimTime;
         let t = table();

@@ -17,7 +17,6 @@
 
 use des_engine::SimTime;
 use inference_workload::DriftDetectorConfig;
-use mig_gpu::ResliceCostModel;
 use paris_core::{GpcBudget, ReconfigMode};
 
 /// When and how the cluster moves whole GPUs between the batch pool and
@@ -39,12 +38,6 @@ pub struct LoanPolicy {
     /// [`overload_ratio`](Self::overload_ratio) or the controller
     /// oscillates.
     pub underload_ratio: f64,
-    /// Prices the reslice of each loan-triggered re-plan, plus the
-    /// per-GPU handover charge ([`ResliceCostModel::gpu_handover_ns`]).
-    /// A transfer whose re-plan lands on the *identical* layout charges
-    /// nothing: the moved GPU is not used by any serving instance, so
-    /// handing it over interrupts nothing.
-    pub cost: ResliceCostModel,
     /// How each loan-triggered re-plan stages its edits: one GPU at a time
     /// ([`ReconfigMode::Rolling`], the default — bounding the shard's
     /// capacity dip during the handover) or one combined outage
@@ -54,9 +47,17 @@ pub struct LoanPolicy {
 
 impl LoanPolicy {
     /// A policy lending up to `pool_gpus` GPUs, deciding on `window_s`
-    /// second windows, with 80 % / 40 % overload/underload thresholds, the
-    /// A100 reslice cost model and rolling staging (the workspace
-    /// default).
+    /// second windows, with 80 % / 40 % overload/underload thresholds and
+    /// rolling staging (the workspace default).
+    ///
+    /// Every loan-triggered re-plan is priced by the one A100 reslice
+    /// model
+    /// ([`ResliceCostModel::a100_default`](mig_gpu::ResliceCostModel::a100_default)),
+    /// plus its per-GPU handover charge
+    /// ([`gpu_handover_ns`](mig_gpu::ResliceCostModel::gpu_handover_ns)).
+    /// A transfer whose re-plan lands on the *identical* layout charges
+    /// nothing: the moved GPU is not used by any serving instance, so
+    /// handing it over interrupts nothing.
     ///
     /// # Panics
     ///
@@ -68,7 +69,6 @@ impl LoanPolicy {
             detector: DriftDetectorConfig::new(window_s),
             overload_ratio: 0.8,
             underload_ratio: 0.4,
-            cost: ResliceCostModel::a100_default(),
             mode: ReconfigMode::Rolling,
         }
     }
@@ -96,13 +96,6 @@ impl LoanPolicy {
         );
         self.overload_ratio = overload;
         self.underload_ratio = underload;
-        self
-    }
-
-    /// Overrides the reslice cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: ResliceCostModel) -> Self {
-        self.cost = cost;
         self
     }
 

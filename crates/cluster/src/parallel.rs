@@ -44,7 +44,7 @@ use std::thread::{self, Scope, Thread};
 use des_engine::{pack_stamp, unpack_time, SimDuration, SimTime, Simulation};
 use inference_server::{ReplanRequest, ShardEngine, ShardEvent};
 use inference_workload::{BatchDistribution, TaggedQuerySpec};
-use mig_gpu::{ProfileSize, ResliceCostModel};
+use mig_gpu::ProfileSize;
 use paris_core::{pack_gpus, GpcBudget, ReconfigMode};
 
 /// How the windowed cluster engine synchronizes its shard lanes.
@@ -82,7 +82,6 @@ pub(crate) struct ArmedReplan {
     pub budget: GpcBudget,
     pub weights: Vec<f64>,
     pub dists: Vec<BatchDistribution>,
-    pub cost: ResliceCostModel,
     pub extra_downtime: SimDuration,
     pub mode: ReconfigMode,
 }
@@ -93,7 +92,6 @@ impl ArmedReplan {
             budget: self.budget,
             weights: &self.weights,
             dists: &self.dists,
-            cost: &self.cost,
             extra_downtime: self.extra_downtime,
             mode: self.mode,
         }

@@ -96,11 +96,6 @@ fn stamp_time(stamp: u128) -> SimTime {
     unpack_time(stamp)
 }
 
-#[inline]
-fn stamp_key(stamp: u128) -> u64 {
-    stamp as u64
-}
-
 /// Hole-pattern sift-up: the element at `i` rides in registers, parents
 /// shift down one write each, and the element lands with a single store.
 /// In the dominant push pattern (scheduling later than everything pending)
@@ -249,17 +244,6 @@ impl<E> EventQueue<E> {
             len: 0,
             next_seq: 0,
         }
-    }
-
-    /// Events the heap and payload slab can hold before reallocating — the
-    /// observable the pre-sizing tests assert against (a queue whose peak
-    /// population stays at or below its initial capacity never grows).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.far_stamp
-            .capacity()
-            .min(self.far_slot.capacity())
-            .min(self.slab.capacity())
     }
 
     fn alloc_slot(&mut self, seq: u64, payload: E) -> u32 {
@@ -573,18 +557,9 @@ impl<E> EventQueue<E> {
         self.front.map(|(s, _, _)| stamp_time(s))
     }
 
-    /// The `(time, key)` stamp of the earliest pending event, if any — the
-    /// position a windowed driver compares against a synchronization bound
-    /// without consuming the event.
-    #[must_use]
-    #[inline]
-    pub fn peek_time_key(&self) -> Option<(SimTime, u64)> {
-        self.front.map(|(s, _, _)| (stamp_time(s), stamp_key(s)))
-    }
-
     /// The packed `(time << 64) | key` stamp of the earliest pending event,
-    /// if any — [`peek_time_key`](Self::peek_time_key) as a single integer,
-    /// comparable directly against [`pack_stamp`]ed bounds.
+    /// if any — the position a windowed driver compares directly against
+    /// [`pack_stamp`]ed synchronization bounds without consuming the event.
     #[must_use]
     #[inline]
     pub fn peek_stamp(&self) -> Option<u128> {
@@ -601,30 +576,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Drops all pending events (the sequence counter keeps advancing so
-    /// FIFO stability is preserved across clears).
-    ///
-    /// Every buffer — heap, slab, free list, calendar buckets — retains its
-    /// capacity, so the fault-abort paths that clear and refill a timeline
-    /// never reallocate. [`capacity`](Self::capacity) is unchanged by a
-    /// clear, and the tests pin that.
-    pub fn clear(&mut self) {
-        self.far_stamp.clear();
-        self.far_slot.clear();
-        self.slab.clear();
-        self.free_head = NO_SLOT;
-        for bucket in &mut self.ring {
-            bucket.clear();
-        }
-        self.ring_occ = 0;
-        self.ring_count = 0;
-        self.active.clear();
-        self.front = None;
-        self.len = 0;
-        // `armed`/`width_log2`/`cur_bucket` are routing policy, not
-        // contract: the next push re-slides the (empty) window.
     }
 }
 
@@ -711,27 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
-        q.push(SimTime::ZERO, 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn fifo_stability_survives_clear() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
-        q.clear();
-        q.push(SimTime::ZERO, 2);
-        q.push(SimTime::ZERO, 3);
-        assert_eq!(q.pop().map(|(_, v)| v), Some(2));
-        assert_eq!(q.pop().map(|(_, v)| v), Some(3));
-    }
-
-    #[test]
     fn with_capacity_starts_empty() {
         let q: EventQueue<u8> = EventQueue::with_capacity(64);
         assert!(q.is_empty());
@@ -767,7 +697,7 @@ mod tests {
         );
         for (&(t, k), &s) in pairs.iter().zip(&stamps) {
             assert_eq!(stamp_time(s), SimTime::from_nanos(t));
-            assert_eq!(stamp_key(s), k);
+            assert_eq!(s as u64, k);
         }
     }
 
@@ -864,30 +794,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_retains_capacity() {
-        let mut q: EventQueue<u64> = EventQueue::with_capacity(256);
-        let initial = q.capacity();
-        assert!(initial >= 256);
-        for i in 0..200u64 {
-            q.push(SimTime::from_nanos(i), i);
-        }
-        q.clear();
-        assert_eq!(q.capacity(), initial, "clear must not shed capacity");
-        assert!(q.is_empty());
-        // Refill after clear stays within the retained buffers.
-        for i in 0..200u64 {
-            q.push(SimTime::from_nanos(i), i);
-        }
-        assert_eq!(q.capacity(), initial, "refill within capacity, no growth");
-    }
-
-    #[test]
     fn peek_stamp_matches_time_key() {
         let mut q = EventQueue::new();
         q.push_keyed(SimTime::from_nanos(100), 7, ());
         q.push_keyed(SimTime::from_nanos(50), 9, ());
         assert_eq!(q.peek_stamp(), Some(pack_stamp(SimTime::from_nanos(50), 9)));
-        assert_eq!(q.peek_time_key(), Some((SimTime::from_nanos(50), 9)));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(50)));
     }
 
     /// Back-to-back pops and peeks with no push in between must keep the
@@ -990,7 +902,7 @@ mod tests {
                         assert_eq!(q.push_pop(t, k, next_id), want, "push_pop diverged");
                         next_id += 1;
                     }
-                    90..=96 => {
+                    _ => {
                         let batch: Vec<(SimTime, u64, u32)> = (0..rng() % 12)
                             .map(|_| {
                                 let (t, k) = (rand_time(rng()), rng() % 8);
@@ -1002,11 +914,6 @@ mod tests {
                             })
                             .collect();
                         q.push_batch(batch);
-                    }
-                    _ => {
-                        // clear: drops events, keeps the seq counter running.
-                        oracle.clear();
-                        q.clear();
                     }
                 }
                 assert_eq!(q.len(), oracle.len(), "len diverged (trial {trial})");

@@ -69,8 +69,6 @@
 use des_engine::SimTime;
 use inference_cluster::{Cluster, ClusterReport, FaultEvent, FaultTimeline};
 use inference_server::ReportDetail;
-use mig_gpu::ResliceCostModel;
-use paris_core::ReconfigMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use server_metrics::WindowedTail;
@@ -234,8 +232,8 @@ impl FaultTopology {
 pub const DEGRADED_WINDOW_NS: u64 = 250_000_000;
 
 /// A deterministic, seedable fault scenario: explicit and/or sampled
-/// outage windows plus the recovery knobs. Compiles to the cluster's
-/// executable [`FaultTimeline`].
+/// outage windows. Compiles to the cluster's executable
+/// [`FaultTimeline`].
 ///
 /// Outages always come in fail/repair **pairs**, which is what makes the
 /// conservation contract unconditional: a group that a failure left dark
@@ -246,22 +244,18 @@ pub struct FaultPlan {
     gpu_outages: Vec<GpuOutage>,
     shard_outages: Vec<ShardOutage>,
     gpu_degrades: Vec<GpuDegrade>,
-    cost: ResliceCostModel,
-    mode: ReconfigMode,
 }
 
 impl FaultPlan {
-    /// The empty plan (A100 recovery cost model, rolling staging — the
-    /// workspace default) — a run under it is bit-for-bit the fault-free
-    /// run.
+    /// The empty plan — a run under it is bit-for-bit the fault-free
+    /// run. Every recovery re-plan a compiled plan triggers is priced by
+    /// the one A100 reslice model and staged rolling, one GPU at a time.
     #[must_use]
     pub fn new() -> Self {
         FaultPlan {
             gpu_outages: Vec::new(),
             shard_outages: Vec::new(),
             gpu_degrades: Vec::new(),
-            cost: ResliceCostModel::a100_default(),
-            mode: ReconfigMode::Rolling,
         }
     }
 
@@ -471,20 +465,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Overrides the recovery reslice cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: ResliceCostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Overrides the staging mode of recovery re-plans.
-    #[must_use]
-    pub fn with_mode(mut self, mode: ReconfigMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Whether the plan schedules nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -553,8 +533,6 @@ impl FaultPlan {
             ));
         }
         FaultTimeline::new(events)
-            .with_cost(self.cost)
-            .with_mode(self.mode)
     }
 
     /// The degraded intervals this plan implies — each outage or

@@ -46,7 +46,8 @@ impl ResliceCostModel {
     /// serving process's CUDA context, which dominates). Per-instance
     /// terms are kept small because instances on *different* GPUs
     /// reconfigure concurrently — the driver serializes within a GPU, not
-    /// across the server.
+    /// across the server. The serving engine prices every re-plan it
+    /// runs (drift, capacity loan, fault recovery) with this model.
     #[must_use]
     pub fn a100_default() -> Self {
         ResliceCostModel {

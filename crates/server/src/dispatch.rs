@@ -42,8 +42,6 @@ use mig_gpu::ProfileSize;
 use paris_core::{
     scale_ns, Elsa, ElsaState, LoadSet, ProfileTable, ReconfigSchedule, ReconfigStep,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use server_metrics::{LatencyHistogram, LatencyRecorder};
 
 use crate::multi::{ModelReport, MultiRunReport, ReconfigEvent};
@@ -94,29 +92,6 @@ const RECONFIG_KEY: u64 = u64::MAX;
 /// the reference path charge the same 20 µs.
 pub(crate) const FRONTEND_OVERHEAD: SimDuration = SimDuration::from_micros(20);
 
-/// Turns a profiled latency of `base_ns` nanoseconds into a service time
-/// under multiplicative normal noise of relative stddev `noise`. One
-/// shared implementation keeps the noise stream aligned draw-for-draw
-/// across the dispatch core and `run_reference`.
-pub(crate) fn noisy_service_duration(
-    noise: f64,
-    base_ns: u64,
-    noise_rng: &mut StdRng,
-) -> SimDuration {
-    if noise > 0.0 {
-        // Box–Muller: two uniforms → one standard normal draw. The
-        // second uniform is always consumed so the stream stays aligned
-        // across implementations.
-        let u1: f64 = noise_rng.gen();
-        let u2: f64 = noise_rng.gen();
-        let z = (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        let factor = (1.0 + noise * z).max(0.1);
-        SimDuration::from_nanos((base_ns as f64 * factor).round() as u64)
-    } else {
-        SimDuration::from_nanos(base_ns)
-    }
-}
-
 /// Everything one group (one model's partition set) needs from its owner.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupSpec<'a> {
@@ -134,10 +109,6 @@ pub(crate) struct GroupSpec<'a> {
 /// `MultiModelConfig`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CoreConfig {
-    /// Relative stddev of multiplicative service-time noise (0 = exact).
-    pub service_noise: f64,
-    /// Seed for the service-noise RNG.
-    pub noise_seed: u64,
     /// How much per-query material the run keeps.
     pub detail: ReportDetail,
     /// Whether schedulers *see* per-slot degrade factors
@@ -237,7 +208,6 @@ pub(crate) struct DispatchCore<'a> {
     groups: Vec<GroupRuntime>,
     reconfig: Option<ReconfigRun>,
     reconfigs: Vec<ReconfigEvent>,
-    noise_rng: StdRng,
     records: Vec<QueryRecord>,
     record_groups: Vec<usize>,
     latency: LatencyRecorder,
@@ -327,7 +297,6 @@ impl<'a> DispatchCore<'a> {
             })
             .collect();
         let mut core = DispatchCore {
-            noise_rng: StdRng::seed_from_u64(config.noise_seed),
             specs,
             config,
             slots,
@@ -421,10 +390,9 @@ impl<'a> DispatchCore<'a> {
         }
     }
 
-    /// The *physical* execution time for `batch` on slot `w` (before
-    /// service noise): the profiled latency scaled by the slot's degrade
-    /// factor, always — slow silicon is slow whether or not the scheduler
-    /// is allowed to know.
+    /// The *physical* execution time for `batch` on slot `w`: the profiled
+    /// latency scaled by the slot's degrade factor, always — slow silicon
+    /// is slow whether or not the scheduler is allowed to know.
     #[inline]
     fn service_ns(&self, w: usize, batch: usize) -> u64 {
         scale_ns(
@@ -549,7 +517,6 @@ impl<'a> DispatchCore<'a> {
         sched: &mut impl FnMut(SimTime, u64, ShardEvent),
     ) {
         let base = self.service_ns(w, query.batch);
-        let duration = noisy_service_duration(self.config.service_noise, base, &mut self.noise_rng);
         if let Some(tr) = &mut self.trace {
             let clean = self.rows[w][query.batch.clamp(1, self.max_batch[w]) - 1];
             tr.record(
@@ -561,11 +528,13 @@ impl<'a> DispatchCore<'a> {
                     gpcs: self.slots[w].worker.size().gpcs() as u32,
                     clean_ns: clean,
                     base_ns: base,
-                    actual_ns: duration.as_nanos(),
+                    actual_ns: base,
                 },
             );
         }
-        let end = self.slots[w].worker.begin(query, now, duration);
+        let end = self.slots[w]
+            .worker
+            .begin(query, now, SimDuration::from_nanos(base));
         if !self.slots[w].retiring {
             let (g, local) = (self.slots[w].group, self.slots[w].local);
             if let Some((_, state)) = &mut self.groups[g].elsa {
@@ -1266,8 +1235,6 @@ mod tests {
 
     fn core_config() -> CoreConfig {
         CoreConfig {
-            service_noise: 0.0,
-            noise_seed: 0,
             detail: ReportDetail::Full,
             degrade_visible: true,
         }

@@ -65,8 +65,8 @@ mod worker;
 pub use designs::{paper_budgets, DesignPoint, Testbed};
 pub use dispatch::ShardEvent;
 pub use multi::{
-    split_budget, ModelReport, ModelSpec, MultiModelConfig, MultiModelServer, MultiRunReport,
-    ReconfigEvent, ReplanPolicy, ReplanRequest, ShardEngine,
+    observed_shares, split_budget, ModelReport, ModelSpec, MultiModelConfig, MultiModelServer,
+    MultiRunReport, ReconfigEvent, ReplanPolicy, ReplanRequest, ShardEngine,
 };
 pub use query::{Query, QueryId, QueryRecord};
 pub use server::{InferenceServer, ReportDetail, RunReport, SchedulerKind, ServerConfig};

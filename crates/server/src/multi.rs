@@ -42,9 +42,7 @@
 //! below and the property suite enforce this.
 
 use des_engine::{SimDuration, SimTime, Simulation};
-use inference_workload::{
-    BatchDistribution, DriftDetector, DriftDetectorConfig, DriftReport, TaggedQuerySpec,
-};
+use inference_workload::{BatchDistribution, DriftDetector, DriftDetectorConfig, TaggedQuerySpec};
 use mig_gpu::{ProfileSize, ResliceCostModel};
 use paris_core::{
     plan_diff, GpcBudget, Paris, PlanDiff, PlanError, ProfileTable, ReconfigMode, ReconfigSchedule,
@@ -106,8 +104,9 @@ impl ModelSpec {
     /// `dist` (≈ full-GPU-seconds per second), floored at a tiny positive
     /// value so a silent model still gets a sliver of budget.
     ///
-    /// One formula shared by the drift re-planner and cluster loan
-    /// controllers, so their budget splits can never silently diverge.
+    /// One formula shared, through [`observed_shares`], by the drift
+    /// re-planner, cluster loan transfers and fault recoveries, so their
+    /// budget splits can never silently diverge.
     #[must_use]
     pub fn demand_weight(&self, dist: &BatchDistribution, rate_qps: f64) -> f64 {
         let big = self.table.largest_size();
@@ -118,13 +117,40 @@ impl ModelSpec {
     }
 }
 
+/// The budget-share weights and planning distributions of a re-plan of
+/// `models`, read from `detector` lanes `first_lane..first_lane +
+/// models.len()` (one lane per model, in order): each model plans with
+/// its observed batch distribution, else its declared one, and weighs in
+/// with [`ModelSpec::demand_weight`] at its observed rate, else 0.
+#[must_use]
+pub fn observed_shares(
+    models: &[ModelSpec],
+    detector: &DriftDetector,
+    first_lane: usize,
+) -> (Vec<f64>, Vec<BatchDistribution>) {
+    models
+        .iter()
+        .enumerate()
+        .map(|(m, spec)| {
+            let lane = first_lane + m;
+            let dist = detector
+                .observed_distribution(lane)
+                .unwrap_or_else(|| spec.dist.clone());
+            let rate = detector
+                .observed_rates_qps()
+                .get(lane)
+                .copied()
+                .unwrap_or(0.0);
+            (spec.demand_weight(&dist, rate), dist)
+        })
+        .unzip()
+}
+
 /// When and how the server re-plans mid-run.
 #[derive(Debug, Clone)]
 pub struct ReplanPolicy {
-    /// The drift trigger.
-    pub detector: DriftDetectorConfig,
-    /// The MIG reslice downtime model the DES charges per reconfiguration.
-    pub cost: ResliceCostModel,
+    /// The drift trigger, fixed by [`new`](Self::new)'s window.
+    detector: DriftDetectorConfig,
     /// How a re-plan's edits are staged: one GPU at a time
     /// ([`ReconfigMode::Rolling`], the default — bounding the capacity dip)
     /// or one combined outage ([`ReconfigMode::AllAtOnce`], kept for
@@ -133,32 +159,25 @@ pub struct ReplanPolicy {
 }
 
 impl ReplanPolicy {
-    /// A policy with the given detection window (seconds), the default
-    /// ±50 % drift threshold, the A100 reslice cost model and rolling
-    /// staging (the workspace default — `BENCH_multimodel.json`'s
-    /// `reconfig_dip` data shows the bounded dip is worth the extra total
-    /// downtime).
+    /// A policy whose drift detector
+    /// ([`DriftDetectorConfig::new`]) closes a window every `window_s`
+    /// seconds, flags ±50 % drift and trusts windows of 50 or more
+    /// arrivals, with rolling staging (the workspace default —
+    /// `BENCH_multimodel.json`'s `reconfig_dip` data shows the bounded dip
+    /// is worth the extra total downtime).
+    ///
+    /// Every re-plan is priced by the one A100 reslice model
+    /// ([`ResliceCostModel::a100_default`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_s` is not positive and finite.
     #[must_use]
     pub fn new(window_s: f64) -> Self {
         ReplanPolicy {
             detector: DriftDetectorConfig::new(window_s),
-            cost: ResliceCostModel::a100_default(),
             mode: ReconfigMode::Rolling,
         }
-    }
-
-    /// Overrides the drift detector configuration.
-    #[must_use]
-    pub fn with_detector(mut self, detector: DriftDetectorConfig) -> Self {
-        self.detector = detector;
-        self
-    }
-
-    /// Overrides the reslice cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: ResliceCostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Overrides the reconfiguration staging mode.
@@ -174,10 +193,6 @@ impl ReplanPolicy {
 /// policy).
 #[derive(Debug, Clone)]
 pub struct MultiModelConfig {
-    /// Relative stddev of multiplicative service-time noise (0 = exact).
-    pub service_noise: f64,
-    /// Seed for the service-noise RNG.
-    pub noise_seed: u64,
     /// How much per-query material runs keep.
     pub detail: ReportDetail,
     /// Online re-planning policy; `None` freezes the initial plan.
@@ -190,13 +205,11 @@ pub struct MultiModelConfig {
 }
 
 impl MultiModelConfig {
-    /// A deterministic configuration with a 20 µs frontend, full detail
-    /// and no re-planning.
+    /// A configuration with a 20 µs frontend, profiled (deterministic)
+    /// service times, full detail and no re-planning.
     #[must_use]
     pub fn new() -> Self {
         MultiModelConfig {
-            service_noise: 0.0,
-            noise_seed: 0,
             detail: ReportDetail::Full,
             replan: None,
             degrade_visible: true,
@@ -209,19 +222,6 @@ impl MultiModelConfig {
     #[must_use]
     pub fn with_degrade_blind(mut self) -> Self {
         self.degrade_visible = false;
-        self
-    }
-
-    /// Adds multiplicative service-time noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `noise` is negative or not finite.
-    #[must_use]
-    pub fn with_service_noise(mut self, noise: f64, seed: u64) -> Self {
-        assert!(noise.is_finite() && noise >= 0.0, "noise must be >= 0");
-        self.service_noise = noise;
-        self.noise_seed = seed;
         self
     }
 
@@ -702,8 +702,6 @@ pub struct ReplanRequest<'a> {
     pub weights: &'a [f64],
     /// Per-model planning distributions (observed, or declared).
     pub dists: &'a [BatchDistribution],
-    /// Prices the reslice of whatever `plan_diff` the transition implies.
-    pub cost: &'a ResliceCostModel,
     /// Added on top of the reslice delay — e.g. the whole-GPU handover
     /// charge of a capacity loan
     /// ([`ResliceCostModel::gpu_handover_ns`]).
@@ -780,8 +778,6 @@ impl<'a> ShardEngine<'a> {
             specs,
             &server.groups,
             CoreConfig {
-                service_noise: server.config.service_noise,
-                noise_seed: server.config.noise_seed,
                 detail,
                 degrade_visible: server.config.degrade_visible,
             },
@@ -837,10 +833,8 @@ impl<'a> ShardEngine<'a> {
         if let ShardEvent::Dispatch(query, m) = event {
             if let Some(det) = &mut self.detector {
                 let drift = det.observe(m, query.arrival.as_nanos(), query.batch);
-                if !self.core.reconfig_in_flight() {
-                    if let Some(report) = drift {
-                        self.try_replan(&report, now, sched);
-                    }
+                if drift.is_some() && !self.core.reconfig_in_flight() {
+                    self.try_replan(now, sched);
                 }
             }
         }
@@ -937,43 +931,25 @@ impl<'a> ShardEngine<'a> {
         self.core.abort_transition(now, sched)
     }
 
-    /// Acts on a drift report: re-plans every model from its observed
-    /// traffic, quiesces the instances the new plan drops, and arms the
-    /// reslice schedule.
-    fn try_replan(
-        &mut self,
-        report: &DriftReport,
-        now: SimTime,
-        sched: &mut impl FnMut(SimTime, u64, ShardEvent),
-    ) {
+    /// Acts on a drift report, which the detector has just folded into its
+    /// last trusted window: re-plans every model from its observed
+    /// traffic ([`observed_shares`]), quiesces the instances the new plan
+    /// drops, and arms the reslice schedule.
+    fn try_replan(&mut self, now: SimTime, sched: &mut impl FnMut(SimTime, u64, ShardEvent)) {
         let detector = self.detector.as_ref().expect("replan needs a detector");
-        let models = &self.server.models;
-
-        // Budget weights from observed demand ([`ModelSpec::demand_weight`]).
-        let mut weights = Vec::with_capacity(models.len());
-        let mut dists: Vec<BatchDistribution> = Vec::with_capacity(models.len());
-        for (m, spec) in models.iter().enumerate() {
-            let dist = detector
-                .observed_distribution(m)
-                .unwrap_or_else(|| spec.dist.clone());
-            let rate = report.rates_qps.get(m).copied().unwrap_or(0.0);
-            weights.push(spec.demand_weight(&dist, rate));
-            dists.push(dist);
-        }
-
-        let policy = self
+        let (weights, dists) = observed_shares(&self.server.models, detector, 0);
+        let mode = self
             .server
             .config
             .replan
             .as_ref()
-            .expect("replan policy present");
-        let (cost, mode) = (policy.cost, policy.mode);
+            .expect("replan policy present")
+            .mode;
         let started = self.transition_to(
             &ReplanRequest {
                 budget: self.budget,
                 weights: &weights,
                 dists: &dists,
-                cost: &cost,
                 extra_downtime: SimDuration::ZERO,
                 mode,
             },
@@ -1040,7 +1016,6 @@ impl<'a> ShardEngine<'a> {
             budget,
             weights,
             dists,
-            cost,
             extra_downtime,
             mode,
         } = *request;
@@ -1065,7 +1040,12 @@ impl<'a> ShardEngine<'a> {
             .zip(&targets)
             .map(|(c, t)| plan_diff(c, t))
             .collect();
-        let schedule = ReconfigSchedule::new(&diffs, mode, cost, extra_downtime.as_nanos());
+        let schedule = ReconfigSchedule::new(
+            &diffs,
+            mode,
+            &ResliceCostModel::a100_default(),
+            extra_downtime.as_nanos(),
+        );
         self.core.begin_transition(schedule, now, sched)
     }
 
@@ -1204,7 +1184,7 @@ mod tests {
 
     #[test]
     fn drift_triggers_replanning_and_conserves_queries() {
-        let policy = ReplanPolicy::new(0.25).with_cost(ResliceCostModel::a100_default());
+        let policy = ReplanPolicy::new(0.25);
         let server = two_model_server(Some(policy));
         let trace = drifting_trace(2.0, 11).generate();
         let report = server.run(&trace);
@@ -1339,7 +1319,6 @@ mod tests {
         .expect("plan builds");
         let mut engine = ShardEngine::new(&server, ReportDetail::Full);
         let mut scheduled = Vec::new();
-        let cost = ResliceCostModel::a100_default();
         // Same budget, equal weights, declared dists: PARIS lands on the same
         // plan, so nothing may be scheduled and no reconfig armed.
         let started = engine.force_replan(
@@ -1347,7 +1326,6 @@ mod tests {
                 budget: server.budget(),
                 weights: &[1.0],
                 dists: &[dist],
-                cost: &cost,
                 extra_downtime: SimDuration::ZERO,
                 mode: ReconfigMode::AllAtOnce,
             },
@@ -1446,7 +1424,7 @@ mod tests {
         .expect("plan builds");
         let one_trace =
             MultiTraceGenerator::new(vec![PhaseSpec::new(1.0, vec![(400.0, dist)])], 23).generate();
-        let policy = ReplanPolicy::new(0.25).with_cost(ResliceCostModel::a100_default());
+        let policy = ReplanPolicy::new(0.25);
         let two = two_model_server(Some(policy));
         let two_trace = drifting_trace(2.0, 11).generate();
         for (server, trace, models) in [(&one, one_trace, 1), (&two, two_trace, 2)] {

@@ -7,7 +7,7 @@
 //! profiled latency as service time, and every completion is recorded.
 //!
 //! [`InferenceServer`] keeps no event loop of its own: a run is a 1-model
-//! [`MultiModelServer`] over the server's partitions, scheduler and noise,
+//! [`MultiModelServer`] over the server's partitions and scheduler,
 //! driven by [`MultiModelServer::run_stream`] — the crate's one driver —
 //! and its [`MultiRunReport`] translates back into a [`RunReport`].
 //! [`InferenceServer::run_reference`] stays a separate, pure
@@ -51,11 +51,9 @@ use des_engine::{SimDuration, SimTime, Simulation};
 use inference_workload::{BatchDistribution, QuerySpec, TaggedQuerySpec};
 use mig_gpu::ProfileSize;
 use paris_core::{Elsa, ElsaConfig, GpcBudget, PartitionPlan, ProfileTable};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use server_metrics::{LatencyHistogram, LatencyRecorder};
 
-use crate::dispatch::{noisy_service_duration, FRONTEND_OVERHEAD};
+use crate::dispatch::FRONTEND_OVERHEAD;
 use crate::multi::{ModelSpec, MultiModelConfig, MultiModelServer, MultiRunReport};
 use crate::query::{Query, QueryId, QueryRecord};
 use crate::worker::PartitionWorker;
@@ -90,13 +88,6 @@ pub enum ReportDetail {
 pub struct ServerConfig {
     /// The scheduling policy.
     pub scheduler: SchedulerKind,
-    /// Relative standard deviation of multiplicative service-time noise
-    /// (0 = perfectly deterministic execution, the paper's observation).
-    /// Service times are scaled by `1 + noise·z` with `z` standard normal,
-    /// floored at 0.1× the profiled latency.
-    pub service_noise: f64,
-    /// Seed for the service-noise RNG.
-    pub noise_seed: u64,
     /// When set, [`InferenceServer::run`] counts SLA violations
     /// (`latency > sla_ns`) **exactly** against it.
     /// [`InferenceServer::run_stream_sla`] takes its target per call
@@ -107,14 +98,13 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A deterministic server with the given policy. Its serial frontend
-    /// charges a fixed 20 µs per query.
+    /// A server with the given policy. Its serial frontend charges a fixed
+    /// 20 µs per query, and every service time is the profiled latency:
+    /// execution is deterministic, as the paper observes.
     #[must_use]
     pub fn new(scheduler: SchedulerKind) -> Self {
         ServerConfig {
             scheduler,
-            service_noise: 0.0,
-            noise_seed: 0,
             sla_ns: None,
         }
     }
@@ -124,21 +114,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_sla_target(mut self, sla_ns: u64) -> Self {
         self.sla_ns = Some(sla_ns);
-        self
-    }
-
-    /// Adds multiplicative service-time noise (robustness studies):
-    /// `noise` is the relative standard deviation of the normally
-    /// distributed scale factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `noise` is negative or not finite.
-    #[must_use]
-    pub fn with_service_noise(mut self, noise: f64, seed: u64) -> Self {
-        assert!(noise.is_finite() && noise >= 0.0, "noise must be >= 0");
-        self.service_noise = noise;
-        self.noise_seed = seed;
         self
     }
 }
@@ -358,7 +333,7 @@ impl InferenceServer {
     /// per-point server rebuild.
     ///
     /// The run is a 1-model [`MultiModelServer`] over this server's
-    /// partitions, scheduler and noise, driven by
+    /// partitions and scheduler, driven by
     /// [`MultiModelServer::run_stream`]. Bit-for-bit equality with
     /// [`run_reference`](Self::run_reference) is enforced by the unit and
     /// property suites.
@@ -409,8 +384,7 @@ impl InferenceServer {
             vec![model],
             vec![self.partitions.clone()],
             GpcBudget::new(gpcs, self.partitions.len()),
-            MultiModelConfig::new()
-                .with_service_noise(self.config.service_noise, self.config.noise_seed),
+            MultiModelConfig::new(),
         );
         let tagged = arrivals
             .into_iter()
@@ -441,7 +415,6 @@ impl InferenceServer {
             SchedulerKind::Fifs => None,
             SchedulerKind::Elsa(cfg) => Some(Elsa::new(*cfg)),
         };
-        let mut noise_rng = StdRng::seed_from_u64(self.config.noise_seed);
 
         // The frontend is a serial FIFO server: query i's dispatch time is
         // max(arrival, previous dispatch) + overhead.
@@ -476,14 +449,7 @@ impl InferenceServer {
                         let snapshots: Vec<_> = workers.iter().map(|w| w.snapshot(now)).collect();
                         let p = elsa.place(query.batch, &self.table, &snapshots).partition();
                         if workers[p].is_idle() {
-                            self.begin_reference(
-                                &mut workers[p],
-                                p,
-                                query,
-                                now,
-                                &mut sim,
-                                &mut noise_rng,
-                            );
+                            self.begin_reference(&mut workers[p], p, query, now, &mut sim);
                         } else {
                             let est = SimDuration::from_nanos(
                                 self.table.latency_ns(workers[p].size(), query.batch),
@@ -499,14 +465,7 @@ impl InferenceServer {
                             .min_by_key(|&i| (workers[i].idle_since(), i));
                         match idle {
                             Some(p) => {
-                                self.begin_reference(
-                                    &mut workers[p],
-                                    p,
-                                    query,
-                                    now,
-                                    &mut sim,
-                                    &mut noise_rng,
-                                );
+                                self.begin_reference(&mut workers[p], p, query, now, &mut sim);
                             }
                             None => central.push_back(query),
                         }
@@ -537,14 +496,7 @@ impl InferenceServer {
                         None => central.pop_front(),
                     };
                     if let Some(q) = next {
-                        self.begin_reference(
-                            &mut workers[partition],
-                            partition,
-                            q,
-                            now,
-                            &mut sim,
-                            &mut noise_rng,
-                        );
+                        self.begin_reference(&mut workers[partition], partition, q, now, &mut sim);
                     }
                 }
             }
@@ -584,16 +536,9 @@ impl InferenceServer {
         }
     }
 
-    /// Turns a profiled latency of `base_ns` nanoseconds into the actual
-    /// service time, applying the configured multiplicative normal noise.
-    /// Shared by the fast path and `run_reference` so their noise streams
-    /// stay aligned draw-for-draw.
-    fn service_duration(&self, base_ns: u64, noise_rng: &mut StdRng) -> SimDuration {
-        noisy_service_duration(self.config.service_noise, base_ns, noise_rng)
-    }
-
-    /// Reference-path begin: starts `query` on worker `p` at `now` and
-    /// schedules its completion with a plain (FIFO-tie-break) push.
+    /// Reference-path begin: starts `query` on worker `p` at `now` for its
+    /// profiled latency and schedules its completion with a plain
+    /// (FIFO-tie-break) push.
     fn begin_reference(
         &self,
         worker: &mut PartitionWorker,
@@ -601,10 +546,8 @@ impl InferenceServer {
         query: Query,
         now: SimTime,
         sim: &mut Simulation<Event>,
-        noise_rng: &mut StdRng,
     ) {
-        let base = self.table.latency_ns(worker.size(), query.batch);
-        let duration = self.service_duration(base, noise_rng);
+        let duration = SimDuration::from_nanos(self.table.latency_ns(worker.size(), query.batch));
         let end = worker.begin(query, now, duration);
         sim.schedule_at(end, Event::Complete { partition: p });
     }
@@ -767,18 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_reference_with_noise() {
-        let t = table(ModelKind::ShuffleNet);
-        let server = InferenceServer::new(
-            vec![ProfileSize::G2, ProfileSize::G3],
-            t,
-            ServerConfig::new(SchedulerKind::Fifs).with_service_noise(0.15, 77),
-        );
-        let tr = trace(300.0, 21, 0.5);
-        assert_reports_identical(&server.run(&tr), &server.run_reference(&tr));
-    }
-
-    #[test]
     fn streaming_keeps_event_queue_small() {
         let server = fifs_server(ModelKind::MobileNet, vec![ProfileSize::G2; 4]);
         let tr = trace(2_000.0, 5, 0.5);
@@ -932,7 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn service_time_matches_profiled_latency_without_noise() {
+    fn service_time_is_the_profiled_latency() {
         let server = fifs_server(ModelKind::BertBase, vec![ProfileSize::G7]);
         let tr = vec![QuerySpec {
             arrival_ns: 0,
@@ -1011,62 +942,6 @@ mod tests {
         for w in runs.windows(2) {
             assert!(w[0].0 != w[1].0 || w[0].2 <= w[1].1, "overlap: {w:?}");
         }
-    }
-
-    #[test]
-    fn service_noise_perturbs_but_preserves_count() {
-        let t = table(ModelKind::ResNet50);
-        let noisy = InferenceServer::new(
-            vec![ProfileSize::G3],
-            t.clone(),
-            ServerConfig::new(SchedulerKind::Fifs).with_service_noise(0.2, 99),
-        );
-        let clean = InferenceServer::new(
-            vec![ProfileSize::G3],
-            t,
-            ServerConfig::new(SchedulerKind::Fifs),
-        );
-        let tr = trace(50.0, 15, 0.5);
-        let a = noisy.run(&tr);
-        let b = clean.run(&tr);
-        assert_eq!(a.records.len(), b.records.len());
-        assert_ne!(
-            a.records[0].service_time(),
-            b.records[0].service_time(),
-            "noise should change service times"
-        );
-    }
-
-    #[test]
-    fn service_noise_scale_tracks_configured_stddev() {
-        // The doc promises `noise` is the *relative standard deviation* of
-        // the service-time scale factor; check the sampled factors.
-        let t = table(ModelKind::ResNet50);
-        let noise = 0.2;
-        let server = InferenceServer::new(
-            vec![ProfileSize::G3],
-            t.clone(),
-            ServerConfig::new(SchedulerKind::Fifs).with_service_noise(noise, 4242),
-        );
-        let tr = trace(40.0, 31, 5.0);
-        let report = server.run(&tr);
-        let factors: Vec<f64> = report
-            .records
-            .iter()
-            .map(|r| {
-                let base = t.latency_ns(ProfileSize::G3, r.batch) as f64;
-                r.service_time().as_nanos() as f64 / base
-            })
-            .collect();
-        let n = factors.len() as f64;
-        let mean = factors.iter().sum::<f64>() / n;
-        let var = factors.iter().map(|f| (f - mean).powi(2)).sum::<f64>() / n;
-        assert!((mean - 1.0).abs() < 0.05, "mean factor {mean}");
-        assert!(
-            (var.sqrt() / noise - 1.0).abs() < 0.2,
-            "sampled stddev {} vs configured {noise}",
-            var.sqrt()
-        );
     }
 
     #[test]

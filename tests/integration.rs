@@ -212,24 +212,6 @@ fn looser_sla_increases_every_designs_throughput() {
 }
 
 #[test]
-fn service_noise_degrades_gracefully() {
-    // ELSA's estimates assume deterministic DNN latency (§IV-C); mild noise
-    // must not break conservation or blow p95 up catastrophically.
-    let bed = Testbed::paper_default(ModelKind::ResNet50);
-    let plan = bed.plan(DesignPoint::ParisElsa).unwrap();
-    let noisy = InferenceServer::from_plan(
-        &plan,
-        bed.table().clone(),
-        ServerConfig::new(SchedulerKind::Elsa(ElsaConfig::new(bed.sla_ns())))
-            .with_service_noise(0.1, 42),
-    );
-    let trace = TraceGenerator::new(500.0, bed.distribution().clone(), 8).generate_for(1.0);
-    let report = noisy.run(&trace);
-    assert_eq!(report.records.len(), trace.len());
-    assert!(report.p95_ms() < 3.0 * bed.sla_ns() as f64 / 1e6);
-}
-
-#[test]
 fn table1_homogeneous_instance_counts() {
     // The reproducible Table I rows (geometry-faithful; see README,
     // "Deviations from the paper", for the two deliberate deviations on

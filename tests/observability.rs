@@ -342,29 +342,35 @@ fn alert_annotations_are_registry_neutral() {
     assert_eq!(registry, replayed, "alert rows changed the registry");
 }
 
+/// The golden fault plan: shard 0's GPU 0 is dark from 20 to 40 ms and
+/// shard 1's GPU 1 runs 1.5× slow from 10 to 50 ms.
+fn golden_plan() -> FaultPlan {
+    FaultPlan::new()
+        .with_gpu_outage(0, 0, 0.02, 0.04)
+        .with_gpu_degrade(1, 1, 1.5, 0.01, 0.05)
+}
+
 /// The golden fixture: `small_cluster` with a 2-GPU loan pool, 60 ms at
-/// 1.5× fleet capacity; shard 0's GPU 0 is dark from 20 to 40 ms and
-/// shard 1's GPU 1 runs 1.5× slow from 10 to 50 ms. Small enough to check
-/// in, rich enough to record every lifecycle exception (enqueue, stash,
-/// abort, requeue, shed) beside faults, degrades and a recovery reconfig.
-fn golden_trace(window: SyncWindow) -> QueryTrace {
+/// 1.5× fleet capacity, under `plan`. Under [`golden_plan`] it is small
+/// enough to check in, rich enough to record every lifecycle exception
+/// (enqueue, stash, abort, requeue, shed) beside faults, degrades and a
+/// recovery reconfig.
+fn golden_trace(window: SyncWindow, plan: &FaultPlan) -> QueryTrace {
     let table = mobilenet_table();
     let cluster =
         small_cluster(&table, RouterPolicy::JoinShortestQueue).with_loan(LoanPolicy::new(2, 0.005));
     let trace_in = arrivals(&cluster, 0.06, 1.5, 11);
-    let plan = FaultPlan::new()
-        .with_gpu_outage(0, 0, 0.02, 0.04)
-        .with_gpu_degrade(1, 1, 1.5, 0.01, 0.05);
     let spec = RunSpec::new(ReportDetail::Summary)
         .with_window(window, 1)
         .with_obs(ObsRequest::traced());
-    let (_, trace, _) = run_plan(&cluster, &trace_in, &plan, spec);
+    let (_, trace, _) = run_plan(&cluster, &trace_in, plan, spec);
     trace.expect("tracing was requested")
 }
 
-/// The JSONL export of [`golden_trace`] is pinned byte for byte under
-/// `tests/golden/`, at per-event and at lookahead windowing, so a change
-/// to how the recorder stores a trace cannot change what it reads back.
+/// The JSONL export of [`golden_trace`] under [`golden_plan`] is pinned
+/// byte for byte under `tests/golden/`, at per-event and at lookahead
+/// windowing, so a change to how the recorder stores a trace cannot
+/// change what it reads back.
 /// Only a change to simulated behaviour may move these files: on a
 /// mismatch the new export is written under the target directory, and a
 /// change that moves behaviour on purpose copies it over the golden file
@@ -381,7 +387,7 @@ fn golden_jsonl_exports_are_reproduced_byte_for_byte() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
             .join(file);
-        let got = jsonl(&golden_trace(window));
+        let got = jsonl(&golden_trace(window, &golden_plan()));
         let want = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         if got != want {
@@ -391,6 +397,55 @@ fn golden_jsonl_exports_are_reproduced_byte_for_byte() {
                 "{file}: the JSONL export moved; the new export is at {}",
                 moved.display()
             );
+        }
+    }
+}
+
+/// The serving engine draws no random numbers: every execution runs for
+/// exactly its degrade-scaled profiled latency, so each `ServiceStart`'s
+/// `actual_ns` equals its `base_ns` and `analyze` finds no service-noise
+/// component in any class. Checked on the golden fixture (a GPU outage,
+/// a 1.5× degrade, a recovery re-plan) and on a variant that also slows
+/// shard 1's other GPU, so that no placement can avoid the degrade and
+/// some `base_ns` must exceed its `clean_ns`.
+#[test]
+fn engine_traces_carry_no_service_noise() {
+    for window in [
+        SyncWindow::PerEvent,
+        SyncWindow::Lookahead(SimDuration::from_nanos(2_000_000)),
+    ] {
+        let whole_shard_slow = golden_plan().with_gpu_degrade(1, 0, 1.5, 0.01, 0.05);
+        for (plan, must_inflate) in [(golden_plan(), false), (whole_shard_slow, true)] {
+            let trace = golden_trace(window, &plan);
+            let (mut starts, mut inflated) = (0usize, 0usize);
+            for r in trace.records() {
+                if let TraceEvent::ServiceStart {
+                    clean_ns,
+                    base_ns,
+                    actual_ns,
+                    ..
+                } = r.event
+                {
+                    starts += 1;
+                    inflated += usize::from(base_ns > clean_ns);
+                    assert_eq!(
+                        actual_ns, base_ns,
+                        "a service time left its profiled latency ({window:?})"
+                    );
+                }
+            }
+            assert!(starts > 0, "the fixture serves queries ({window:?})");
+            assert!(
+                inflated > 0 || !must_inflate,
+                "the 1.5x degrade must inflate some executions ({window:?})"
+            );
+            for class in &analyze(&trace).classes {
+                assert_eq!(
+                    class.noise_delta_ns, 0,
+                    "class {} shows service noise ({window:?})",
+                    class.group
+                );
+            }
         }
     }
 }
