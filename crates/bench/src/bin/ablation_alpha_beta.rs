@@ -12,7 +12,7 @@ use paris_elsa::prelude::*;
 use paris_elsa::server::measure_point;
 
 fn main() {
-    let opts = Opts::from_args(42);
+    let opts = Opts::from_args(42, &[]);
     let bed = Testbed::paper_default(ModelKind::ResNet50);
     let sweep = opts.sweep(&bed);
     let plan = bed.plan(DesignPoint::ParisElsa).expect("plan builds");

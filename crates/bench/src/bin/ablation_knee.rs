@@ -12,7 +12,7 @@ use paris_elsa::paris::KneeRule;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = Opts::from_args(42);
+    let opts = Opts::from_args(42, &[]);
     let rules = [
         ("takeoff 1.10", KneeRule::LatencyTakeoff(1.10)),
         ("takeoff 1.25*", KneeRule::LatencyTakeoff(1.25)),

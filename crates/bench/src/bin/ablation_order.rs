@@ -12,7 +12,7 @@ use paris_elsa::prelude::*;
 use paris_elsa::server::measure_point;
 
 fn main() {
-    let opts = Opts::from_args(42);
+    let opts = Opts::from_args(42, &[]);
     let mut rows = Vec::new();
     for model in [
         ModelKind::MobileNet,

@@ -106,7 +106,7 @@ fn measure(cluster: &Cluster, scenario: &Scenario, scale: f64) -> ScalePoint {
 }
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(29);
+    let opts = paris_bench::Opts::from_args(29, &[]);
     // Phases must fit several loan-decision windows plus the reslice
     // outage, or loaning has no runway; smoke mode only proves the
     // pipeline runs.

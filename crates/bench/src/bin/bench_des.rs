@@ -61,7 +61,7 @@ fn filled(depth: usize, mean_gap_ns: u64, seed: u64) -> (EventQueue<u64>, Rng) {
 }
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(11);
+    let opts = paris_bench::Opts::from_args(11, &[]);
     if std::env::var("CRITERION_BUDGET_MS").is_err() {
         let ms = opts.pick(300u64, 100, 20);
         std::env::set_var("CRITERION_BUDGET_MS", ms.to_string());

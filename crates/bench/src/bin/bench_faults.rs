@@ -138,7 +138,7 @@ fn row(policy: &str, report: &FaultReport) -> (Vec<String>, Obj) {
 }
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(37);
+    let opts = paris_bench::Opts::from_args(37, &[]);
     let duration_s = opts.pick(12.0, 6.0, 2.0);
     let scenario = Scenario::new(duration_s, opts.seed);
     let plan = scenario.plan();

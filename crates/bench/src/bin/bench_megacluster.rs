@@ -209,7 +209,7 @@ fn curve_of(m: &ModeResult) -> Vec<Point> {
 }
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(67);
+    let opts = paris_bench::Opts::from_args(67, &[]);
     let duration_secs = opts.pick(1.0, 0.4, 0.05);
     let reps = opts.pick(15, 9, 1);
     let scenario = Scenario::new(duration_secs, opts.seed);

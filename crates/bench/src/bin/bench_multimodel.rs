@@ -97,7 +97,7 @@ fn measure(server: &MultiModelServer, scenario: &Scenario, scale: f64) -> ScaleP
 }
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(13);
+    let opts = paris_bench::Opts::from_args(13, &[]);
     // Quick mode still needs phases comfortably longer than the
     // detection window + reslice outage (~1 s), or re-planning has no
     // runway to pay for itself and the quick numbers are meaningless.

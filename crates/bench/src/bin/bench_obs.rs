@@ -176,7 +176,7 @@ const TRACE_BYTES_PER_QUERY_BOUND: f64 = 120.0;
 const TRACED_OVERHEAD_TARGET_PCT: f64 = 60.0;
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(41);
+    let opts = paris_bench::Opts::from_args(41, &[]);
     let duration_s = opts.pick(8.0, 4.0, 1.5);
     let table = mobilenet_table();
     let rack = RackScenario::new(duration_s, opts.seed, &table);

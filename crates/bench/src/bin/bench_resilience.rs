@@ -123,7 +123,7 @@ fn slow_row(policy: &str, report: &FaultReport) -> (Vec<String>, Obj) {
 }
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(41);
+    let opts = paris_bench::Opts::from_args(41, &[]);
     let duration_s = opts.pick(12.0, 6.0, 2.0);
     let table = mobilenet_table();
 

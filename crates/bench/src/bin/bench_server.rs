@@ -72,7 +72,7 @@ fn measure(
 }
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(7);
+    let opts = paris_bench::Opts::from_args(7, &["--queries <n>"]);
     let queries: usize =
         paris_bench::flag("queries").unwrap_or_else(|| opts.pick(1_000_000, 100_000, 5_000));
     if queries == 0 {

@@ -11,7 +11,7 @@ use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = Opts::from_args(42);
+    let opts = Opts::from_args(42, &[]);
     for model in ModelKind::ALL {
         let bed = Testbed::paper_default(model);
         let sweep_cfg = opts.sweep(&bed);

@@ -10,7 +10,7 @@ use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = Opts::from_args(42);
+    let opts = Opts::from_args(42, &[]);
     let designs = figure12_designs(opts.seed);
     let headers: Vec<&str> = std::iter::once("Model")
         .chain(designs.iter().map(|&(name, _)| name))

@@ -11,7 +11,7 @@ use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = Opts::from_args(42);
+    let opts = Opts::from_args(42, &[]);
     let designs = [
         ("GPU(7)+FIFS", DesignPoint::HomogeneousFifs(ProfileSize::G7)),
         ("GPU(3)+FIFS", DesignPoint::HomogeneousFifs(ProfileSize::G3)),

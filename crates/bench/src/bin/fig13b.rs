@@ -11,7 +11,7 @@ use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = Opts::from_args(42);
+    let opts = Opts::from_args(42, &[]);
     let mut rows = Vec::new();
     for model in ModelKind::ALL {
         for max_batch in [16usize, 32, 64] {

@@ -12,7 +12,7 @@ use paris_elsa::dnn::ModelKind;
 use paris_elsa::prelude::*;
 
 fn main() {
-    let opts = Opts::from_args(42);
+    let opts = Opts::from_args(42, &[]);
     for n in [1.5f64, 2.0] {
         let mut rows = Vec::new();
         let mut geo_gpu7 = 1.0f64;

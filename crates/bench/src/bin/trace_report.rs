@@ -59,7 +59,15 @@ fn digit_strip(values: &[f64]) -> String {
 }
 
 fn main() {
-    let opts = paris_bench::Opts::from_args(41);
+    let opts = paris_bench::Opts::from_args(
+        41,
+        &[
+            "--slo",
+            "--metrics <path>",
+            "--trace <path>",
+            "--jsonl <path>",
+        ],
+    );
     let slo_on = std::env::args().any(|a| a == "--slo");
     let (metrics_path, trace_path, jsonl_path) = (
         flag::<String>("metrics"),

@@ -8,9 +8,12 @@ use paris_elsa::prelude::*;
 pub mod json;
 pub mod scenarios;
 
+/// Flags every experiment binary that reads a command line accepts.
+const COMMON_FLAGS: [&str; 3] = ["--quick", "--smoke", "--seed <n>"];
+
 /// The command line every experiment binary reads: `--quick`, `--smoke`
-/// and `--seed <n>`. The figure binaries read only `--quick` and
-/// `--seed`.
+/// and `--seed <n>`, plus the flags a binary declares as its own. The
+/// figure binaries read only `--quick` and `--seed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Opts {
     /// Shorter runs whose numbers still mean something.
@@ -22,21 +25,42 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Reads the process's arguments, with the binary's default seed.
-    /// A malformed `--seed` ends the process with status 2 (see
-    /// [`parse_flag`]).
+    /// Reads the process's arguments, with the binary's default seed and
+    /// its `own` flags beyond the common three: `"--name"` for a switch,
+    /// `"--name <value>"` for a valued flag the binary reads with
+    /// [`flag`]. A flag the binary does not accept, a stray argument or a
+    /// malformed `--seed` ends the process with status 2 and an error
+    /// naming it (see [`parse_flag`]).
     #[must_use]
-    pub fn from_args(default_seed: u64) -> Self {
+    pub fn from_args(default_seed: u64, own: &[&str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        or_exit(Self::parse(&args, default_seed))
+        or_exit(Self::parse(&args, default_seed, own))
     }
 
     /// [`from_args`](Self::from_args) over an explicit argument list.
     ///
     /// # Errors
     ///
-    /// A malformed `--seed`, as [`parse_flag`] says.
-    pub fn parse(args: &[String], default_seed: u64) -> Result<Self, String> {
+    /// An argument that is neither an accepted flag nor a valued flag's
+    /// value, named with the flags the binary accepts; a malformed
+    /// `--seed`, as [`parse_flag`] says.
+    pub fn parse(args: &[String], default_seed: u64, own: &[&str]) -> Result<Self, String> {
+        let accepted: Vec<&str> = COMMON_FLAGS.iter().chain(own).copied().collect();
+        let mut rest = args.iter().peekable();
+        while let Some(arg) = rest.next() {
+            let Some(spec) = accepted.iter().find(|s| s.split(' ').next() == Some(arg)) else {
+                let what = if arg.starts_with("--") {
+                    format!("unknown flag {arg}")
+                } else {
+                    format!("unexpected argument {arg:?}")
+                };
+                return Err(format!("{what}; accepted: {}", accepted.join(", ")));
+            };
+            // A valued flag's value is its own to check (`parse_flag`).
+            if spec.contains(' ') {
+                rest.next_if(|v| !v.starts_with("--"));
+            }
+        }
         Ok(Opts {
             quick: args.iter().any(|a| a == "--quick"),
             smoke: args.iter().any(|a| a == "--smoke"),
@@ -87,8 +111,9 @@ pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<O
 }
 
 /// [`parse_flag`] over the process's arguments: a binary's own valued
-/// flags (`--queries`, `--metrics`, `--trace`, `--jsonl`). An error ends
-/// the process with status 2.
+/// flags (`--queries`, `--metrics`, `--trace`, `--jsonl`), which it
+/// declares to [`Opts::from_args`]. An error ends the process with
+/// status 2.
 #[must_use]
 pub fn flag<T: std::str::FromStr>(name: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -279,7 +304,7 @@ mod tests {
 
     #[test]
     fn default_opts_are_sane() {
-        let o = Opts::parse(&[], 29).expect("no flags parse");
+        let o = Opts::parse(&[], 29, &[]).expect("no flags parse");
         assert_eq!(
             o,
             Opts {
@@ -290,14 +315,14 @@ mod tests {
         );
         let bed = Testbed::paper_default(paris_elsa::dnn::ModelKind::MobileNet);
         assert!(o.sweep(&bed).duration_s > 0.0);
-        let o = Opts::parse(&args("--smoke --quick --seed 7"), 29).expect("valid flags parse");
+        let o = Opts::parse(&args("--smoke --quick --seed 7"), 29, &[]).expect("valid flags parse");
         assert_eq!((o.quick, o.smoke, o.seed), (true, true, 7));
         assert_eq!(o.pick("full", "quick", "smoke"), "smoke");
     }
 
     #[test]
     fn a_valued_flag_without_a_value_names_the_flag() {
-        let err = Opts::parse(&args("--smoke --seed"), 29).expect_err("value missing");
+        let err = Opts::parse(&args("--smoke --seed"), 29, &[]).expect_err("value missing");
         assert_eq!(err, "--seed needs a value");
     }
 
@@ -310,10 +335,47 @@ mod tests {
 
     #[test]
     fn a_valued_flag_that_does_not_parse_names_the_flag() {
-        let err = Opts::parse(&args("--smoke --seed x"), 29).expect_err("not a number");
+        let err = Opts::parse(&args("--smoke --seed x"), 29, &[]).expect_err("not a number");
         assert_eq!(err, "--seed: cannot parse \"x\"");
         let err = parse_flag::<usize>(&args("--queries -5"), "queries").expect_err("negative");
         assert_eq!(err, "--queries: cannot parse \"-5\"");
+    }
+
+    #[test]
+    fn a_mistyped_flag_is_rejected_by_name() {
+        let err = Opts::parse(&args("--smok"), 67, &[]).expect_err("typo");
+        assert_eq!(
+            err,
+            "unknown flag --smok; accepted: --quick, --smoke, --seed <n>"
+        );
+    }
+
+    #[test]
+    fn help_is_an_unknown_flag_that_lists_the_accepted_ones() {
+        let err = Opts::parse(&args("--help"), 67, &[]).expect_err("no --help");
+        assert_eq!(
+            err,
+            "unknown flag --help; accepted: --quick, --smoke, --seed <n>"
+        );
+        let own = ["--queries <n>"];
+        let err = Opts::parse(&args("--quick --help"), 7, &own).expect_err("no --help");
+        assert!(err.starts_with("unknown flag --help;"), "{err}");
+        assert!(err.ends_with("--seed <n>, --queries <n>"), "{err}");
+    }
+
+    #[test]
+    fn own_flags_are_accepted_only_where_declared() {
+        let own = ["--slo", "--metrics <path>", "--trace <path>"];
+        let line = args("--slo --metrics m.csv --quick --trace --jsonl");
+        let err = Opts::parse(&line, 41, &own).expect_err("--jsonl is not declared");
+        assert!(err.starts_with("unknown flag --jsonl;"), "{err}");
+        let line = args("--slo --metrics m.csv --seed 3 --trace t.json");
+        let o = Opts::parse(&line, 41, &own).expect("declared flags parse");
+        assert_eq!((o.quick, o.smoke, o.seed), (false, false, 3));
+        let err = Opts::parse(&args("--queries 5"), 29, &[]).expect_err("not declared");
+        assert!(err.starts_with("unknown flag --queries;"), "{err}");
+        let err = Opts::parse(&args("--quick 5"), 29, &[]).expect_err("stray value");
+        assert!(err.starts_with("unexpected argument \"5\";"), "{err}");
     }
 
     /// Seed 7 still draws the dispatch trace `bench_server` and the

@@ -165,12 +165,15 @@ impl Cluster {
         self
     }
 
-    /// Pre-sizes every shard lane's event queue (and, in lookahead mode,
-    /// its command mailbox) for the given offered load — computed once via
+    /// Pre-sizes every shard lane's event queue for the given offered
+    /// load — computed once via
     /// [`lane_capacity_hints`](Self::lane_capacity_hints) and applied by
-    /// every run. Purely an allocation knob: reports are
-    /// bit-for-bit identical with or without it; with it, a steady-state
-    /// run performs no lane-queue reallocation after construction.
+    /// every run. Purely an allocation knob: reports are bit-for-bit
+    /// identical with or without it; with it, a steady-state run performs
+    /// no lane-queue reallocation after construction. A lane's command
+    /// mailbox is not pre-sized: it starts empty and grows to the most
+    /// commands one lookahead window delivers (a handful of offers), and
+    /// per-event runs never queue a command.
     #[must_use]
     pub fn with_lane_capacity(mut self, offered_qps: f64) -> Self {
         self.lane_capacity = Some(self.lane_capacity_hints(offered_qps));
@@ -304,14 +307,7 @@ impl Cluster {
                         shard.budget().total_gpcs as u32,
                     ));
                 }
-                let capacity = self.lane_capacity(s);
-                // Commands only queue in lookahead mode; a window's worth
-                // of offers is far below the event-queue backlog bound.
-                let mailbox = match window {
-                    SyncWindow::Lookahead(_) => capacity,
-                    SyncWindow::PerEvent => 0,
-                };
-                Lane::new(s, engine, shard.budget().num_gpus, capacity, mailbox)
+                Lane::new(s, engine, shard.budget().num_gpus, self.lane_capacity(s))
             })
             .collect();
         let threads = match profile {

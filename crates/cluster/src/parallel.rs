@@ -172,20 +172,14 @@ pub(crate) struct Lane<'a> {
 
 impl<'a> Lane<'a> {
     /// `capacity` pre-sizes the lane's event queue (see
-    /// `Cluster::lane_capacity_hints`); `mailbox_capacity` pre-sizes the
-    /// command mailbox (zero in per-event mode, where commands never queue).
-    pub fn new(
-        shard: usize,
-        engine: ShardEngine<'a>,
-        num_gpus: usize,
-        capacity: usize,
-        mailbox_capacity: usize,
-    ) -> Self {
+    /// `Cluster::lane_capacity_hints`). The command mailbox starts empty
+    /// and grows to one lookahead window's commands.
+    pub fn new(shard: usize, engine: ShardEngine<'a>, num_gpus: usize, capacity: usize) -> Self {
         Lane {
             shard,
             engine,
             sim: Simulation::with_capacity(capacity),
-            mailbox: VecDeque::with_capacity(mailbox_capacity),
+            mailbox: VecDeque::new(),
             armed: None,
             last_fired: 0,
             fired: Vec::new(),

@@ -27,11 +27,12 @@
 //! * **Bucketed near-future calendar.** Once the queue is deep enough
 //!   (`ARM_DEPTH` events), a ring of `N_BUCKETS` fixed-width time buckets
 //!   fronts the heap: a push whose time lands inside the ring is an O(1)
-//!   append to its bucket; only pushes beyond the ring's horizon fall
-//!   through to the heap. The earliest nonempty bucket is kept *activated*
-//!   — sorted descending so pops take from its back in O(1). Bucket width
-//!   is chosen from the observed spread of pending events when the
-//!   calendar arms; the policy is a pure performance knob, because …
+//!   link into its bucket's list; only pushes beyond the ring's horizon
+//!   fall through to the heap. The earliest nonempty bucket is kept
+//!   *activated* — gathered into one buffer and sorted descending, so pops
+//!   take from its back in O(1). Bucket width is chosen from the observed
+//!   spread of pending events when the calendar first arms, and kept from
+//!   then on; the policy is a pure performance knob, because …
 //!
 //! … correctness never depends on where an event is stored: `pop` compares
 //! the activated bucket's head against the far heap's root (with the slab
@@ -39,6 +40,19 @@
 //! the two-structure split is invisible to callers. Buckets hold disjoint
 //! time ranges, which is why only the earliest nonempty bucket can hold
 //! the calendar's minimum.
+//!
+//! # Memory
+//!
+//! The buckets own no buffers. Every ring entry is one node of a single
+//! pool, threaded into its bucket's list from a fixed array of list heads;
+//! activating a bucket copies its list into the one activated buffer and
+//! hands the whole list back to the pool's free list. The pool grows only
+//! when every node is in use, so it never holds more nodes than the ring's
+//! peak entry count, and the activated buffer never more than the largest
+//! bucket. Each is bounded by the peak pending count, whatever the run's
+//! length — per-bucket buffers would instead each keep the capacity of
+//! the largest bucket they ever held, about `N_BUCKETS + 1` times the
+//! largest bucket in all. Arming allocates nothing.
 //!
 //! The queue also caches its front `(stamp, slot)`: mutations refresh the
 //! cache (pushes with a cheap compare, pops with one O(1) recompute), so
@@ -67,6 +81,20 @@ const MAX_WIDTH_LOG2: u32 = 26;
 
 /// Sentinel terminating the slab's intrusive free list.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Sentinel terminating a calendar list: a bucket's, or the node pool's
+/// free list.
+const NO_NODE: u32 = u32::MAX;
+
+/// One calendar ring entry — an event's stamp and slab slot — linked by
+/// `next` into its bucket's list, or into the pool's free list once the
+/// bucket is activated.
+#[derive(Clone, Copy)]
+struct CalNode {
+    stamp: u128,
+    slot: u32,
+    next: u32,
+}
 
 /// Packs an event stamp: `time` in the high 64 bits, `key` in the low 64.
 ///
@@ -196,17 +224,24 @@ pub struct EventQueue<E> {
     width_log2: u32,
     /// Absolute bucket number of the activated (earliest) bucket.
     cur_bucket: u64,
-    /// Bucket ring, indexed by absolute bucket number & `BUCKET_MASK`.
-    /// Buckets hold unsorted `(stamp, slot)` pairs. Allocated on arming.
-    ring: Vec<Vec<(u128, u32)>>,
-    /// Occupancy bitmask over `ring` (bit *i* set ⇔ `ring[i]` nonempty),
-    /// so activating the next bucket is a rotate + trailing-zero count
-    /// instead of a linear scan over mostly-empty buckets.
+    /// Head node of each ring bucket's list ([`NO_NODE`] when empty),
+    /// indexed by absolute bucket number & `BUCKET_MASK`. A list is
+    /// unsorted and threads through `nodes`.
+    heads: [u32; N_BUCKETS],
+    /// The node pool behind every bucket list. Nodes of activated buckets
+    /// return to the free list at `free_node`, and the pool grows only when
+    /// that list is empty, so its length is the ring's peak entry count.
+    nodes: Vec<CalNode>,
+    /// Head of the node pool's free list ([`NO_NODE`] when empty).
+    free_node: u32,
+    /// Occupancy bitmask over `heads` (bit *i* set ⇔ bucket *i* is
+    /// nonempty), so activating the next bucket is a rotate +
+    /// trailing-zero count instead of a linear scan over mostly-empty
+    /// buckets, and the ring is empty exactly when the mask is zero.
     ring_occ: u64,
-    /// Total entries across the ring (excluding `active`).
-    ring_count: usize,
     /// The activated bucket, sorted descending by `(stamp, seq)` so the
-    /// earliest entry pops from the back in O(1).
+    /// earliest entry pops from the back in O(1). The one buffer every
+    /// activation gathers into, so its capacity is the largest bucket's.
     active: Vec<(u128, u32)>,
     /// Cached front: the minimum `(stamp, slot)` over the active bucket
     /// and the far heap, plus whether it sits in the far heap. Recomputed
@@ -236,9 +271,10 @@ impl<E> EventQueue<E> {
             armed: false,
             width_log2: MIN_WIDTH_LOG2,
             cur_bucket: 0,
-            ring: Vec::new(),
+            heads: [NO_NODE; N_BUCKETS],
+            nodes: Vec::new(),
+            free_node: NO_NODE,
             ring_occ: 0,
-            ring_count: 0,
             active: Vec::new(),
             front: None,
             len: 0,
@@ -294,7 +330,9 @@ impl<E> EventQueue<E> {
 
     /// Sizes the calendar from the observed spread of pending events (all
     /// of which sit in the far heap when this runs): bucket width ≈ twice
-    /// the mean inter-event gap, clamped, rounded to a power of two.
+    /// the mean inter-event gap, clamped, rounded to a power of two. Runs
+    /// once, when the queue first reaches `ARM_DEPTH`; the width then stays
+    /// fixed, and later window slides move only `cur_bucket`.
     fn arm(&mut self) {
         let mut min = u64::MAX;
         let mut max = 0u64;
@@ -310,13 +348,10 @@ impl<E> EventQueue<E> {
         let width = per.saturating_mul(2).next_power_of_two();
         self.width_log2 = width.trailing_zeros().clamp(MIN_WIDTH_LOG2, MAX_WIDTH_LOG2);
         self.cur_bucket = min >> self.width_log2;
-        if self.ring.is_empty() {
-            self.ring = (0..N_BUCKETS).map(|_| Vec::new()).collect();
-        }
         self.armed = true;
     }
 
-    /// Routes an armed-calendar push: O(1) ring append inside the horizon,
+    /// Routes an armed-calendar push: O(1) bucket link inside the horizon,
     /// sorted insert into the activated bucket for the (rare) past band,
     /// far heap beyond the horizon. Maintains the front cache: only the
     /// active-bucket branches can produce a new minimum — a ring or far
@@ -324,7 +359,7 @@ impl<E> EventQueue<E> {
     /// it can never undercut the current front.
     fn calendar_push(&mut self, t_ns: u64, stamp: u128, slot: u32) {
         let b = t_ns >> self.width_log2;
-        if self.active.is_empty() && self.ring_count == 0 {
+        if self.active.is_empty() && self.ring_occ == 0 {
             // Empty calendar: slide the window to wherever time has moved.
             self.cur_bucket = b;
             self.active.push((stamp, slot));
@@ -340,24 +375,33 @@ impl<E> EventQueue<E> {
             self.push_updates_front(stamp, slot, false);
         } else if b - self.cur_bucket < N_BUCKETS as u64 {
             let idx = (b & BUCKET_MASK) as usize;
-            self.ring[idx].push((stamp, slot));
+            let node = CalNode {
+                stamp,
+                slot,
+                next: self.heads[idx],
+            };
+            let n = self.free_node;
+            self.heads[idx] = if n == NO_NODE {
+                // The pool never outgrows the slab, whose slots fit a u32.
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            } else {
+                self.free_node = self.nodes[n as usize].next;
+                self.nodes[n as usize] = node;
+                n
+            };
             self.ring_occ |= 1 << idx;
-            self.ring_count += 1;
         } else {
             self.far_push(stamp, slot);
         }
     }
 
-    /// Activates the earliest nonempty ring bucket: swap it into `active`
-    /// (buffer capacities rotate, no allocation in steady state) and sort
-    /// descending. Buckets cover disjoint time ranges, so the earliest
-    /// nonempty one holds the calendar's minimum.
+    /// Activates the earliest nonempty ring bucket: gather its list into
+    /// `active`, splice the list's nodes onto the pool's free list whole,
+    /// and sort descending. Buckets cover disjoint time ranges, so the
+    /// earliest nonempty one holds the calendar's minimum.
     fn advance_calendar(&mut self) {
-        debug_assert!(self.active.is_empty() && self.ring_count > 0);
-        debug_assert!(
-            self.ring_occ != 0,
-            "ring_count > 0 but every bucket is empty"
-        );
+        debug_assert!(self.active.is_empty() && self.ring_occ != 0);
         // Ring entries live in buckets `cur_bucket + 1 ..= cur_bucket + 63`,
         // so rotating the occupancy mask right puts the nearest future
         // bucket at bit 0 and a trailing-zero count finds it.
@@ -365,9 +409,19 @@ impl<E> EventQueue<E> {
         let i = 1 + u64::from(self.ring_occ.rotate_right(shift).trailing_zeros());
         let idx = ((self.cur_bucket + i) & BUCKET_MASK) as usize;
         self.cur_bucket += i;
-        std::mem::swap(&mut self.active, &mut self.ring[idx]);
         self.ring_occ &= !(1 << idx);
-        self.ring_count -= self.active.len();
+        let head = std::mem::replace(&mut self.heads[idx], NO_NODE);
+        let mut n = head;
+        loop {
+            let node = self.nodes[n as usize];
+            self.active.push((node.stamp, node.slot));
+            if node.next == NO_NODE {
+                self.nodes[n as usize].next = self.free_node;
+                break;
+            }
+            n = node.next;
+        }
+        self.free_node = head;
         let slab = &self.slab;
         self.active.sort_unstable_by(|a, b| {
             b.0.cmp(&a.0)
@@ -380,7 +434,7 @@ impl<E> EventQueue<E> {
     /// bucket's head and the far heap's root (exact stamp ties broken by
     /// slab sequence number).
     fn refresh_front(&mut self) {
-        if self.active.is_empty() && self.ring_count > 0 {
+        if self.active.is_empty() && self.ring_occ != 0 {
             self.advance_calendar();
         }
         let far = self.far_stamp.first().map(|&s| (s, self.far_slot[0]));
@@ -576,6 +630,13 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Calendar entries the queue retains room for: the node pool plus the
+    /// activated buffer.
+    #[cfg(test)]
+    fn calendar_capacity(&self) -> usize {
+        self.nodes.capacity() + self.active.capacity()
     }
 }
 
@@ -817,6 +878,55 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::ZERO));
         let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
         assert_eq!(rest, vec![0, 3, 4, 5, 6, 7, 8, 9]);
+    }
+
+    /// A hold model at bounded depth, with a periodic burst that fills one
+    /// bucket somewhere in the ring: over a million holds, the calendar's
+    /// retained capacity must stay within a small multiple of the peak
+    /// pending count, however many buckets the bursts have passed through.
+    #[test]
+    fn calendar_memory_tracks_peak_pending() {
+        const DEPTH: u64 = 64;
+        const BURST: u64 = 256;
+        const HOLDS: u64 = 1_000_000;
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Payload: whether the event is a burst event, which is not
+        // rescheduled, so the depth returns to `DEPTH` after each burst.
+        let mut q = EventQueue::new();
+        for _ in 0..DEPTH {
+            q.push(SimTime::from_nanos(rng() % 10_000), false);
+        }
+        let mut peak = q.len();
+        for hold in 1..=HOLDS {
+            let (t, burst) = q.pop().expect("the hold model never drains");
+            let now = t.as_nanos();
+            if !burst {
+                q.push(SimTime::from_nanos(now + 1 + rng() % 20_000), false);
+            }
+            if hold % 10_000 == 0 {
+                // Every burst event lands in one bucket, 2 to 49 buckets
+                // ahead, so successive bursts fill different buckets.
+                let w = q.width_log2;
+                let start = ((now >> w) + 2 + (hold / 10_000) % 48) << w;
+                for j in 0..BURST {
+                    q.push(SimTime::from_nanos(start + j % (1 << w)), true);
+                }
+            }
+            peak = peak.max(q.len());
+        }
+        assert!(q.armed, "the hold model arms the calendar");
+        assert_eq!(peak as u64, DEPTH + BURST);
+        let retained = q.calendar_capacity();
+        assert!(
+            retained <= 4 * peak,
+            "calendar retains room for {retained} entries at a peak of {peak} pending"
+        );
     }
 
     /// Model-based check against a `BinaryHeap` reference: random

@@ -57,21 +57,28 @@ fn small_cluster(table: &ProfileTable, policy: RouterPolicy) -> Cluster {
 /// Two equal-rate arrival streams (premium + batch) at `frac` of fleet
 /// capacity combined, over `duration_s` simulated seconds.
 fn arrivals(cluster: &Cluster, duration_s: f64, frac: f64, seed: u64) -> Vec<TaggedQuerySpec> {
+    phased_arrivals(cluster, &[(duration_s, frac)], seed)
+}
+
+/// [`arrivals`] over consecutive `(duration_s, frac)` phases.
+fn phased_arrivals(cluster: &Cluster, phases: &[(f64, f64)], seed: u64) -> Vec<TaggedQuerySpec> {
     let dist = BatchDistribution::paper_default();
     let fleet: f64 = cluster
         .shards()
         .iter()
         .map(MultiModelServer::capacity_hint_qps)
         .sum();
-    let per_model = 0.5 * frac * fleet;
-    MultiTraceGenerator::new(
-        vec![PhaseSpec::new(
-            duration_s,
-            vec![(per_model, dist.clone()), (per_model, dist)],
-        )],
-        seed,
-    )
-    .generate()
+    let phases = phases
+        .iter()
+        .map(|&(duration_s, frac)| {
+            let per_model = 0.5 * frac * fleet;
+            PhaseSpec::new(
+                duration_s,
+                vec![(per_model, dist.clone()), (per_model, dist.clone())],
+            )
+        })
+        .collect();
+    MultiTraceGenerator::new(phases, seed).generate()
 }
 
 /// Runs `trace` (unpinned) through `cluster` under `plan`, the rest of
@@ -350,16 +357,17 @@ fn golden_plan() -> FaultPlan {
         .with_gpu_degrade(1, 1, 1.5, 0.01, 0.05)
 }
 
-/// The golden fixture: `small_cluster` with a 2-GPU loan pool, 60 ms at
-/// 1.5× fleet capacity, under `plan`. Under [`golden_plan`] it is small
-/// enough to check in, rich enough to record every lifecycle exception
-/// (enqueue, stash, abort, requeue, shed) beside faults, degrades and a
-/// recovery reconfig.
+/// The golden fixture: `small_cluster` with a 2-GPU loan pool deciding on
+/// 20 ms windows, 30 ms at 0.8× fleet capacity and then a 30 ms surge at
+/// 2×, under `plan`. Under [`golden_plan`] it is small enough to check
+/// in, rich enough to record every lifecycle exception (enqueue, stash,
+/// abort, requeue, shed) beside faults, degrade-inflated executions on
+/// the slowed GPU, a recovery reconfig and the surge's loans.
 fn golden_trace(window: SyncWindow, plan: &FaultPlan) -> QueryTrace {
     let table = mobilenet_table();
     let cluster =
-        small_cluster(&table, RouterPolicy::JoinShortestQueue).with_loan(LoanPolicy::new(2, 0.005));
-    let trace_in = arrivals(&cluster, 0.06, 1.5, 11);
+        small_cluster(&table, RouterPolicy::JoinShortestQueue).with_loan(LoanPolicy::new(2, 0.02));
+    let trace_in = phased_arrivals(&cluster, &[(0.03, 0.8), (0.03, 2.0)], 11);
     let spec = RunSpec::new(ReportDetail::Summary)
         .with_window(window, 1)
         .with_obs(ObsRequest::traced());
@@ -370,7 +378,8 @@ fn golden_trace(window: SyncWindow, plan: &FaultPlan) -> QueryTrace {
 /// The JSONL export of [`golden_trace`] under [`golden_plan`] is pinned
 /// byte for byte under `tests/golden/`, at per-event and at lookahead
 /// windowing, so a change to how the recorder stores a trace cannot
-/// change what it reads back.
+/// change what it reads back. Each export must hold a loan and an
+/// execution inflated by the degrade, so the files pin both paths.
 /// Only a change to simulated behaviour may move these files: on a
 /// mismatch the new export is written under the target directory, and a
 /// change that moves behaviour on purpose copies it over the golden file
@@ -387,7 +396,22 @@ fn golden_jsonl_exports_are_reproduced_byte_for_byte() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
             .join(file);
-        let got = jsonl(&golden_trace(window, &golden_plan()));
+        let trace = golden_trace(window, &golden_plan());
+        let records = trace.records();
+        assert!(
+            records
+                .iter()
+                .any(|r| matches!(r.event, TraceEvent::Loan { gpus_delta, .. } if gpus_delta > 0)),
+            "{file}: the surge must borrow a pool GPU"
+        );
+        assert!(
+            records.iter().any(|r| matches!(
+                r.event,
+                TraceEvent::ServiceStart { clean_ns, base_ns, .. } if base_ns > clean_ns
+            )),
+            "{file}: some execution must run on the degraded GPU"
+        );
+        let got = jsonl(&trace);
         let want = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         if got != want {
@@ -405,9 +429,9 @@ fn golden_jsonl_exports_are_reproduced_byte_for_byte() {
 /// exactly its degrade-scaled profiled latency, so each `ServiceStart`'s
 /// `actual_ns` equals its `base_ns` and `analyze` finds no service-noise
 /// component in any class. Checked on the golden fixture (a GPU outage,
-/// a 1.5× degrade, a recovery re-plan) and on a variant that also slows
-/// shard 1's other GPU, so that no placement can avoid the degrade and
-/// some `base_ns` must exceed its `clean_ns`.
+/// a 1.5× degrade, a recovery re-plan, loans) and on a variant that also
+/// slows shard 1's other GPU, so that no placement can avoid the degrade;
+/// in both, some `base_ns` must exceed its `clean_ns`.
 #[test]
 fn engine_traces_carry_no_service_noise() {
     for window in [
@@ -415,7 +439,7 @@ fn engine_traces_carry_no_service_noise() {
         SyncWindow::Lookahead(SimDuration::from_nanos(2_000_000)),
     ] {
         let whole_shard_slow = golden_plan().with_gpu_degrade(1, 0, 1.5, 0.01, 0.05);
-        for (plan, must_inflate) in [(golden_plan(), false), (whole_shard_slow, true)] {
+        for plan in [golden_plan(), whole_shard_slow] {
             let trace = golden_trace(window, &plan);
             let (mut starts, mut inflated) = (0usize, 0usize);
             for r in trace.records() {
@@ -436,7 +460,7 @@ fn engine_traces_carry_no_service_noise() {
             }
             assert!(starts > 0, "the fixture serves queries ({window:?})");
             assert!(
-                inflated > 0 || !must_inflate,
+                inflated > 0,
                 "the 1.5x degrade must inflate some executions ({window:?})"
             );
             for class in &analyze(&trace).classes {
