@@ -14,6 +14,11 @@
 //! * `hold_passthrough` — `push_pop` with an increment below the front
 //!   gap, exercising the zero-insertion passthrough path.
 //!
+//! The `push` and `pop` rows preload their queue with one `push_batch`,
+//! which leaves every event in the far heap. The hold models build theirs
+//! with `push_keyed`, which arms the near-future calendar at depth 8 as
+//! every engine queue does, so they time the calendar.
+//!
 //! Measurement uses the workspace criterion shim (wall-clock budgeted
 //! batches; `CRITERION_BUDGET_MS` shortens runs). Each line reports
 //! per-op nanoseconds; the JSON artifact records ops/sec per
@@ -45,18 +50,21 @@ impl Rng {
 }
 
 /// A queue holding `depth` events with uniformly random times in
-/// `[0, depth × mean_gap_ns)` — the steady-state shape of a DES heap.
-fn filled(depth: usize, mean_gap_ns: u64, seed: u64) -> (EventQueue<u64>, Rng) {
+/// `[0, depth × mean_gap_ns)` — the steady-state shape of a DES heap. A
+/// preload goes in as one `push_batch` and leaves the calendar unarmed;
+/// otherwise each event goes in through `push_keyed`, which arms it.
+fn filled(depth: usize, mean_gap_ns: u64, seed: u64, preload: bool) -> (EventQueue<u64>, Rng) {
     let mut rng = Rng(seed | 1);
     let mut q = EventQueue::with_capacity(depth + BATCH);
-    let horizon = depth as u64 * mean_gap_ns;
-    q.push_batch((0..depth).map(|i| {
-        (
-            SimTime::from_nanos(rng.next() % horizon.max(1)),
-            i as u64,
-            i as u64,
-        )
-    }));
+    let horizon = (depth as u64 * mean_gap_ns).max(1);
+    let events = (0..depth as u64).map(|i| (SimTime::from_nanos(rng.next() % horizon), i, i));
+    if preload {
+        q.push_batch(events);
+    } else {
+        for (t, key, v) in events {
+            q.push_keyed(t, key, v);
+        }
+    }
     (q, rng)
 }
 
@@ -88,7 +96,7 @@ fn main() {
 
         c.bench_function(&format!("push/depth_{depth}"), |b| {
             b.iter_batched(
-                || filled(depth, GAP_NS, seed),
+                || filled(depth, GAP_NS, seed, true),
                 |(mut q, mut rng)| {
                     let horizon = depth as u64 * GAP_NS;
                     for i in 0..BATCH {
@@ -108,7 +116,7 @@ fn main() {
 
         c.bench_function(&format!("pop/depth_{depth}"), |b| {
             b.iter_batched(
-                || filled(depth, GAP_NS, seed).0,
+                || filled(depth, GAP_NS, seed, true).0,
                 |mut q| {
                     for _ in 0..BATCH.min(depth) {
                         std::hint::black_box(q.pop());
@@ -128,7 +136,7 @@ fn main() {
         // Hold models: steady depth, one fused reschedule per iteration.
         // The new event fires a random increment after the last *popped*
         // time, so the clock advances like a real simulation's.
-        let (mut q, mut rng) = filled(depth, GAP_NS, seed);
+        let (mut q, mut rng) = filled(depth, GAP_NS, seed, false);
         let mut last_ns = 0u64;
         c.bench_function(&format!("pop_push/depth_{depth}/hold_uniform"), |b| {
             b.iter(|| {
@@ -147,7 +155,7 @@ fn main() {
             1,
         ));
 
-        let (mut q, mut rng) = filled(depth, GAP_NS, seed);
+        let (mut q, mut rng) = filled(depth, GAP_NS, seed, false);
         let mut last_ns = 0u64;
         c.bench_function(&format!("pop_push/depth_{depth}/hold_burst"), |b| {
             b.iter(|| {
@@ -172,7 +180,7 @@ fn main() {
             1,
         ));
 
-        let (mut q, mut rng) = filled(depth, GAP_NS, seed);
+        let (mut q, mut rng) = filled(depth, GAP_NS, seed, false);
         c.bench_function(&format!("push_pop/depth_{depth}/hold_passthrough"), |b| {
             b.iter(|| {
                 // An increment of at most one gap rarely clears the front,

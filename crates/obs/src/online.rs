@@ -396,16 +396,17 @@ impl OnlineLane {
         // A lane that reads as spans holds no void span: voiding one
         // keeps its arrival as a plain record.
         debug_assert!(rec.reads_as_spans());
-        for s in rec.spans() {
+        for (_, s) in rec.spans() {
             let at = s.arrival_ns;
             let group = usize::from(s.group);
-            let sla_ns = u64::from(s.sla_ns);
+            let sla_ns = rec.sla_ns(s.group);
             note(bin(at), 1);
             if sla_ns > 0 {
                 lane.model(group).has_sla = true;
             }
             if s.is_started() {
-                let (gpcs, actual) = (u32::from(s.gpcs), u64::from(s.actual_ns));
+                // A span's start ran for its `base_ns`.
+                let (gpcs, actual) = (u32::from(s.gpcs), u64::from(s.base_ns));
                 start(&mut lane, at + u64::from(s.start_ns), gpcs, actual);
             }
             if s.is_complete() {

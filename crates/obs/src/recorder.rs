@@ -9,22 +9,35 @@
 //! copied.
 //!
 //! A served query's `Arrival`, latest `ServiceStart` and `Complete` are
-//! kept as one 64-byte `QuerySpan`, opened at the arrival and filled in
-//! as the query starts and completes; an in-flight table maps each open
-//! query to its span. The lifecycle exceptions (`Enqueue`, `Stash`,
-//! `ServiceAbort`, `Requeue`) and the gateway's `RouteDecision` and `Shed`
-//! are 24-byte packed events. Everything else — annotations, a start that
-//! an abort or a later start displaced, and any record too wide for its
-//! packed field — is kept as a plain [`TraceRecord`]. Every record keeps
-//! its `seq`, so [`FlightRecorder::iter`] gives back each record exactly
-//! as it was recorded, in append order.
+//! kept as one 48-byte `QuerySpan`, opened at the arrival and filled in
+//! as the query starts and completes. The span stores nothing its engine
+//! lane already implies:
 //!
-//! A lifecycle that cannot form a span stays plain records: a duplicate or
-//! missing arrival, a complete without a start, stamps that go backwards,
-//! a key that is not its own query, or a value wider than its packed
-//! field. The recorder notes while recording whether its lane's spans
-//! tell the whole story, and the analyses fall back to re-folding the
-//! lane's records when they do not (see [`LaneView`]).
+//! - span *i* of a lane is query *i*, since the dispatch core numbers its
+//!   queries densely from 0, so the index is the query id and finds an
+//!   open span without a lookup table;
+//! - every arrival of a group carries the group's one SLA, kept once per
+//!   group;
+//! - a service start's `actual_ns` equals its `base_ns` (the engine has no
+//!   service noise), so one duration is kept;
+//! - a query completes on the worker of its latest start, so one worker is
+//!   kept.
+//!
+//! The lifecycle exceptions (`Enqueue`, `Stash`, `ServiceAbort`,
+//! `Requeue`) and the gateway's `RouteDecision` and `Shed` are 24-byte
+//! packed events. Everything else — annotations, a start that an abort or
+//! a later start displaced, and any record too wide for its packed field —
+//! is kept as a plain [`TraceRecord`]. Every record keeps its `seq`, so
+//! [`FlightRecorder::iter`] gives back each record exactly as it was
+//! recorded, in append order.
+//!
+//! A lifecycle that cannot form a span stays plain records: a duplicate,
+//! missing or out-of-order arrival id, a complete without a start, stamps
+//! that go backwards, a key that is not its own query, a value wider than
+//! its packed field, or a record that breaks one of the identities above.
+//! The recorder notes while recording whether its lane's spans tell the
+//! whole story, and the analyses fall back to re-folding the lane's
+//! records when they do not (see [`LaneView`]).
 //!
 //! **Invariant 12 (zero observer effect):** recording must never touch engine
 //! state — no RNG draws, no report fields, no event keys. Hooks are
@@ -32,7 +45,6 @@
 //! property suite pins byte-identical reports with tracing on vs off.
 
 use crate::event::TraceEvent;
-use crate::inflight::InFlight;
 use des_engine::SimTime;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -80,13 +92,16 @@ fn fits16(v: usize) -> bool {
     v <= usize::from(u16::MAX)
 }
 
-/// One query's `Arrival`, latest `ServiceStart` and `Complete`, packed.
-/// Stamps after the arrival are 32-bit offsets from it, and each record's
-/// `seq` is kept, so the span gives back its records exactly.
+/// One query's `Arrival`, latest `ServiceStart` and `Complete`, packed
+/// into 48 bytes. Stamps after the arrival are 32-bit offsets from it, and
+/// each record's `seq` is kept, so the span gives back its records
+/// exactly. What the lane implies is not stored: the query id is the
+/// span's index in its lane, the SLA is the lane's one SLA for the group,
+/// the start's `actual_ns` is its `base_ns`, and the completing worker is
+/// the latest start's. A record that breaks one of these voids the span.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QuerySpan {
     pub(crate) arrival_ns: u64,
-    pub(crate) query: u32,
     /// `dispatched_ns − arrival`.
     pub(crate) dispatch_ns: u32,
     /// Latest service start − arrival.
@@ -94,9 +109,9 @@ pub(crate) struct QuerySpan {
     /// Completion − arrival, which is the recorded `latency_ns`.
     pub(crate) latency_ns: u32,
     pub(crate) clean_ns: u32,
+    /// The latest start's degrade-scaled service time, which is also its
+    /// `actual_ns`.
     pub(crate) base_ns: u32,
-    pub(crate) actual_ns: u32,
-    pub(crate) sla_ns: u32,
     /// The arrival's, the latest start's and the completion's `seq`
     /// ([`NONE`] while not recorded; a void span's arrival seq is
     /// [`NONE`]).
@@ -104,9 +119,11 @@ pub(crate) struct QuerySpan {
     pub(crate) group: u16,
     pub(crate) batch: u16,
     pub(crate) gpcs: u16,
-    /// The starting and the completing worker.
-    pub(crate) worker: [u16; 2],
+    /// The latest start's worker, which is also the completing one.
+    pub(crate) worker: u16,
 }
+
+const _: () = assert!(std::mem::size_of::<QuerySpan>() == 48);
 
 impl QuerySpan {
     pub(crate) fn is_started(&self) -> bool {
@@ -117,48 +134,53 @@ impl QuerySpan {
         self.seq[2] != NONE
     }
 
-    fn arrival_record(&self, lane: u32) -> TraceRecord {
+    /// Arrived and neither complete nor void.
+    fn is_open(&self) -> bool {
+        self.seq[0] != NONE && self.seq[2] == NONE
+    }
+
+    fn arrival_record(&self, lane: u32, query: u64, sla_ns: u64) -> TraceRecord {
         TraceRecord {
             at: SimTime::from_nanos(self.arrival_ns),
-            key: u64::from(self.query),
+            key: query,
             lane,
             seq: u64::from(self.seq[0]),
             event: TraceEvent::Arrival {
-                query: u64::from(self.query),
+                query,
                 group: usize::from(self.group),
                 batch: usize::from(self.batch),
                 dispatched_ns: self.arrival_ns + u64::from(self.dispatch_ns),
-                sla_ns: u64::from(self.sla_ns),
+                sla_ns,
             },
         }
     }
 
-    fn start_record(&self, lane: u32) -> TraceRecord {
+    fn start_record(&self, lane: u32, query: u64) -> TraceRecord {
         TraceRecord {
             at: SimTime::from_nanos(self.arrival_ns + u64::from(self.start_ns)),
-            key: u64::from(self.query),
+            key: query,
             lane,
             seq: u64::from(self.seq[1]),
             event: TraceEvent::ServiceStart {
-                query: u64::from(self.query),
-                worker: usize::from(self.worker[0]),
+                query,
+                worker: usize::from(self.worker),
                 gpcs: u32::from(self.gpcs),
                 clean_ns: u64::from(self.clean_ns),
                 base_ns: u64::from(self.base_ns),
-                actual_ns: u64::from(self.actual_ns),
+                actual_ns: u64::from(self.base_ns),
             },
         }
     }
 
-    fn complete_record(&self, lane: u32) -> TraceRecord {
+    fn complete_record(&self, lane: u32, query: u64) -> TraceRecord {
         TraceRecord {
             at: SimTime::from_nanos(self.arrival_ns + u64::from(self.latency_ns)),
-            key: u64::from(self.query),
+            key: query,
             lane,
             seq: u64::from(self.seq[2]),
             event: TraceEvent::Complete {
-                query: u64::from(self.query),
-                worker: usize::from(self.worker[1]),
+                query,
+                worker: usize::from(self.worker),
                 latency_ns: u64::from(self.latency_ns),
             },
         }
@@ -221,8 +243,9 @@ impl PackedEvent {
 }
 
 /// Items per arena chunk: large enough to amortize the chunk-list
-/// bookkeeping; a quiet lane's first chunk grows by doubling up to it.
-const CHUNK: usize = 1024;
+/// bookkeeping, small enough that a lane's unfilled last chunk stays a few
+/// KiB; a quiet lane's first chunk grows by doubling up to it.
+const CHUNK: usize = 256;
 
 /// An append-only chunked arena: appending never moves a filled chunk, so
 /// a hot lane never pays the doubling-growth memcpy of a flat `Vec`, and
@@ -336,17 +359,16 @@ pub struct FlightRecorder {
     lane: u32,
     /// Records so far: the next record's `seq`.
     seq: u64,
-    /// One span per arrival, in arrival order.
+    /// Span `i` is query `i`'s: one per arrival of the lane's next id, in
+    /// arrival order (void ones included).
     spans: Chunked<QuerySpan>,
+    /// Group → the SLA every span of the group carries (`None` until the
+    /// group's first span).
+    slas: Vec<Option<u64>>,
     events: Chunked<PackedEvent>,
     /// Every other record, ascending by `seq` (a recorder built from
     /// records holds them here as handed in).
     plain: Vec<TraceRecord>,
-    /// Open query → the index of its span.
-    open: InFlight<u32>,
-    /// A span's query id must be at least this: ids of spans rise
-    /// strictly, so no two spans share a query.
-    next_query: u64,
     /// Latest stamp so far.
     horizon_ns: u64,
     counts: Counts,
@@ -371,10 +393,9 @@ impl FlightRecorder {
             lane,
             seq: 0,
             spans: Chunked::default(),
+            slas: Vec::new(),
             events: Chunked::default(),
             plain: Vec::new(),
-            open: InFlight::default(),
-            next_query: 0,
             horizon_ns: 0,
             counts: Counts::default(),
             in_place: true,
@@ -431,9 +452,19 @@ impl FlightRecorder {
         self.iter().collect()
     }
 
-    /// The spans, in arrival order (void ones included).
-    pub(crate) fn spans(&self) -> impl Iterator<Item = &QuerySpan> + '_ {
-        self.spans.iter()
+    /// The spans with their query ids, in arrival order (void ones
+    /// included).
+    pub(crate) fn spans(&self) -> impl Iterator<Item = (u64, &QuerySpan)> + '_ {
+        (0u64..).zip(self.spans.iter())
+    }
+
+    /// The SLA every span of `group` carries (0 for a group with none).
+    pub(crate) fn sla_ns(&self, group: u16) -> u64 {
+        self.slas
+            .get(usize::from(group))
+            .copied()
+            .flatten()
+            .unwrap_or(0)
     }
 
     /// The plain records, ascending by `seq`.
@@ -462,15 +493,36 @@ impl FlightRecorder {
         self.in_place && self.whole_spans
     }
 
-    /// Frees what only recording needs, and the unfilled buffer tails.
+    /// Frees the unfilled buffer tails.
     fn seal(&mut self) {
-        self.open = InFlight::default();
         self.spans.shrink();
         self.events.shrink();
         self.plain.shrink_to_fit();
     }
 
-    /// Opens a span for an arrival, if it packs.
+    /// The index of `query`'s span while it is open.
+    #[inline]
+    fn open_span(&self, query: u64) -> Option<usize> {
+        let i = usize::try_from(query).ok()?;
+        self.spans.get(i)?.is_open().then_some(i)
+    }
+
+    /// Whether an arrival of `group` carrying `sla_ns` keeps the group's
+    /// one SLA; the group's first arrival sets it.
+    #[inline]
+    fn keeps_sla(&mut self, group: usize, sla_ns: u64) -> bool {
+        if let Some(&Some(kept)) = self.slas.get(group) {
+            return kept == sla_ns;
+        }
+        if group >= self.slas.len() {
+            self.slas.resize(group + 1, None);
+        }
+        self.slas[group] = Some(sla_ns);
+        true
+    }
+
+    /// Opens a span for the arrival of the lane's next query id; one that
+    /// does not pack leaves a void span, so later ids keep their index.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn arrive(
@@ -488,36 +540,30 @@ impl FlightRecorder {
             self.in_place = false;
             return false;
         }
-        let packs = query >= self.next_query
-            && fits32(query)
-            && seq < u64::from(NONE)
+        if query != self.spans.len() as u64 {
+            return false;
+        }
+        let packs = seq < u64::from(NONE)
             && fits16(group)
             && fits16(batch)
             && dispatched_ns >= at_ns
             && fits32(dispatched_ns - at_ns)
-            && fits32(sla_ns);
-        if !packs {
-            return false;
-        }
-        self.next_query = query + 1;
-        let span = self.spans.push(QuerySpan {
+            && self.keeps_sla(group, sla_ns);
+        let arrival_seq = if packs { seq as u32 } else { NONE };
+        self.spans.push(QuerySpan {
             arrival_ns: at_ns,
-            query: query as u32,
-            dispatch_ns: (dispatched_ns - at_ns) as u32,
+            dispatch_ns: dispatched_ns.wrapping_sub(at_ns) as u32,
             start_ns: 0,
             latency_ns: 0,
             clean_ns: 0,
             base_ns: 0,
-            actual_ns: 0,
-            sla_ns: sla_ns as u32,
-            seq: [seq as u32, NONE, NONE],
+            seq: [arrival_seq, NONE, NONE],
             group: group as u16,
             batch: batch as u16,
             gpcs: 0,
-            worker: [0, 0],
+            worker: 0,
         });
-        self.open.insert(query, span as u32);
-        true
+        packs
     }
 
     /// Sets an open query's latest start, if it packs; an earlier start
@@ -540,10 +586,10 @@ impl FlightRecorder {
             self.in_place = false;
             return false;
         }
-        let Some(i) = self.open.get(query) else {
+        let Some(i) = self.open_span(query) else {
             return false;
         };
-        let span = *self.spans.get_mut(i as usize);
+        let span = *self.spans.get_mut(i);
         let packs = seq < u64::from(NONE)
             && at_ns >= span.arrival_ns
             && fits32(at_ns - span.arrival_ns)
@@ -551,21 +597,20 @@ impl FlightRecorder {
             && gpcs <= u32::from(u16::MAX)
             && fits32(clean_ns)
             && fits32(base_ns)
-            && fits32(actual_ns);
+            && actual_ns == base_ns;
         if !packs {
-            self.void(query);
+            self.void(i);
             return false;
         }
         if span.is_started() {
-            self.keep_plain(span.start_record(self.lane));
+            self.keep_plain(span.start_record(self.lane, query));
         }
-        let span = self.spans.get_mut(i as usize);
+        let span = self.spans.get_mut(i);
         span.start_ns = (at_ns - span.arrival_ns) as u32;
         span.clean_ns = clean_ns as u32;
         span.base_ns = base_ns as u32;
-        span.actual_ns = actual_ns as u32;
         span.gpcs = gpcs as u16;
-        span.worker[0] = worker as u16;
+        span.worker = worker as u16;
         span.seq[1] = seq as u32;
         true
     }
@@ -585,24 +630,22 @@ impl FlightRecorder {
             self.in_place = false;
             return false;
         }
-        let Some(i) = self.open.get(query) else {
+        let Some(i) = self.open_span(query) else {
             return false;
         };
-        let span = self.spans.get_mut(i as usize);
+        let span = self.spans.get_mut(i);
         let packs = seq < u64::from(NONE)
             && span.is_started()
             && at_ns >= span.arrival_ns
             && at_ns - span.arrival_ns == latency_ns
             && fits32(latency_ns)
-            && fits16(worker);
+            && worker == usize::from(span.worker);
         if !packs {
-            self.void(query);
+            self.void(i);
             return false;
         }
         span.latency_ns = latency_ns as u32;
-        span.worker[1] = worker as u16;
         span.seq[2] = seq as u32;
-        self.open.take(query);
         true
     }
 
@@ -610,13 +653,13 @@ impl FlightRecorder {
     /// a plain record.
     #[inline]
     fn abort(&mut self, key: u64, query: u64) {
-        let Some(i) = self.open.get(query).filter(|_| key == query) else {
+        let Some(i) = self.open_span(query).filter(|_| key == query) else {
             return;
         };
-        let span = *self.spans.get_mut(i as usize);
+        let span = *self.spans.get_mut(i);
         if span.is_started() {
-            self.keep_plain(span.start_record(self.lane));
-            self.spans.get_mut(i as usize).seq[1] = NONE;
+            self.keep_plain(span.start_record(self.lane, query));
+            self.spans.get_mut(i).seq[1] = NONE;
         }
     }
 
@@ -663,19 +706,17 @@ impl FlightRecorder {
         self.pack(at_ns, key, seq, kind, a, 0)
     }
 
-    /// Gives up on `query`'s span: the lifecycle so far becomes plain
+    /// Gives up on open span `i`: the lifecycle so far becomes plain
     /// records.
     #[cold]
-    fn void(&mut self, query: u64) {
-        let Some(i) = self.open.take(query) else {
-            return;
-        };
-        let span = *self.spans.get_mut(i as usize);
-        self.keep_plain(span.arrival_record(self.lane));
+    fn void(&mut self, i: usize) {
+        let span = *self.spans.get_mut(i);
+        let query = i as u64;
+        self.keep_plain(span.arrival_record(self.lane, query, self.sla_ns(span.group)));
         if span.is_started() {
-            self.keep_plain(span.start_record(self.lane));
+            self.keep_plain(span.start_record(self.lane, query));
         }
-        self.spans.get_mut(i as usize).seq = [NONE; 3];
+        self.spans.get_mut(i).seq = [NONE; 3];
     }
 
     /// Keeps `r` as a plain record, in `seq` order.
@@ -794,8 +835,8 @@ impl<'a> Records<'a> {
             // Every recorded seq below `rec.seq` is kept in exactly one
             // place: a span, a packed event or a plain record.
             order = vec![0; rec.len()];
-            for (i, s) in rec.spans.iter().enumerate() {
-                let at = (i as u64) << 3;
+            for (i, s) in rec.spans() {
+                let at = i << 3;
                 for (part, seq) in [AT_ARRIVAL, AT_START, AT_COMPLETE].into_iter().zip(s.seq) {
                     if seq != NONE {
                         order[seq as usize] = at | part;
@@ -840,11 +881,15 @@ impl Iterator for Records<'_> {
             return rec.plain.get(i).copied();
         }
         let code = *self.order.get(i)?;
-        let at = (code >> 3) as usize;
+        // A span's index is its query id.
+        let (at, query) = ((code >> 3) as usize, code >> 3);
         Some(match code & 7 {
-            AT_ARRIVAL => rec.spans.get(at)?.arrival_record(rec.lane),
-            AT_START => rec.spans.get(at)?.start_record(rec.lane),
-            AT_COMPLETE => rec.spans.get(at)?.complete_record(rec.lane),
+            AT_ARRIVAL => {
+                let s = rec.spans.get(at)?;
+                s.arrival_record(rec.lane, query, rec.sla_ns(s.group))
+            }
+            AT_START => rec.spans.get(at)?.start_record(rec.lane, query),
+            AT_COMPLETE => rec.spans.get(at)?.complete_record(rec.lane, query),
             AT_EVENT => rec.events.get(at)?.record(rec.lane),
             _ => rec.plain[at],
         })
@@ -1245,6 +1290,65 @@ mod tests {
         assert_eq!(at_30[0], ev(2), "the trace's own record first");
         assert_eq!(at_30.len(), 2);
         assert_eq!(lane_views(&trace), vec![(3, vec![(10, 1), (30, 2)])]);
+    }
+
+    #[test]
+    fn an_engine_shaped_lane_keeps_one_span_per_query_and_no_plain_record() {
+        // Query q of group q % 3 arrives at 100q, starts at 100q + 30 on
+        // worker q % 5 and completes there at 100q + 250, so three
+        // lifecycles overlap; each group carries its own SLA.
+        const N: u64 = 1_000;
+        let mut records: Vec<(u64, u64, TraceEvent)> = Vec::new();
+        for q in 0..N {
+            let (at, group, worker) = (100 * q, (q % 3) as usize, (q % 5) as usize);
+            records.push((
+                at,
+                q,
+                TraceEvent::Arrival {
+                    query: q,
+                    group,
+                    batch: 4,
+                    dispatched_ns: at + 10,
+                    sla_ns: 1_000 * (group as u64 + 1),
+                },
+            ));
+            records.push((
+                at + 30,
+                q,
+                TraceEvent::ServiceStart {
+                    query: q,
+                    worker,
+                    gpcs: 7,
+                    clean_ns: 150,
+                    base_ns: 220,
+                    actual_ns: 220,
+                },
+            ));
+            records.push((
+                at + 250,
+                q,
+                TraceEvent::Complete {
+                    query: q,
+                    worker,
+                    latency_ns: 250,
+                },
+            ));
+        }
+        records.sort_by_key(|&(at, ..)| at);
+        let mut r = FlightRecorder::new(2);
+        for &(at, key, event) in &records {
+            r.record(SimTime::from_nanos(at), key, event);
+        }
+        assert_eq!(r.spans.len(), N as usize, "one span per query");
+        assert!(r.spans().all(|(_, s)| s.is_complete()));
+        assert!(r.plain.is_empty(), "no plain record");
+        assert_eq!(r.events.len(), 0, "no packed event");
+        assert!(r.reads_as_spans());
+        let back: Vec<(u64, u64, TraceEvent)> = r
+            .iter()
+            .map(|rec| (rec.at.as_nanos(), rec.key, rec.event))
+            .collect();
+        assert_eq!(back, records, "the spans give back every record");
     }
 
     #[test]

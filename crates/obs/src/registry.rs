@@ -252,7 +252,7 @@ mod tests {
                         worker: 0,
                         gpcs: 7,
                         clean_ns: 300,
-                        base_ns: 300,
+                        base_ns: 300 * (i + 1),
                         actual_ns: 300 * (i + 1),
                     },
                 );

@@ -52,11 +52,11 @@ impl Completion {
         i128::from(self.complete_ns - self.start_ns) - i128::from(self.base_ns)
     }
 
-    fn of_span(lane: u32, s: &QuerySpan) -> Self {
+    fn of_span(lane: u32, query: u64, s: &QuerySpan) -> Self {
         let at = s.arrival_ns;
         Completion {
             lane,
-            query: u64::from(s.query),
+            query,
             group: usize::from(s.group),
             arrival_ns: at,
             dispatched_ns: at + u64::from(s.dispatch_ns),
@@ -87,8 +87,8 @@ impl LaneView<'_> {
     pub(crate) fn for_each_completion(&self, mut f: impl FnMut(Completion)) {
         let lane = self.lane();
         if let Some(rec) = self.as_spans() {
-            for s in rec.spans().filter(|s| s.is_complete()) {
-                f(Completion::of_span(lane, s));
+            for (query, s) in rec.spans().filter(|(_, s)| s.is_complete()) {
+                f(Completion::of_span(lane, query, s));
             }
             return;
         }
@@ -148,16 +148,15 @@ impl LaneView<'_> {
     pub(crate) fn unbalanced(&self) -> Option<(u64, u64, u64)> {
         if let Some(rec) = self.as_spans() {
             // Each span is its query's only arrival and, once complete,
-            // its only completion (none is void); spans are in ascending
-            // query order.
+            // its only completion (none is void); span `i` is query `i`.
             let counts = rec.counts();
             if counts.arrivals == counts.completed {
                 return None;
             }
             return rec
                 .spans()
-                .find(|s| !s.is_complete())
-                .map(|s| (u64::from(s.query), 1, 0));
+                .find(|(_, s)| !s.is_complete())
+                .map(|(query, _)| (query, 1, 0));
         }
         let mut per_query: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
         for r in self.iter() {

@@ -7,11 +7,15 @@
 //! routing decisions and sheds, and annotations. Lanes in the anomalous
 //! modes add what cannot form a span: duplicate and missing arrivals,
 //! completes without a start or with a latency that is not complete −
-//! arrival, second completes, keys that are not their own query, ids and
-//! durations wider than 32 bits, and (roundtrip and conservation only)
-//! duplicate arrivals and stamps that go backwards. The oracle for the
-//! analyses is the same records handed in as a plain buffer, which every
-//! analysis re-folds record by record.
+//! arrival, second completes, keys that are not their own query, ids,
+//! durations and SLAs wider than 32 bits, and (roundtrip and conservation
+//! only) duplicate arrivals and stamps that go backwards. They also break,
+//! with values that fit 32 bits, each identity a span relies on instead of
+//! storing: a skipped id, an SLA that changes within a group, an
+//! `actual_ns` other than `base_ns`, and a completion on another worker
+//! than the latest start's. The oracle for the analyses is the same records
+//! handed in as a plain buffer, which every analysis re-folds record by
+//! record.
 
 use des_engine::SimTime;
 use inference_obs::{
@@ -20,23 +24,31 @@ use inference_obs::{
 };
 use proptest::prelude::*;
 
-/// A query the generator has opened: `(id, arrival_ns, started)`.
-type Open = (u64, u64, bool);
+/// A query the generator has opened: `(id, arrival_ns, the worker of its
+/// latest start while it runs)`.
+type Open = (u64, u64, Option<usize>);
+
+/// The one SLA every arrival of `group` carries in an engine-shaped lane.
+fn sla_of(group: usize) -> u64 {
+    5_000 + 1_000 * group as u64
+}
 
 /// Turns operations into a lane's `(at, key, event)` records. `mode` 0
-/// builds engine-shaped lifecycles only, mode 1 adds the anomalies that
-/// keep the analyses' arithmetic valid, mode 2 also duplicate arrivals and
-/// stamps that go backwards.
+/// builds engine-shaped lifecycles only: ids dense from 0, one SLA per
+/// group, `actual_ns == base_ns`, and each completion on its latest start's
+/// worker. Mode 1 adds the anomalies that keep the analyses' arithmetic
+/// valid, mode 2 also duplicate arrivals and stamps that go backwards.
 fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEvent)> {
     let mut out = Vec::new();
     let mut t: u64 = 1_000;
     let mut next_id: u64 = 0;
+    let mut arrivals: u64 = 0;
     let mut open: Vec<Open> = Vec::new();
     let mut done: Vec<(u64, u64)> = Vec::new();
     let mut gateway_key: u64 = 0;
     for &(op, pick, dt, anomaly) in ops {
-        // Anomaly 1..=3 fires only outside mode 0, on ~3/8 of operations.
-        let anomaly = if mode == 0 || anomaly > 3 { 0 } else { anomaly };
+        // Anomaly 1..=4 fires only outside mode 0, on 2/5 of operations.
+        let anomaly = if mode == 0 || anomaly > 4 { 0 } else { anomaly };
         // Whole 100 ns steps, so executions often end exactly where others
         // start.
         let dt = dt / 100 * 100;
@@ -44,27 +56,35 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
         let pick = usize::from(pick);
         match op {
             0 | 1 => {
-                let (id, sla) = match anomaly {
+                let group = pick % 2;
+                arrivals += 1;
+                let id = match anomaly {
                     // A duplicate arrival: a completed id comes back. Its
                     // old start would precede the new dispatch, which the
                     // breakdown's arithmetic rejects, so roundtrip only.
-                    1 if mode == 2 && !done.is_empty() => {
-                        let (id, _) = done.remove(pick % done.len());
-                        (id, 5_000)
+                    1 if mode == 2 && !done.is_empty() => done.remove(pick % done.len()).0,
+                    2 => u64::MAX - arrivals,
+                    _ => {
+                        // Anomaly 1 skips an id: the lane's ids stop being
+                        // dense from here on.
+                        next_id += 1 + u64::from(anomaly == 1);
+                        next_id - 1
                     }
-                    2 => (u64::MAX - next_id, 5_000),
-                    3 => (next_id, 1 << 40),
-                    _ => (next_id, 5_000),
                 };
-                next_id += 1;
+                let sla = match anomaly {
+                    3 => 1 << 40,
+                    // The other group's SLA: this group's SLA changes.
+                    4 => sla_of(1 - group),
+                    _ => sla_of(group),
+                };
                 open.retain(|o| o.0 != id);
-                open.push((id, t, false));
+                open.push((id, t, None));
                 out.push((
                     t,
                     id,
                     TraceEvent::Arrival {
                         query: id,
-                        group: pick % 2,
+                        group,
                         batch: 1 + pick % 8,
                         dispatched_ns: t,
                         sla_ns: sla,
@@ -73,10 +93,11 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
             }
             2 | 3 if !open.is_empty() => {
                 let i = pick % open.len();
-                open[i].2 = true;
+                let worker = pick % 4;
+                open[i].2 = Some(worker);
                 let id = open[i].0;
                 let key = if anomaly == 2 { id ^ 1 } else { id };
-                let actual = if anomaly == 1 {
+                let base = if anomaly == 1 {
                     1 << 33
                 } else {
                     300 + u64::from(dt)
@@ -86,29 +107,32 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
                     key,
                     TraceEvent::ServiceStart {
                         query: id,
-                        worker: pick % 4,
+                        worker,
                         gpcs: 7,
                         clean_ns: 200,
-                        base_ns: 250,
-                        actual_ns: actual,
+                        base_ns: base,
+                        actual_ns: base + u64::from(anomaly == 3),
                     },
                 ));
             }
             4 | 5 if !open.is_empty() => {
                 let i = pick % open.len();
-                let (id, arrival, started) = open[i];
-                if !started && anomaly != 1 {
+                let (id, arrival, running) = open[i];
+                if running.is_none() && anomaly != 1 {
                     continue; // an engine never completes an unstarted query
                 }
                 open.remove(i);
                 done.push((id, arrival));
                 let latency = t.saturating_sub(arrival) + u64::from(anomaly == 2);
+                // An engine completes a query on its latest start's worker;
+                // anomaly 4 completes it on another.
+                let worker = running.unwrap_or(0) + usize::from(anomaly == 4);
                 out.push((
                     t,
                     id,
                     TraceEvent::Complete {
                         query: id,
-                        worker: pick % 4,
+                        worker,
                         latency_ns: latency,
                     },
                 ));
@@ -119,7 +143,7 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
                         id,
                         TraceEvent::Complete {
                             query: id,
-                            worker: 0,
+                            worker,
                             latency_ns: latency,
                         },
                     ));
@@ -143,16 +167,8 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
             7 if !open.is_empty() => {
                 let i = pick % open.len();
                 let id = open[i].0;
-                if open[i].2 {
-                    open[i].2 = false;
-                    out.push((
-                        t,
-                        id,
-                        TraceEvent::ServiceAbort {
-                            query: id,
-                            worker: pick % 4,
-                        },
-                    ));
+                if let Some(worker) = open[i].2.take() {
+                    out.push((t, id, TraceEvent::ServiceAbort { query: id, worker }));
                 }
                 out.push((t, id, TraceEvent::Requeue { query: id }));
             }
@@ -226,7 +242,7 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
 }
 
 fn lifecycle_ops() -> impl Strategy<Value = Vec<(u8, u8, u16, u8)>> {
-    prop::collection::vec((0u8..12, 0u8..=255, 0u16..=2_000, 0u8..8), 0..80)
+    prop::collection::vec((0u8..12, 0u8..=255, 0u16..=2_000, 0u8..10), 0..80)
 }
 
 proptest! {
