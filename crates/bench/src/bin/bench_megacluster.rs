@@ -72,8 +72,7 @@ impl Scenario {
         let offered_qps = 0.8 * fleet_qps;
         let trace = steady_trace(duration_secs, offered_qps, 1, seed);
         let cluster = Cluster::new(vec![shard; shards], RouterPolicy::JoinShortestQueue)
-            .with_loan(LoanPolicy::new(pool_gpus, 0.25))
-            .with_lane_capacity(offered_qps);
+            .with_loan(LoanPolicy::new(pool_gpus, 0.25));
         // A GPU dies on shard 3 and a whole shard drops out of rotation
         // mid-run; both repair before the end, so the run exercises kill +
         // requeue + recovery re-plan + drain/rejoin at fleet scale.

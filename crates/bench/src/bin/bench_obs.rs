@@ -407,8 +407,7 @@ fn main() {
                 ms(c.queue_ns),
                 ms(c.reconfig_wait_ns),
                 ms(c.service_clean_ns),
-                ms(c.degrade_inflation_ns),
-                format!("{:.1}", c.noise_delta_ns as f64 / 1e6),
+                format!("{:.1}", c.degrade_inflation_ns as f64 / 1e6),
                 ms(c.total_latency_ns),
             ]
         })
@@ -420,8 +419,7 @@ fn main() {
             trace1.len()
         ),
         &[
-            "class", "done", "frontend", "queue", "reconfig", "service", "inflate", "noise",
-            "total",
+            "class", "done", "frontend", "queue", "reconfig", "service", "inflate", "total",
         ],
         &rows,
     );
@@ -520,7 +518,6 @@ fn main() {
             .field("reconfig_wait_ns", c.reconfig_wait_ns)
             .field("service_clean_ns", c.service_clean_ns)
             .field("degrade_inflation_ns", c.degrade_inflation_ns)
-            .field("noise_delta_ns", c.noise_delta_ns)
             .field("total_latency_ns", c.total_latency_ns)
             .field(
                 "sum_exact",
@@ -534,7 +531,7 @@ fn main() {
         .field("arrivals", conservation.arrivals)
         .field("completed", conservation.completed);
     let json = Obj::new()
-        .field("schema", "bench_obs/v2")
+        .field("schema", "bench_obs/v3")
         .field("model", "mobilenet_v1")
         .field("duration_secs", duration_s)
         .field("seed", opts.seed)

@@ -9,7 +9,7 @@
 //!
 //! Usage: `cargo run --release --bin bench_server [--quick] [--smoke] [--queries N] [--seed N]`
 //!
-//! `--seed` picks the trace (default 7, the microbench's trace).
+//! `--seed` picks the trace (default 7).
 //!
 //! `--smoke` runs a tiny trace (5 k queries) — CI uses it to catch bench
 //! regressions (panics, schema drift, broken paths) without paying for a

@@ -6,8 +6,8 @@
 //!
 //! - the **exact latency breakdown** per query class — frontend wait,
 //!   plain queue wait, reconfig-downtime wait, clean service, degrade
-//!   inflation, service noise — components that sum to the measured
-//!   end-to-end latency in integer nanoseconds with no residual;
+//!   inflation — components that sum to the measured end-to-end latency
+//!   in integer nanoseconds with no residual;
 //! - **per-shard utilization timelines** on the metric registry's fixed
 //!   grid: busy-GPC fraction and outstanding queries per 250 ms window,
 //!   rendered as digit strips (`0`–`9` ≙ 0–100 %);
@@ -104,8 +104,7 @@ fn main() {
                 ms(c.queue_ns),
                 ms(c.reconfig_wait_ns),
                 ms(c.service_clean_ns),
-                ms(c.degrade_inflation_ns),
-                format!("{:.2}", c.noise_delta_ns as f64 / n / 1e6),
+                format!("{:.2}", c.degrade_inflation_ns as f64 / n / 1e6),
                 ms(c.total_latency_ns),
                 (c.components_sum() == c.total_latency_ns as i128).to_string(),
             ]
@@ -120,8 +119,8 @@ fn main() {
             trace.len()
         ),
         &[
-            "class", "done", "frontend", "queue", "reconfig", "service", "inflate", "noise",
-            "total", "exact",
+            "class", "done", "frontend", "queue", "reconfig", "service", "inflate", "total",
+            "exact",
         ],
         &rows,
     );

@@ -215,10 +215,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The dispatch-path benchmark workload shared by the criterion
-/// microbench (`dispatch_path_20k_queries`) and the `bench_server` bin:
-/// both must measure the *same* configuration or `BENCH_server.json`
-/// silently stops being comparable to the microbench numbers.
+/// The dispatch-path benchmark workload behind the `bench_server` bin.
 ///
 /// Returns, for a partition count `n`, the FIFS server, the ELSA server
 /// (paper-default SLA) and a dispatch-heavy trace of `queries` queries
@@ -378,9 +375,9 @@ mod tests {
         assert!(err.starts_with("unexpected argument \"5\";"), "{err}");
     }
 
-    /// Seed 7 still draws the dispatch trace `bench_server` and the
-    /// microbench have always measured (fingerprints taken before the
-    /// seed became a parameter), and another seed draws a different one.
+    /// Seed 7 still draws the dispatch trace `bench_server` has always
+    /// measured (fingerprints taken before the seed became a parameter),
+    /// and another seed draws a different one.
     #[test]
     fn dispatch_workload_trace_follows_the_seed() {
         fn fingerprint(trace: &[QuerySpec]) -> u64 {

@@ -114,10 +114,6 @@ pub struct Cluster {
     router: RouterPolicy,
     loan: Option<LoanPolicy>,
     shed: Option<ShedPolicy>,
-    /// Per-shard lane event-queue capacity hints
-    /// ([`lane_capacity_hints`](Self::lane_capacity_hints)); purely an
-    /// allocation knob, never observable in any report.
-    lane_capacity: Option<Vec<usize>>,
 }
 
 impl Cluster {
@@ -144,7 +140,6 @@ impl Cluster {
             router,
             loan: None,
             shed: None,
-            lane_capacity: None,
         }
     }
 
@@ -165,58 +160,13 @@ impl Cluster {
         self
     }
 
-    /// Pre-sizes every shard lane's event queue for the given offered
-    /// load — computed once via
-    /// [`lane_capacity_hints`](Self::lane_capacity_hints) and applied by
-    /// every run. Purely an allocation knob: reports are bit-for-bit
-    /// identical with or without it; with it, a steady-state run performs
-    /// no lane-queue reallocation after construction. A lane's command
-    /// mailbox is not pre-sized: it starts empty and grows to the most
-    /// commands one lookahead window delivers (a handful of offers), and
-    /// per-event runs never queue a command.
+    /// Does nothing, and is kept only because the benchmark crate
+    /// (`perfbench/`) calls it. Every lane queue starts at its structural
+    /// floor (one completion per partition, one reconfiguration timer, a
+    /// small dispatch margin) and grows to the most events it ever holds.
     #[must_use]
-    pub fn with_lane_capacity(mut self, offered_qps: f64) -> Self {
-        self.lane_capacity = Some(self.lane_capacity_hints(offered_qps));
+    pub fn with_lane_capacity(self, _offered_qps: f64) -> Self {
         self
-    }
-
-    /// Per-shard lane event-queue capacity hints for an offered load.
-    ///
-    /// A lane's queue holds one completion event per busy partition, at
-    /// most one reconfiguration timer, plus the frontend backlog's pending
-    /// dispatches — the only unbounded term, proportional to the shard's
-    /// share of the offered load times how long queries linger. The hint
-    /// bounds that share by the shard's capacity-weighted fraction of
-    /// `offered_qps` sustained for a conservative sojourn window (4× the
-    /// largest per-model SLA, or 80 ms without SLAs — transient overload
-    /// during faults holds queries well past a healthy sojourn):
-    /// `2·partitions + 16 + share_qps · sojourn`.
-    #[must_use]
-    pub fn lane_capacity_hints(&self, offered_qps: f64) -> Vec<usize> {
-        let total: f64 = self
-            .shards
-            .iter()
-            .map(MultiModelServer::capacity_hint_qps)
-            .sum();
-        self.shards
-            .iter()
-            .map(|shard| {
-                let partitions: usize = shard.groups().iter().map(Vec::len).sum();
-                let share = if total > 0.0 {
-                    shard.capacity_hint_qps() / total
-                } else {
-                    1.0 / self.shards.len() as f64
-                };
-                let sojourn_ns = shard
-                    .models()
-                    .iter()
-                    .filter_map(|m| m.sla_ns)
-                    .max()
-                    .map_or(80_000_000, |sla| sla.saturating_mul(4));
-                let backlog = (offered_qps.max(0.0) * share * sojourn_ns as f64 / 1e9).ceil();
-                2 * partitions + 16 + backlog as usize
-            })
-            .collect()
     }
 
     /// The hosted shards.
@@ -440,18 +390,12 @@ impl Cluster {
             .collect()
     }
 
-    /// The event-queue capacity for lane `s`: the
-    /// [`with_lane_capacity`](Self::with_lane_capacity) hint when one was
-    /// set, otherwise the structural floor — one completion per partition,
-    /// one reconfiguration timer, a small dispatch margin.
+    /// The event-queue capacity lane `s` starts with: its structural
+    /// floor — one completion per partition, one reconfiguration timer, a
+    /// small dispatch margin. The queue grows past it as the lane needs.
     fn lane_capacity(&self, s: usize) -> usize {
-        self.lane_capacity
-            .as_deref()
-            .and_then(|h| h.get(s).copied())
-            .unwrap_or_else(|| {
-                let partitions: usize = self.shards[s].groups().iter().map(Vec::len).sum();
-                partitions + 4
-            })
+        let partitions: usize = self.shards[s].groups().iter().map(Vec::len).sum();
+        partitions + 4
     }
 }
 

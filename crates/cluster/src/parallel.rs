@@ -171,9 +171,9 @@ pub(crate) struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    /// `capacity` pre-sizes the lane's event queue (see
-    /// `Cluster::lane_capacity_hints`). The command mailbox starts empty
-    /// and grows to one lookahead window's commands.
+    /// `capacity` is the lane's event-queue starting capacity, its
+    /// structural floor. The command mailbox starts empty and grows to one
+    /// lookahead window's commands.
     pub fn new(shard: usize, engine: ShardEngine<'a>, num_gpus: usize, capacity: usize) -> Self {
         Lane {
             shard,

@@ -5,14 +5,16 @@
 //!
 //! ```text
 //! frontend + plain_queue + reconfig_wait + service_clean
-//!          + degrade_inflation + noise_delta  ==  latency
+//!          + degrade_inflation  ==  latency
 //! ```
 //!
 //! holds in integer nanoseconds with no residual. `reconfig_wait` is the part
 //! of the wait interval overlapping reconfig-step downtime (intervals are
-//! unioned first, so overlap never exceeds the wait), `degrade_inflation` is
-//! the degrade-scaled minus clean service time of the final execution, and
-//! `noise_delta` (signed) is whatever service noise added or removed.
+//! unioned first, so overlap never exceeds the wait), and `degrade_inflation`
+//! (signed) is the completing execution's measured time (start → complete)
+//! minus its clean service time. On an engine trace the measured time is
+//! the start's degrade-scaled `base_ns`, since the engine has no service
+//! noise.
 //!
 //! Both passes read the trace one lane at a time ([`QueryTrace::lanes`]),
 //! through the span assembler shared with [`crate::attribute`]: a lane
@@ -41,10 +43,9 @@ pub struct ClassBreakdown {
     pub reconfig_wait_ns: u128,
     /// Σ clean (profile-table) service time of the completing execution.
     pub service_clean_ns: u128,
-    /// Σ degrade-induced inflation (degrade-scaled base − clean).
-    pub degrade_inflation_ns: u128,
-    /// Σ signed service-noise delta (actual − degrade-scaled base).
-    pub noise_delta_ns: i128,
+    /// Σ signed degrade-induced inflation: the completing execution's
+    /// measured time − its clean service time.
+    pub degrade_inflation_ns: i128,
 }
 
 impl ClassBreakdown {
@@ -55,8 +56,7 @@ impl ClassBreakdown {
             + self.queue_ns as i128
             + self.reconfig_wait_ns as i128
             + self.service_clean_ns as i128
-            + self.degrade_inflation_ns as i128
-            + self.noise_delta_ns
+            + self.degrade_inflation_ns
     }
 }
 
@@ -140,8 +140,7 @@ pub fn analyze(trace: &QueryTrace) -> TraceAnalysis {
             row.queue_ns += u128::from(c.wait_ns() - reconfig);
             row.reconfig_wait_ns += u128::from(reconfig);
             row.service_clean_ns += u128::from(c.clean_ns);
-            row.degrade_inflation_ns += u128::from(c.inflation_ns());
-            row.noise_delta_ns += c.noise_ns();
+            row.degrade_inflation_ns += c.inflation_ns();
         });
     }
     out.classes = classes.into_values().collect();
@@ -224,7 +223,7 @@ mod tests {
     }
 
     /// One query: arrive 0, dispatched 10, reconfig [20, 60), start 100,
-    /// clean 300, base 330, actual 325 (noise −5), complete 425.
+    /// clean 300, base 330, complete 425: it ran 325 ns, 25 over clean.
     fn one_query_recorder() -> FlightRecorder {
         let mut r = FlightRecorder::new(0);
         r.record(
@@ -255,7 +254,6 @@ mod tests {
                 gpcs: 7,
                 clean_ns: 300,
                 base_ns: 330,
-                actual_ns: 325,
             },
         );
         r.record(
@@ -263,6 +261,7 @@ mod tests {
             0,
             TraceEvent::Complete {
                 query: 0,
+                group: 2,
                 worker: 3,
                 latency_ns: 425,
             },
@@ -281,8 +280,7 @@ mod tests {
         assert_eq!(c.reconfig_wait_ns, 40);
         assert_eq!(c.queue_ns, 50); // wait 90 − reconfig 40
         assert_eq!(c.service_clean_ns, 300);
-        assert_eq!(c.degrade_inflation_ns, 30);
-        assert_eq!(c.noise_delta_ns, -5);
+        assert_eq!(c.degrade_inflation_ns, 25);
         assert_eq!(c.components_sum(), c.total_latency_ns as i128);
         assert_eq!(c.total_latency_ns, 425);
     }
@@ -352,7 +350,6 @@ mod tests {
                 gpcs: 7,
                 clean_ns: 50,
                 base_ns: 50,
-                actual_ns: 50,
             },
         );
         r.record(
@@ -360,6 +357,7 @@ mod tests {
             q,
             TraceEvent::Complete {
                 query: q,
+                group: 2,
                 worker: 0,
                 latency_ns: 150,
             },

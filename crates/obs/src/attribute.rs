@@ -15,15 +15,15 @@
 //!   already covered by reconfig downtime;
 //! - `degrade_wait` — queue time inside a degrade window not covered above;
 //! - `queue_growth` — the remaining queue time: ordinary load;
-//! - `degrade_inflation` — service-time inflation from running degraded;
-//! - `service_noise` — signed service-time noise around the degraded base.
+//! - `degrade_inflation` — service-time inflation from running degraded:
+//!   the completing execution's measured time over its clean time.
 //!
 //! The wait-side causes are **incremental-union overlaps**: each cause is
 //! the overlap of the wait span with the union of its interval set and all
 //! sets before it, minus the previous cause's running total. Differences of
 //! a telescoping sum add back to the full wait exactly, and the service
-//! side is the analyzer's integer identity (`service = clean + inflation +
-//! noise`), so [`WindowAttribution::causes_sum`] equals
+//! side is the analyzer's integer identity (`service = clean +
+//! inflation`), so [`WindowAttribution::causes_sum`] equals
 //! [`WindowAttribution::excess_ns`] with **zero residual** — enforced by
 //! `bench_obs` on a live fault scenario.
 //!
@@ -44,8 +44,9 @@ use std::collections::HashMap;
 pub struct CauseRow {
     /// Stable cause label (see module docs).
     pub cause: &'static str,
-    /// Signed share in integer nanoseconds (`service_noise` can be
-    /// negative; everything else is non-negative).
+    /// Signed share in integer nanoseconds (`degrade_inflation` is
+    /// negative only on a hand-built trace whose execution ran shorter
+    /// than clean; everything else is non-negative).
     pub share_ns: i128,
 }
 
@@ -291,11 +292,7 @@ fn attribute_completion(ctx: &TailContext, c: &Completion, bin: usize) -> Window
         },
         CauseRow {
             cause: "degrade_inflation",
-            share_ns: i128::from(c.inflation_ns()),
-        },
-        CauseRow {
-            cause: "service_noise",
-            share_ns: c.noise_ns(),
+            share_ns: c.inflation_ns(),
         },
     ];
     causes.sort_by(|a, b| b.share_ns.cmp(&a.share_ns).then(a.cause.cmp(b.cause)));
@@ -441,7 +438,6 @@ mod tests {
                 gpcs: 7,
                 clean_ns: clean,
                 base_ns: base,
-                actual_ns: actual,
             },
         );
         r.record(
@@ -449,6 +445,7 @@ mod tests {
             q,
             TraceEvent::Complete {
                 query: q,
+                group,
                 worker: 0,
                 latency_ns: start + actual - at,
             },
@@ -460,8 +457,8 @@ mod tests {
         let mut r = FlightRecorder::new(0);
         // Loan arrives, then the reconfig it triggered takes the lane down
         // for 400 ns; the query waits out the downtime plus 100 ns of
-        // ordinary queueing, then runs degraded (base 300 over clean 200)
-        // with +50 noise.
+        // ordinary queueing, then runs degraded for 350 ns against a clean
+        // 200.
         r.record(
             t(50),
             ANNOTATION_KEY,
@@ -497,8 +494,7 @@ mod tests {
         };
         assert_eq!(share("reconfig:loan_handover"), 400);
         assert_eq!(share("queue_growth"), 100);
-        assert_eq!(share("degrade_inflation"), 100);
-        assert_eq!(share("service_noise"), 50);
+        assert_eq!(share("degrade_inflation"), 150);
         assert_eq!(share("reconfig:fault_recovery"), 0);
         // Ranked descending.
         assert_eq!(a.causes[0].cause, "reconfig:loan_handover");

@@ -13,6 +13,12 @@
 //! All payloads are plain integers stamped in simulation time, so a trace is
 //! `Copy`-cheap, deterministic, and independent of wall-clock or thread
 //! scheduling.
+//!
+//! Each fact is said once. A service start carries one duration, `base_ns`:
+//! the engine has no service noise, so an execution runs for exactly its
+//! degrade-scaled profiled latency. A completion names its `group`, so a
+//! consumer judges it against its model's SLA without keeping a table from
+//! each arrival to its completion.
 
 /// What kind of fault an annotation records (mirrors the cluster fault
 /// machinery without depending on it).
@@ -58,26 +64,27 @@ pub enum TraceEvent {
     Enqueue { query: u64, group: usize },
     /// The query's group is dark (mid-reconfig); parked in the stash.
     Stash { query: u64, group: usize },
-    /// Service began on a worker. `clean_ns` is the profile-table latency,
-    /// `base_ns` the degrade-scaled base, `actual_ns` the scheduled physical
-    /// duration (base plus service noise) — so degrade inflation and noise
-    /// are both recoverable exactly.
+    /// Service began on a worker. `clean_ns` is the profile-table latency
+    /// and `base_ns` the degrade-scaled one, which is how long the
+    /// execution runs (the engine has no service noise) — so degrade
+    /// inflation is recoverable exactly.
     ServiceStart {
         query: u64,
         worker: usize,
         gpcs: u32,
         clean_ns: u64,
         base_ns: u64,
-        actual_ns: u64,
     },
     /// An in-flight execution was killed (worker died); the query will
     /// requeue and start again.
     ServiceAbort { query: u64, worker: usize },
     /// A killed or orphaned query re-entered routing.
     Requeue { query: u64 },
-    /// The query finished — a terminal event.
+    /// The query finished — a terminal event. `group` is the model it
+    /// was served as, whose SLA judges `latency_ns`.
     Complete {
         query: u64,
+        group: usize,
         worker: usize,
         latency_ns: u64,
     },

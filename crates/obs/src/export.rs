@@ -123,7 +123,7 @@ pub fn write_query_trace(w: &mut ChromeTraceWriter, trace: &QueryTrace) {
             TraceEvent::ServiceStart {
                 query,
                 worker,
-                actual_ns,
+                base_ns,
                 ..
             } => {
                 w.complete_slice(
@@ -132,7 +132,7 @@ pub fn write_query_trace(w: &mut ChromeTraceWriter, trace: &QueryTrace) {
                     r.lane,
                     worker as u32,
                     ts,
-                    actual_ns as f64 / 1_000.0,
+                    base_ns as f64 / 1_000.0,
                 );
             }
             TraceEvent::ReconfigStep { step, downtime_ns } => {
@@ -281,11 +281,10 @@ fn jsonl_fields(out: &mut String, event: &TraceEvent) {
             gpcs,
             clean_ns,
             base_ns,
-            actual_ns,
         } => {
             let _ = write!(
                 out,
-                "\"query\":{query},\"worker\":{worker},\"gpcs\":{gpcs},\"clean_ns\":{clean_ns},\"base_ns\":{base_ns},\"actual_ns\":{actual_ns}"
+                "\"query\":{query},\"worker\":{worker},\"gpcs\":{gpcs},\"clean_ns\":{clean_ns},\"base_ns\":{base_ns}"
             );
         }
         TraceEvent::ServiceAbort { query, worker } => {
@@ -296,12 +295,13 @@ fn jsonl_fields(out: &mut String, event: &TraceEvent) {
         }
         TraceEvent::Complete {
             query,
+            group,
             worker,
             latency_ns,
         } => {
             let _ = write!(
                 out,
-                "\"query\":{query},\"worker\":{worker},\"latency_ns\":{latency_ns}"
+                "\"query\":{query},\"group\":{group},\"worker\":{worker},\"latency_ns\":{latency_ns}"
             );
         }
         TraceEvent::ReconfigStep { step, downtime_ns } => {
@@ -451,6 +451,7 @@ mod tests {
             7,
             TraceEvent::Complete {
                 query: 7,
+                group: 1,
                 worker: 2,
                 latency_ns: 99,
             },
@@ -459,7 +460,7 @@ mod tests {
         let line = jsonl(&trace);
         assert_eq!(
             line,
-            "{\"at_ns\":42,\"key\":7,\"lane\":1,\"seq\":0,\"kind\":\"complete\",\"query\":7,\"worker\":2,\"latency_ns\":99}\n"
+            "{\"at_ns\":42,\"key\":7,\"lane\":1,\"seq\":0,\"kind\":\"complete\",\"query\":7,\"group\":1,\"worker\":2,\"latency_ns\":99}\n"
         );
     }
 

@@ -32,7 +32,7 @@
 //! - **causal tail attribution** ([`attribute_window`], [`attribute_alerts`],
 //!   [`worst_window`]): splits a window's p99 latency excess into ranked
 //!   causes (reconfig downtime from loans vs faults, fault/degrade exposure,
-//!   queue growth, degrade inflation, noise) with zero residual, reusing the
+//!   queue growth, degrade inflation) with zero residual, reusing the
 //!   analyzer's exact integer accounting;
 //! - **exporters** (Chrome `trace_event` JSON via [`ChromeTraceWriter`],
 //!   JSONL via [`jsonl`], registry dumps via [`metrics_jsonl`] /
@@ -50,7 +50,6 @@ pub mod analyze;
 pub mod attribute;
 pub mod event;
 pub mod export;
-mod inflight;
 pub mod online;
 pub mod recorder;
 pub mod registry;

@@ -3,9 +3,9 @@
 //! [`OnlineLane`] is a [`TraceSink`] that folds every observation into
 //! windowed aggregates *as it is recorded*, instead of buffering the record
 //! for post-hoc analysis the way [`FlightRecorder`] does. Memory is a few
-//! words per (series, window) — growable per-bin vectors and a bounded
-//! in-flight-query map — so a lane can stream telemetry for a long run
-//! without retaining the trace.
+//! words per (series, window) — growable per-bin vectors — and one SLA per
+//! model, with nothing kept per query, so a lane can stream telemetry for
+//! a long run without retaining the trace.
 //!
 //! **Invariant 13 (ARCHITECTURE.md): the online registry IS the oracle
 //! registry.** [`MetricRegistry::from_trace`] builds these same per-lane
@@ -20,10 +20,16 @@
 //! - counter/gauge bins sum exactly-representable integers in `f64`
 //!   (magnitudes ≪ 2⁵³), so addition order cannot change a single bit;
 //! - SLA violations are judged per completion, when it is folded, against
-//!   the SLA its own arrival carried
+//!   the SLA of the model the completion names — the SLA the model's
+//!   latest arrival on the lane carried
 //!   ([`LatencyHistogram::exceeds`], the bucket rule of
 //!   [`LatencyHistogram::violations`]), into integer completed/violated
 //!   counters per (model, bin) that sum exactly in any order.
+//!
+//! Every engine lane gives each model one SLA, so that is the SLA each
+//! completion's own arrival carried. Only a hand-built lane whose model
+//! changes SLA mid-run can tell the two rules apart, and the recorder
+//! keeps no such lane as spans: it folds record by record.
 //!
 //! Within one lane, the engine's push order and the trace's global
 //! `(time, key, lane, seq)` order differ only in the ordering of
@@ -36,7 +42,6 @@
 //! [`MetricRegistry::from_trace`]: crate::registry::MetricRegistry::from_trace
 
 use crate::event::TraceEvent;
-use crate::inflight::InFlight;
 use crate::recorder::{FlightRecorder, TraceSink};
 use crate::registry::{MetricRegistry, MetricSeries};
 use des_engine::SimTime;
@@ -149,8 +154,7 @@ impl TraceSink for ObsSink {
 /// order (what every engine lane and every merged trace guarantees), then
 /// hand all lanes to [`merge_online`]. State per lane: one `f64` per
 /// touched (series, bin), two integer SLA counters per (model, bin), and
-/// an in-flight-query → (model, SLA) table that shrinks as queries
-/// complete.
+/// one SLA per model.
 #[derive(Debug, Clone)]
 pub struct OnlineLane {
     lane: u32,
@@ -185,11 +189,6 @@ pub struct OnlineLane {
     /// and dense, so a direct vector keeps the per-completion hot path to
     /// one bounds check.
     sla: Vec<SlaBins>,
-    /// In-flight query → `(model, sla_ns)` of its arrival: dense slots
-    /// from the oldest id still in flight, an ordered map for ids far past
-    /// them, so the table tracks the outstanding window, not the whole run.
-    /// Each bin transition gives back a drained backlog's spare slots.
-    groups: InFlight<(usize, u64)>,
 }
 
 /// One model's SLA fold on one lane.
@@ -197,6 +196,9 @@ pub struct OnlineLane {
 struct SlaBins {
     /// Whether any arrival of the model carried a nonzero SLA.
     has_sla: bool,
+    /// The SLA the model's latest arrival carried (0: none), which judges
+    /// its completions.
+    sla_ns: u64,
     /// `(completed, violated)` per bin.
     bins: Vec<(u64, u64)>,
 }
@@ -239,7 +241,6 @@ impl OnlineLane {
             shed: Vec::new(),
             loaned: Vec::new(),
             sla: Vec::new(),
-            groups: InFlight::default(),
         }
     }
 
@@ -269,14 +270,13 @@ impl OnlineLane {
     }
 
     /// The bin-transition path of [`bin`](Self::bin): moves the cached
-    /// bin and gives back a drained backlog's in-flight slots.
+    /// bin.
     #[cold]
     #[inline(never)]
     fn next_bin(&mut self, at_ns: u64) -> usize {
         let b = (at_ns / self.window_ns) as usize;
         self.cur_bin = b;
         self.cur_bin_end = (b as u64 + 1).saturating_mul(self.window_ns);
-        self.groups.release_spare();
         b
     }
 
@@ -296,18 +296,30 @@ impl OnlineLane {
         &mut self.sla[group]
     }
 
-    fn set_group(&mut self, query: u64, group: usize, sla_ns: u64) {
-        self.groups.insert(query, (group, sla_ns));
+    /// Notes an arrival of `group` carrying `sla_ns`: the SLA that judges
+    /// the model's completions from here on.
+    fn arrive(&mut self, group: usize, sla_ns: u64) {
+        let model = self.model(group);
+        model.has_sla |= sla_ns > 0;
+        model.sla_ns = sla_ns;
     }
 
-    fn take_group(&mut self, query: u64) -> Option<(usize, u64)> {
-        self.groups.take(query)
+    /// Counts a completion of `group` in `bin`, judged against the model's
+    /// SLA (a zero SLA means none: it cannot violate).
+    fn complete(&mut self, bin: usize, group: usize, latency_ns: u64) {
+        let model = self.model(group);
+        let violated = model.sla_ns > 0 && LatencyHistogram::exceeds(latency_ns, model.sla_ns);
+        if bin >= model.bins.len() {
+            model.bins.resize(bin + 1, (0, 0));
+        }
+        model.bins[bin].0 += 1;
+        model.bins[bin].1 += u64::from(violated);
     }
 
-    fn service(&mut self, at_ns: u64, gpcs: u32, actual_ns: u64) {
+    fn service(&mut self, at_ns: u64, gpcs: u32, base_ns: u64) {
         self.busy_touched = true;
-        let end = at_ns + actual_ns;
-        if self.capacity_hint == 0 && actual_ns > 0 {
+        let end = at_ns + base_ns;
+        if self.capacity_hint == 0 && base_ns > 0 {
             // Streaming peak concurrency ≡ the oracle's edge sweep: ends at
             // or before `at_ns` retire first (the sweep sorts negative
             // deltas before positive at equal stamps), then this span
@@ -324,7 +336,7 @@ impl OnlineLane {
             self.active.push(Reverse((end, gpcs)));
         }
         let first = self.bin(at_ns);
-        self.spread_busy(first, self.cur_bin_end, at_ns, gpcs, actual_ns);
+        self.spread_busy(first, self.cur_bin_end, at_ns, gpcs, base_ns);
     }
 
     /// Spreads an execution's GPC·ns across the bins it covers; `first` is
@@ -333,14 +345,14 @@ impl OnlineLane {
     /// reproduces the oracle's clamp bytes exactly (a clamped overflow
     /// segment contributed `+0.0` to the last bin — a no-op).
     #[inline]
-    fn spread_busy(&mut self, first: usize, first_end: u64, at_ns: u64, gpcs: u32, actual_ns: u64) {
-        let end = at_ns + actual_ns;
+    fn spread_busy(&mut self, first: usize, first_end: u64, at_ns: u64, gpcs: u32, base_ns: u64) {
+        let end = at_ns + base_ns;
         // Fast path: the whole span lands in its first bin.
         if end <= first_end {
             if first >= self.busy.len() {
                 self.busy.resize(first + 1, 0.0);
             }
-            self.busy[first] += actual_ns as f64 * f64::from(gpcs);
+            self.busy[first] += base_ns as f64 * f64::from(gpcs);
             return;
         }
         let mut s = at_ns;
@@ -383,14 +395,14 @@ impl OnlineLane {
         };
         // `(stamp, ±gpcs)` edges of every execution, for the peak sweep.
         let mut edges: Vec<(u64, i64)> = Vec::new();
-        let mut start = |lane: &mut OnlineLane, at_ns: u64, gpcs: u32, actual_ns: u64| {
+        let mut start = |lane: &mut OnlineLane, at_ns: u64, gpcs: u32, base_ns: u64| {
             lane.busy_touched = true;
             let first = bin(at_ns);
             let first_end = (first as u64 + 1).saturating_mul(w);
-            lane.spread_busy(first, first_end, at_ns, gpcs, actual_ns);
-            if track_peak && actual_ns > 0 {
+            lane.spread_busy(first, first_end, at_ns, gpcs, base_ns);
+            if track_peak && base_ns > 0 {
                 edges.push((at_ns, i64::from(gpcs)));
-                edges.push((at_ns + actual_ns, -i64::from(gpcs)));
+                edges.push((at_ns + base_ns, -i64::from(gpcs)));
             }
         };
         // A lane that reads as spans holds no void span: voiding one
@@ -399,35 +411,26 @@ impl OnlineLane {
         for (_, s) in rec.spans() {
             let at = s.arrival_ns;
             let group = usize::from(s.group);
-            let sla_ns = rec.sla_ns(s.group);
             note(bin(at), 1);
-            if sla_ns > 0 {
-                lane.model(group).has_sla = true;
-            }
+            // Every span of the group carries the group's one SLA.
+            lane.arrive(group, rec.sla_ns(s.group));
             if s.is_started() {
-                // A span's start ran for its `base_ns`.
-                let (gpcs, actual) = (u32::from(s.gpcs), u64::from(s.base_ns));
-                start(&mut lane, at + u64::from(s.start_ns), gpcs, actual);
+                let (gpcs, base) = (u32::from(s.gpcs), u64::from(s.base_ns));
+                start(&mut lane, at + u64::from(s.start_ns), gpcs, base);
             }
             if s.is_complete() {
                 let latency_ns = u64::from(s.latency_ns);
                 let b = bin(at + latency_ns);
                 note(b, -1);
-                let violated = sla_ns > 0 && LatencyHistogram::exceeds(latency_ns, sla_ns);
-                let bins = &mut lane.model(group).bins;
-                if b >= bins.len() {
-                    bins.resize(b + 1, (0, 0));
-                }
-                bins[b].0 += 1;
-                bins[b].1 += u64::from(violated);
+                lane.complete(b, group, latency_ns);
             }
         }
         for r in rec.plain().iter().copied().chain(rec.packed()) {
             let at_ns = r.at.as_nanos();
             match r.event {
-                TraceEvent::ServiceStart {
-                    gpcs, actual_ns, ..
-                } => start(&mut lane, at_ns, gpcs, actual_ns),
+                TraceEvent::ServiceStart { gpcs, base_ns, .. } => {
+                    start(&mut lane, at_ns, gpcs, base_ns);
+                }
                 TraceEvent::RouteDecision { .. } => bump(&mut lane.routed, bin(at_ns), 1.0),
                 TraceEvent::Shed { .. } => bump(&mut lane.shed, bin(at_ns), 1.0),
                 TraceEvent::Loan { gpus_delta, .. } => {
@@ -481,40 +484,21 @@ impl TraceSink for OnlineLane {
         // the latest stamp IS the horizon — no compare needed.
         self.horizon_ns = at_ns;
         match event {
-            TraceEvent::Arrival {
-                query,
-                group,
-                sla_ns,
-                ..
-            } => {
+            TraceEvent::Arrival { group, sla_ns, .. } => {
                 let bin = self.bin(at_ns);
                 self.out_level += 1;
                 self.sample_out(bin);
-                if sla_ns > 0 {
-                    self.model(group).has_sla = true;
-                }
-                self.set_group(query, group, sla_ns);
+                self.arrive(group, sla_ns);
             }
             TraceEvent::Complete {
-                query, latency_ns, ..
+                group, latency_ns, ..
             } => {
                 let bin = self.bin(at_ns);
                 self.out_level -= 1;
                 self.sample_out(bin);
-                if let Some((group, sla_ns)) = self.take_group(query) {
-                    // A zero SLA means the query had none: it cannot violate.
-                    let violated = sla_ns > 0 && LatencyHistogram::exceeds(latency_ns, sla_ns);
-                    let bins = &mut self.model(group).bins;
-                    if bin >= bins.len() {
-                        bins.resize(bin + 1, (0, 0));
-                    }
-                    bins[bin].0 += 1;
-                    bins[bin].1 += u64::from(violated);
-                }
+                self.complete(bin, group, latency_ns);
             }
-            TraceEvent::ServiceStart {
-                gpcs, actual_ns, ..
-            } => self.service(at_ns, gpcs, actual_ns),
+            TraceEvent::ServiceStart { gpcs, base_ns, .. } => self.service(at_ns, gpcs, base_ns),
             TraceEvent::RouteDecision { .. } => {
                 let bin = self.bin(at_ns);
                 bump(&mut self.routed, bin, 1.0);
@@ -546,13 +530,15 @@ impl TraceSink for OnlineLane {
 ///
 /// `model{m}/sla_violation_rate` is, per bin, the model's violated over
 /// completed queries (0.0 for a bin without completions), where each
-/// completion was judged against the SLA its own arrival carried. The
-/// series exists once some completion of the model was folded and some
-/// arrival of it carried a nonzero SLA. This equals
+/// completion was judged against the SLA of its model's latest arrival on
+/// its lane. The series exists once some completion of the model was
+/// folded and some arrival of it carried a nonzero SLA. This equals
 /// `LatencyHistogram::violation_rate` of the bin's latencies whenever all
 /// arrivals of a model carry the same SLA — which holds for every cluster
 /// and trace the repo builds, since `ModelSpec::new` derives the SLA from
-/// the model's profile table and shards share tables.
+/// the model's profile table and shards share tables. Only a hand-built
+/// lane whose model changes SLA judges a completion against another SLA
+/// than its own arrival's, and the recorder keeps no such lane as spans.
 ///
 /// [`MetricRegistry::from_trace`]: crate::registry::MetricRegistry::from_trace
 #[must_use]
@@ -714,6 +700,7 @@ mod tests {
             0,
             TraceEvent::Complete {
                 query: 0,
+                group: 0,
                 worker: 0,
                 latency_ns,
             },
@@ -728,20 +715,6 @@ mod tests {
         assert_eq!(sink.trace.as_ref().unwrap().len(), 1);
         assert_eq!(sink.online.as_ref().unwrap().horizon_ns, 10);
         assert!(ObsSink::for_request(ObsRequest::OFF, 0, 0).is_empty());
-    }
-
-    #[test]
-    fn groups_deque_reclaims_completed_prefix() {
-        let mut lane = OnlineLane::new(0, 1_000);
-        for q in 0..100u64 {
-            lane.set_group(q, (q % 2) as usize, q);
-        }
-        for q in 0..99u64 {
-            assert_eq!(lane.take_group(q), Some(((q % 2) as usize, q)));
-        }
-        assert_eq!(lane.groups.base(), 99, "consumed prefix reclaimed");
-        assert!(lane.groups.dense_len() <= 1);
-        assert_eq!(lane.take_group(5), None, "completions consume");
     }
 
     #[test]
@@ -790,6 +763,54 @@ mod tests {
         );
         let rate = reg.get("model0/sla_violation_rate").expect("series");
         assert_eq!(rate.values, vec![0.5]);
+    }
+
+    #[test]
+    fn each_completion_is_judged_against_its_own_models_sla() {
+        // One lane, two models: model 0 has a 1 µs SLA, model 1 a 500 ns
+        // one. Query q of model q % 2 arrives at 200q and completes 700 ns
+        // later, so arrivals and completions of both models interleave and
+        // only model 1's queries miss their SLA.
+        let mut events: Vec<(u64, u64, TraceEvent)> = Vec::new();
+        for q in 0..6u64 {
+            let (at, group) = (200 * q, (q % 2) as usize);
+            let sla_ns = [1_000, 500][group];
+            events.push((
+                at,
+                q,
+                TraceEvent::Arrival {
+                    query: q,
+                    group,
+                    batch: 1,
+                    dispatched_ns: at,
+                    sla_ns,
+                },
+            ));
+            events.push((
+                at + 700,
+                q,
+                TraceEvent::Complete {
+                    query: q,
+                    group,
+                    worker: 0,
+                    latency_ns: 700,
+                },
+            ));
+        }
+        events.sort_by_key(|&(at, ..)| at);
+        let mut lane = OnlineLane::new(0, 1_000);
+        for (at, key, event) in events {
+            lane.record(t(at), key, event);
+        }
+        let reg = merge_online(1_000, [lane], &[]);
+        let rate = |m: usize| {
+            reg.get(&format!("model{m}/sla_violation_rate"))
+                .expect("series")
+                .values
+                .clone()
+        };
+        assert_eq!(rate(0), vec![0.0, 0.0]);
+        assert_eq!(rate(1), vec![1.0, 1.0]);
     }
 
     #[test]

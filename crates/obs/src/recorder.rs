@@ -18,8 +18,7 @@
 //!   open span without a lookup table;
 //! - every arrival of a group carries the group's one SLA, kept once per
 //!   group;
-//! - a service start's `actual_ns` equals its `base_ns` (the engine has no
-//!   service noise), so one duration is kept;
+//! - a query completes in the group it arrived in, so one group is kept;
 //! - a query completes on the worker of its latest start, so one worker is
 //!   kept.
 //!
@@ -97,8 +96,8 @@ fn fits16(v: usize) -> bool {
 /// each record's `seq` is kept, so the span gives back its records
 /// exactly. What the lane implies is not stored: the query id is the
 /// span's index in its lane, the SLA is the lane's one SLA for the group,
-/// the start's `actual_ns` is its `base_ns`, and the completing worker is
-/// the latest start's. A record that breaks one of these voids the span.
+/// the completing group is the arrival's, and the completing worker is the
+/// latest start's. A record that breaks one of these voids the span.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QuerySpan {
     pub(crate) arrival_ns: u64,
@@ -109,13 +108,13 @@ pub(crate) struct QuerySpan {
     /// Completion − arrival, which is the recorded `latency_ns`.
     pub(crate) latency_ns: u32,
     pub(crate) clean_ns: u32,
-    /// The latest start's degrade-scaled service time, which is also its
-    /// `actual_ns`.
+    /// The latest start's degrade-scaled service time.
     pub(crate) base_ns: u32,
     /// The arrival's, the latest start's and the completion's `seq`
     /// ([`NONE`] while not recorded; a void span's arrival seq is
     /// [`NONE`]).
     pub(crate) seq: [u32; 3],
+    /// The arrival's group, which is also the completion's.
     pub(crate) group: u16,
     pub(crate) batch: u16,
     pub(crate) gpcs: u16,
@@ -167,7 +166,6 @@ impl QuerySpan {
                 gpcs: u32::from(self.gpcs),
                 clean_ns: u64::from(self.clean_ns),
                 base_ns: u64::from(self.base_ns),
-                actual_ns: u64::from(self.base_ns),
             },
         }
     }
@@ -180,6 +178,7 @@ impl QuerySpan {
             seq: u64::from(self.seq[2]),
             event: TraceEvent::Complete {
                 query,
+                group: usize::from(self.group),
                 worker: usize::from(self.worker),
                 latency_ns: u64::from(self.latency_ns),
             },
@@ -580,7 +579,6 @@ impl FlightRecorder {
         gpcs: u32,
         clean_ns: u64,
         base_ns: u64,
-        actual_ns: u64,
     ) -> bool {
         if key != query {
             self.in_place = false;
@@ -596,8 +594,7 @@ impl FlightRecorder {
             && fits16(worker)
             && gpcs <= u32::from(u16::MAX)
             && fits32(clean_ns)
-            && fits32(base_ns)
-            && actual_ns == base_ns;
+            && fits32(base_ns);
         if !packs {
             self.void(i);
             return false;
@@ -617,12 +614,14 @@ impl FlightRecorder {
 
     /// Closes an open query's span, if the completion packs.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     fn complete(
         &mut self,
         at_ns: u64,
         key: u64,
         seq: u64,
         query: u64,
+        group: usize,
         worker: usize,
         latency_ns: u64,
     ) -> bool {
@@ -639,6 +638,7 @@ impl FlightRecorder {
             && at_ns >= span.arrival_ns
             && at_ns - span.arrival_ns == latency_ns
             && fits32(latency_ns)
+            && group == usize::from(span.group)
             && worker == usize::from(span.worker);
         if !packs {
             self.void(i);
@@ -767,15 +767,13 @@ impl TraceSink for FlightRecorder {
                 gpcs,
                 clean_ns,
                 base_ns,
-                actual_ns,
-            } => self.start(
-                at_ns, key, seq, query, worker, gpcs, clean_ns, base_ns, actual_ns,
-            ),
+            } => self.start(at_ns, key, seq, query, worker, gpcs, clean_ns, base_ns),
             TraceEvent::Complete {
                 query,
+                group,
                 worker,
                 latency_ns,
-            } => self.complete(at_ns, key, seq, query, worker, latency_ns),
+            } => self.complete(at_ns, key, seq, query, group, worker, latency_ns),
             TraceEvent::RouteDecision {
                 model,
                 shard,
@@ -1321,7 +1319,6 @@ mod tests {
                     gpcs: 7,
                     clean_ns: 150,
                     base_ns: 220,
-                    actual_ns: 220,
                 },
             ));
             records.push((
@@ -1329,6 +1326,7 @@ mod tests {
                 q,
                 TraceEvent::Complete {
                     query: q,
+                    group,
                     worker,
                     latency_ns: 250,
                 },

@@ -137,12 +137,13 @@ mod tests {
         );
     }
 
-    fn complete(r: &mut FlightRecorder, at: u64, q: u64, latency: u64) {
+    fn complete(r: &mut FlightRecorder, at: u64, q: u64, group: usize, latency: u64) {
         r.record(
             t(at),
             q,
             TraceEvent::Complete {
                 query: q,
+                group,
                 worker: 0,
                 latency_ns: latency,
             },
@@ -154,8 +155,8 @@ mod tests {
         let mut r = FlightRecorder::new(0);
         arrive(&mut r, 100, 0, 0, 0);
         arrive(&mut r, 200, 1, 0, 0);
-        complete(&mut r, 3_500, 0, 3_400);
-        complete(&mut r, 3_600, 1, 3_400);
+        complete(&mut r, 3_500, 0, 0, 3_400);
+        complete(&mut r, 3_600, 1, 0, 3_400);
         let reg = MetricRegistry::from_trace(&QueryTrace::merge([r]), 1_000, &[]);
         let s = reg.get("shard0/outstanding").expect("series");
         assert_eq!(s.values, vec![2.0, 2.0, 2.0, 0.0]);
@@ -175,10 +176,9 @@ mod tests {
                 gpcs: 7,
                 clean_ns: 1_500,
                 base_ns: 1_500,
-                actual_ns: 1_500,
             },
         );
-        complete(&mut r, 1_500, 0, 1_500);
+        complete(&mut r, 1_500, 0, 0, 1_500);
         let reg = MetricRegistry::from_trace(&QueryTrace::merge([r]), 1_000, &[14]);
         let s = reg.get("shard0/busy_gpc_fraction").expect("series");
         assert!((s.values[0] - 0.5).abs() < 1e-9, "{:?}", s.values);
@@ -190,8 +190,8 @@ mod tests {
         let mut r = FlightRecorder::new(0);
         arrive(&mut r, 0, 0, 1, 1_000); // SLA 1 µs
         arrive(&mut r, 10, 1, 1, 1_000);
-        complete(&mut r, 500, 0, 500); // within SLA
-        complete(&mut r, 900, 1, 5_000); // violation, same bin
+        complete(&mut r, 500, 0, 1, 500); // within SLA
+        complete(&mut r, 900, 1, 1, 5_000); // violation, same bin
         let reg = MetricRegistry::from_trace(&QueryTrace::merge([r]), 1_000, &[]);
         let s = reg.get("model1/sla_violation_rate").expect("series");
         assert!((s.values[0] - 0.5).abs() < 1e-9, "{:?}", s.values);
@@ -253,12 +253,17 @@ mod tests {
                         gpcs: 7,
                         clean_ns: 300,
                         base_ns: 300 * (i + 1),
-                        actual_ns: 300 * (i + 1),
                     },
                 );
             }
             for i in 0..4 {
-                complete(&mut r, 1_400 + 10 * i, first + i, 1_400 - 90 * i);
+                complete(
+                    &mut r,
+                    1_400 + 10 * i,
+                    first + i,
+                    (i % 2) as usize,
+                    1_400 - 90 * i,
+                );
             }
             QueryTrace::merge([r])
         };
@@ -294,10 +299,9 @@ mod tests {
                 gpcs: 7,
                 clean_ns: 500,
                 base_ns: 500,
-                actual_ns: 500,
             },
         );
-        complete(&mut r, 500, 0, 500);
+        complete(&mut r, 500, 0, 0, 500);
         let trace = QueryTrace::merge([r]);
         // Empty slice and an explicit zero entry both fall back to the
         // observed peak concurrency (7 GPCs), never a zero denominator.
@@ -325,7 +329,6 @@ mod tests {
                 gpcs: 7,
                 clean_ns: 0,
                 base_ns: 0,
-                actual_ns: 0,
             },
         );
         let reg = MetricRegistry::from_trace(&QueryTrace::merge([r]), 1_000, &[]);

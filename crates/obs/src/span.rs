@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 /// A completion whose arrival and service start its lane recorded, with
 /// the exact integer split the breakdown and attribution both use:
-/// `latency = frontend + wait + clean + inflation + noise`.
+/// `latency = frontend + wait + clean + inflation`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Completion {
     pub(crate) lane: u32,
@@ -26,7 +26,6 @@ pub(crate) struct Completion {
     /// The completing execution's start.
     pub(crate) start_ns: u64,
     pub(crate) clean_ns: u64,
-    pub(crate) base_ns: u64,
     pub(crate) complete_ns: u64,
     pub(crate) latency_ns: u64,
 }
@@ -42,14 +41,12 @@ impl Completion {
         self.start_ns - self.dispatched_ns
     }
 
-    /// Degrade inflation: degrade-scaled base − clean service time.
-    pub(crate) fn inflation_ns(&self) -> u64 {
-        self.base_ns - self.clean_ns
-    }
-
-    /// Signed service noise: measured service − degrade-scaled base.
-    pub(crate) fn noise_ns(&self) -> i128 {
-        i128::from(self.complete_ns - self.start_ns) - i128::from(self.base_ns)
+    /// Degrade inflation: the completing execution's measured time − its
+    /// clean service time. On an engine trace the measured time is the
+    /// start's degrade-scaled `base_ns`; a hand-built lane may make it
+    /// shorter than clean, hence the sign.
+    pub(crate) fn inflation_ns(&self) -> i128 {
+        i128::from(self.complete_ns - self.start_ns) - i128::from(self.clean_ns)
     }
 
     fn of_span(lane: u32, query: u64, s: &QuerySpan) -> Self {
@@ -62,7 +59,6 @@ impl Completion {
             dispatched_ns: at + u64::from(s.dispatch_ns),
             start_ns: at + u64::from(s.start_ns),
             clean_ns: u64::from(s.clean_ns),
-            base_ns: u64::from(s.base_ns),
             complete_ns: at + u64::from(s.latency_ns),
             latency_ns: u64::from(s.latency_ns),
         }
@@ -77,7 +73,6 @@ struct Open {
     dispatched_ns: u64,
     start_ns: u64,
     clean_ns: u64,
-    base_ns: u64,
     arrived: bool,
     started: bool,
 }
@@ -109,15 +104,11 @@ impl LaneView<'_> {
                     q.arrived = true;
                 }
                 TraceEvent::ServiceStart {
-                    query,
-                    clean_ns,
-                    base_ns,
-                    ..
+                    query, clean_ns, ..
                 } => {
                     let q = open.entry(query).or_default();
                     q.start_ns = at_ns;
                     q.clean_ns = clean_ns;
-                    q.base_ns = base_ns;
                     q.started = true;
                 }
                 TraceEvent::Complete {
@@ -132,7 +123,6 @@ impl LaneView<'_> {
                             dispatched_ns: q.dispatched_ns,
                             start_ns: q.start_ns,
                             clean_ns: q.clean_ns,
-                            base_ns: q.base_ns,
                             complete_ns: at_ns,
                             latency_ns,
                         });

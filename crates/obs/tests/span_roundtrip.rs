@@ -11,8 +11,8 @@
 //! durations and SLAs wider than 32 bits, and (roundtrip and conservation
 //! only) duplicate arrivals and stamps that go backwards. They also break,
 //! with values that fit 32 bits, each identity a span relies on instead of
-//! storing: a skipped id, an SLA that changes within a group, an
-//! `actual_ns` other than `base_ns`, and a completion on another worker
+//! storing: a skipped id, an SLA that changes within a group, a completion
+//! in another group than its arrival's, and a completion on another worker
 //! than the latest start's. The oracle for the analyses is the same records
 //! handed in as a plain buffer, which every analysis re-folds record by
 //! record.
@@ -24,9 +24,9 @@ use inference_obs::{
 };
 use proptest::prelude::*;
 
-/// A query the generator has opened: `(id, arrival_ns, the worker of its
-/// latest start while it runs)`.
-type Open = (u64, u64, Option<usize>);
+/// A query the generator has opened: `(id, group, arrival_ns, the worker
+/// of its latest start while it runs)`.
+type Open = (u64, usize, u64, Option<usize>);
 
 /// The one SLA every arrival of `group` carries in an engine-shaped lane.
 fn sla_of(group: usize) -> u64 {
@@ -35,9 +35,10 @@ fn sla_of(group: usize) -> u64 {
 
 /// Turns operations into a lane's `(at, key, event)` records. `mode` 0
 /// builds engine-shaped lifecycles only: ids dense from 0, one SLA per
-/// group, `actual_ns == base_ns`, and each completion on its latest start's
-/// worker. Mode 1 adds the anomalies that keep the analyses' arithmetic
-/// valid, mode 2 also duplicate arrivals and stamps that go backwards.
+/// group, and each completion in its arrival's group and on its latest
+/// start's worker. Mode 1 adds the anomalies that keep the analyses'
+/// arithmetic valid, mode 2 also duplicate arrivals and stamps that go
+/// backwards.
 fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEvent)> {
     let mut out = Vec::new();
     let mut t: u64 = 1_000;
@@ -47,8 +48,8 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
     let mut done: Vec<(u64, u64)> = Vec::new();
     let mut gateway_key: u64 = 0;
     for &(op, pick, dt, anomaly) in ops {
-        // Anomaly 1..=4 fires only outside mode 0, on 2/5 of operations.
-        let anomaly = if mode == 0 || anomaly > 4 { 0 } else { anomaly };
+        // Anomaly 1..=5 fires only outside mode 0, on half of operations.
+        let anomaly = if mode == 0 || anomaly > 5 { 0 } else { anomaly };
         // Whole 100 ns steps, so executions often end exactly where others
         // start.
         let dt = dt / 100 * 100;
@@ -78,7 +79,7 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
                     _ => sla_of(group),
                 };
                 open.retain(|o| o.0 != id);
-                open.push((id, t, None));
+                open.push((id, group, t, None));
                 out.push((
                     t,
                     id,
@@ -94,7 +95,7 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
             2 | 3 if !open.is_empty() => {
                 let i = pick % open.len();
                 let worker = pick % 4;
-                open[i].2 = Some(worker);
+                open[i].3 = Some(worker);
                 let id = open[i].0;
                 let key = if anomaly == 2 { id ^ 1 } else { id };
                 let base = if anomaly == 1 {
@@ -111,27 +112,29 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
                         gpcs: 7,
                         clean_ns: 200,
                         base_ns: base,
-                        actual_ns: base + u64::from(anomaly == 3),
                     },
                 ));
             }
             4 | 5 if !open.is_empty() => {
                 let i = pick % open.len();
-                let (id, arrival, running) = open[i];
+                let (id, group, arrival, running) = open[i];
                 if running.is_none() && anomaly != 1 {
                     continue; // an engine never completes an unstarted query
                 }
                 open.remove(i);
                 done.push((id, arrival));
                 let latency = t.saturating_sub(arrival) + u64::from(anomaly == 2);
-                // An engine completes a query on its latest start's worker;
-                // anomaly 4 completes it on another.
+                // An engine completes a query in its arrival's group, on
+                // its latest start's worker; anomaly 5 completes it in the
+                // other group, anomaly 4 on another worker.
+                let group = group ^ usize::from(anomaly == 5);
                 let worker = running.unwrap_or(0) + usize::from(anomaly == 4);
                 out.push((
                     t,
                     id,
                     TraceEvent::Complete {
                         query: id,
+                        group,
                         worker,
                         latency_ns: latency,
                     },
@@ -143,6 +146,7 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
                         id,
                         TraceEvent::Complete {
                             query: id,
+                            group,
                             worker,
                             latency_ns: latency,
                         },
@@ -167,7 +171,7 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
             7 if !open.is_empty() => {
                 let i = pick % open.len();
                 let id = open[i].0;
-                if let Some(worker) = open[i].2.take() {
+                if let Some(worker) = open[i].3.take() {
                     out.push((t, id, TraceEvent::ServiceAbort { query: id, worker }));
                 }
                 out.push((t, id, TraceEvent::Requeue { query: id }));
@@ -221,7 +225,6 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
                         gpcs: 7,
                         clean_ns: 1,
                         base_ns: 1,
-                        actual_ns: 1,
                     },
                 ));
                 out.push((
@@ -229,6 +232,7 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
                     id,
                     TraceEvent::Complete {
                         query: id,
+                        group: 0,
                         worker: 0,
                         latency_ns: 1,
                     },
@@ -325,7 +329,6 @@ fn conservation_rejects_broken_lifecycles_recorded_as_spans() {
                 gpcs: 7,
                 clean_ns: 5,
                 base_ns: 5,
-                actual_ns: 5,
             },
         );
         r.record(
@@ -333,6 +336,7 @@ fn conservation_rejects_broken_lifecycles_recorded_as_spans() {
             q,
             TraceEvent::Complete {
                 query: q,
+                group: 0,
                 worker: 0,
                 latency_ns: 5,
             },
@@ -363,6 +367,7 @@ fn conservation_rejects_broken_lifecycles_recorded_as_spans() {
         0,
         TraceEvent::Complete {
             query: 0,
+            group: 0,
             worker: 0,
             latency_ns: 20,
         },

@@ -528,7 +528,6 @@ impl<'a> DispatchCore<'a> {
                     gpcs: self.slots[w].worker.size().gpcs() as u32,
                     clean_ns: clean,
                     base_ns: base,
-                    actual_ns: base,
                 },
             );
         }
@@ -653,6 +652,7 @@ impl<'a> DispatchCore<'a> {
                 query.id.0,
                 TraceEvent::Complete {
                     query: query.id.0,
+                    group: g,
                     worker: w,
                     latency_ns,
                 },

@@ -135,7 +135,8 @@ fn sla_series(registry: &MetricRegistry) -> Vec<(String, Vec<u64>)> {
 /// `LatencyHistogram` of completion latencies per (model, bin), each
 /// completion's model and SLA taken from the same lane's arrival, read out
 /// with `violation_rate`. Assumes — and checks — one SLA per model, which
-/// every cluster the repo builds satisfies.
+/// every cluster the repo builds satisfies, and that each completion names
+/// its arrival's model.
 fn sla_violation_oracle(trace: &QueryTrace, window_ns: u64) -> Vec<(String, Vec<u64>)> {
     let windows = (trace.horizon().as_nanos() / window_ns + 1) as usize;
     let mut in_flight: HashMap<(u32, u64), (usize, u64)> = HashMap::new();
@@ -151,11 +152,19 @@ fn sla_violation_oracle(trace: &QueryTrace, window_ns: u64) -> Vec<(String, Vec<
                 in_flight.insert((r.lane, query), (group, sla_ns));
             }
             TraceEvent::Complete {
-                query, latency_ns, ..
+                query,
+                group: completed_as,
+                latency_ns,
+                ..
             } => {
                 let (group, sla_ns) = in_flight
                     .remove(&(r.lane, query))
                     .expect("a completion follows its arrival on the same lane");
+                assert_eq!(
+                    completed_as, group,
+                    "lane {} query {query} completes in its arrival's group",
+                    r.lane
+                );
                 let (sla, bins) = models
                     .entry(group)
                     .or_insert_with(|| (sla_ns, vec![LatencyHistogram::new(); windows]));
@@ -426,10 +435,11 @@ fn golden_jsonl_exports_are_reproduced_byte_for_byte() {
 }
 
 /// The serving engine draws no random numbers: every execution runs for
-/// exactly its degrade-scaled profiled latency, so each `ServiceStart`'s
-/// `actual_ns` equals its `base_ns` and `analyze` finds no service-noise
-/// component in any class. Checked on the golden fixture (a GPU outage,
-/// a 1.5× degrade, a recovery re-plan, loans) and on a variant that also
+/// exactly its degrade-scaled profiled latency, so each `Complete` lands
+/// exactly its latest `ServiceStart`'s `base_ns` after that start, and each
+/// class's `degrade_inflation_ns` is the sum of `base_ns − clean_ns` over
+/// its completing starts. Checked on the golden fixture (a GPU outage, a
+/// 1.5× degrade, a recovery re-plan, loans) and on a variant that also
 /// slows shard 1's other GPU, so that no placement can avoid the degrade;
 /// in both, some `base_ns` must exceed its `clean_ns`.
 #[test]
@@ -441,21 +451,36 @@ fn engine_traces_carry_no_service_noise() {
         let whole_shard_slow = golden_plan().with_gpu_degrade(1, 0, 1.5, 0.01, 0.05);
         for plan in [golden_plan(), whole_shard_slow] {
             let trace = golden_trace(window, &plan);
+            // (lane, query) → (stamp, base, clean) of its latest start.
+            let mut latest: HashMap<(u32, u64), (u64, u64, u64)> = HashMap::new();
+            let mut inflation: BTreeMap<usize, i128> = BTreeMap::new();
             let (mut starts, mut inflated) = (0usize, 0usize);
             for r in trace.records() {
-                if let TraceEvent::ServiceStart {
-                    clean_ns,
-                    base_ns,
-                    actual_ns,
-                    ..
-                } = r.event
-                {
-                    starts += 1;
-                    inflated += usize::from(base_ns > clean_ns);
-                    assert_eq!(
-                        actual_ns, base_ns,
-                        "a service time left its profiled latency ({window:?})"
-                    );
+                let at = r.at.as_nanos();
+                match r.event {
+                    TraceEvent::ServiceStart {
+                        query,
+                        clean_ns,
+                        base_ns,
+                        ..
+                    } => {
+                        starts += 1;
+                        inflated += usize::from(base_ns > clean_ns);
+                        latest.insert((r.lane, query), (at, base_ns, clean_ns));
+                    }
+                    TraceEvent::Complete { query, group, .. } => {
+                        let (start, base, clean) = latest
+                            .remove(&(r.lane, query))
+                            .expect("a completion follows its start on the same lane");
+                        assert_eq!(
+                            at,
+                            start + base,
+                            "a service time left its profiled latency ({window:?})"
+                        );
+                        *inflation.entry(group).or_default() +=
+                            i128::from(base) - i128::from(clean);
+                    }
+                    _ => {}
                 }
             }
             assert!(starts > 0, "the fixture serves queries ({window:?})");
@@ -463,13 +488,12 @@ fn engine_traces_carry_no_service_noise() {
                 inflated > 0,
                 "the 1.5x degrade must inflate some executions ({window:?})"
             );
-            for class in &analyze(&trace).classes {
-                assert_eq!(
-                    class.noise_delta_ns, 0,
-                    "class {} shows service noise ({window:?})",
-                    class.group
-                );
-            }
+            let analysed: BTreeMap<usize, i128> = analyze(&trace)
+                .classes
+                .iter()
+                .map(|c| (c.group, c.degrade_inflation_ns))
+                .collect();
+            assert_eq!(analysed, inflation, "per-class inflation ({window:?})");
         }
     }
 }

@@ -371,52 +371,6 @@ fn shard_fail_during_borrow_returns_the_loan_and_serves_everything() {
     }
 }
 
-/// Lane pre-sizing from the trace profile must cover the whole run: a
-/// cluster built with `with_lane_capacity` sizes every lane's event queue
-/// (and coordinator mailbox) up front, so no lane's DES high-water mark may
-/// exceed its hint — i.e. the hot loop never grows a heap mid-run. The
-/// hints come from `lane_capacity_hints`, pinned here so a formula
-/// regression (hint below actual peak) fails loudly.
-#[test]
-fn lane_capacity_hints_cover_peak_pending() {
-    let table = mobilenet_table();
-    let dist = BatchDistribution::paper_default();
-    let cluster = Cluster::new(
-        vec![
-            shard(&table, &dist, 2),
-            shard(&table, &dist, 2),
-            shard(&table, &dist, 3),
-            shard(&table, &dist, 2),
-        ],
-        RouterPolicy::JoinShortestQueue,
-    );
-    let offered_qps = 0.9
-        * cluster
-            .shards()
-            .iter()
-            .map(MultiModelServer::capacity_hint_qps)
-            .sum::<f64>();
-    let hints = cluster.lane_capacity_hints(offered_qps);
-    assert_eq!(hints.len(), cluster.shards().len());
-    let cluster = cluster.with_lane_capacity(offered_qps);
-    let trace = trace_for(&cluster, 0.9, 0.4, 23);
-    for window in [
-        SyncWindow::Lookahead(SimDuration::from_nanos(WINDOW_NS)),
-        SyncWindow::PerEvent,
-    ] {
-        let spec = RunSpec::new(ReportDetail::Summary).with_window(window, 1);
-        let report = cluster.run_with(unpinned(&trace), &spec).report;
-        for (s, shard_report) in report.per_shard.iter().enumerate() {
-            assert!(
-                shard_report.peak_pending_events <= hints[s],
-                "lane {s} peaked at {} pending events, above its pre-size hint {} ({window:?})",
-                shard_report.peak_pending_events,
-                hints[s]
-            );
-        }
-    }
-}
-
 /// Profiling is an executor choice, not a model change: a run with the
 /// window profiler attached reports exactly what the unprofiled run
 /// reports (full `Debug` rendering), in both window modes, with a fault
