@@ -425,6 +425,14 @@ impl OnlineLane {
                 lane.complete(b, group, latency_ns);
             }
         }
+        for (at_ns, shed) in rec.admissions() {
+            let bins = if shed {
+                &mut lane.shed
+            } else {
+                &mut lane.routed
+            };
+            bump(bins, bin(at_ns), 1.0);
+        }
         for r in rec.plain().iter().copied().chain(rec.packed()) {
             let at_ns = r.at.as_nanos();
             match r.event {

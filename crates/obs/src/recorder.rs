@@ -1,5 +1,6 @@
-//! The flight recorder: one packed span per served query, per-lane buffers
-//! that every analysis reads in place.
+//! The flight recorder: one packed span per served query and one admission
+//! per routed or shed one, in per-lane buffers that every analysis reads in
+//! place.
 //!
 //! Each engine lane (a shard's dispatch core, or the cluster gateway) owns a
 //! private [`FlightRecorder`]. Recording touches only the recorder — no
@@ -22,18 +23,38 @@
 //! - a query completes on the worker of its latest start, so one worker is
 //!   kept.
 //!
+//! The gateway's `RouteDecision`s and `Shed`s are 8-byte admissions in a
+//! column of their own, which also stores nothing its lane implies:
+//!
+//! - admission *i* is keyed *i*, since the gateway numbers its route items
+//!   densely from 0 and each yields exactly one decision or shed;
+//! - its `seq` is the *i*-th that no span, packed event or plain record
+//!   holds;
+//! - its stamp is the previous admission's (the first's, 0) plus a 32-bit
+//!   step, which every reader decodes with a running cursor as it walks
+//!   the column in order.
+//!
+//! A decision or shed that breaks one of these — a key that is not the
+//! column's length, a stamp before the previous admission's or 2³² ns
+//! (about 4.29 s) or more after it — or whose model or shard is too wide
+//! for its field is kept as a plain record. The first such miss ends the
+//! column for the rest of the lane: the gateway still advances its route
+//! key, so every later key is past the column's length, and every later
+//! decision or shed is a plain record too. So is every one of a lane whose
+//! first route item lands 2³² ns or more into the run.
+//!
 //! The lifecycle exceptions (`Enqueue`, `Stash`, `ServiceAbort`,
-//! `Requeue`) and the gateway's `RouteDecision` and `Shed` are 24-byte
-//! packed events. Everything else — annotations, a start that an abort or
-//! a later start displaced, and any record too wide for its packed field —
-//! is kept as a plain [`TraceRecord`]. Every record keeps its `seq`, so
-//! [`FlightRecorder::iter`] gives back each record exactly as it was
-//! recorded, in append order.
+//! `Requeue`) are 24-byte packed events. Everything else — annotations, a
+//! start that an abort or a later start displaced, and any record too wide
+//! for its packed field — is kept as a plain [`TraceRecord`]. Every record
+//! keeps its `seq`, stored or implied, so [`FlightRecorder::iter`] gives
+//! back each record exactly as it was recorded, in append order.
 //!
 //! A lifecycle that cannot form a span stays plain records: a duplicate,
 //! missing or out-of-order arrival id, a complete without a start, stamps
 //! that go backwards, a key that is not its own query, a value wider than
-//! its packed field, or a record that breaks one of the identities above.
+//! its packed field, or a record that breaks one of the span's identities
+//! above.
 //! The recorder notes while recording whether its lane's spans tell the
 //! whole story, and the analyses fall back to re-folding the lane's
 //! records when they do not (see [`LaneView`]).
@@ -186,14 +207,9 @@ impl QuerySpan {
     }
 }
 
-/// What a [`PackedEvent`] records. Lifecycle kinds take their query id from
-/// the key.
+/// What a [`PackedEvent`] records. Each takes its query id from the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PackedKind {
-    /// `RouteDecision { model: a, shard: b, pinned }`.
-    Route { pinned: bool },
-    /// `Shed { model: a, shard: b }`.
-    Shed,
     /// `Enqueue { group: a }`.
     Enqueue,
     /// `Stash { group: a }`.
@@ -204,28 +220,21 @@ enum PackedKind {
     Requeue,
 }
 
-/// A routing decision, shed or lifecycle exception, packed into 24 bytes.
+/// A lifecycle exception, packed into 24 bytes.
 #[derive(Debug, Clone, Copy)]
 struct PackedEvent {
     at: u64,
     seq: u32,
     key: u32,
     a: u16,
-    b: u16,
     kind: PackedKind,
 }
 
 impl PackedEvent {
     fn record(&self, lane: u32) -> TraceRecord {
         let query = u64::from(self.key);
-        let (a, b) = (usize::from(self.a), usize::from(self.b));
+        let a = usize::from(self.a);
         let event = match self.kind {
-            PackedKind::Route { pinned } => TraceEvent::RouteDecision {
-                model: a,
-                shard: b,
-                pinned,
-            },
-            PackedKind::Shed => TraceEvent::Shed { model: a, shard: b },
             PackedKind::Enqueue => TraceEvent::Enqueue { query, group: a },
             PackedKind::Stash => TraceEvent::Stash { query, group: a },
             PackedKind::Abort => TraceEvent::ServiceAbort { query, worker: a },
@@ -236,6 +245,48 @@ impl PackedEvent {
             key: u64::from(self.key),
             lane,
             seq: u64::from(self.seq),
+            event,
+        }
+    }
+}
+
+/// An [`Admission`]'s `flags` bit: a `Shed`, not a `RouteDecision`.
+const SHED: u8 = 1;
+/// An [`Admission`]'s `flags` bit: the `RouteDecision` followed its pin.
+const PINNED: u8 = 2;
+
+/// A gateway `RouteDecision` or `Shed`, packed into 8 bytes. What the lane
+/// implies is not stored: admission *i* is keyed *i*, since the gateway
+/// numbers its route items densely from 0 and each yields one admission;
+/// its `seq` is the *i*-th that no span, packed event or plain record
+/// holds; and its stamp is the previous admission's plus `dt_ns`.
+#[derive(Debug, Clone, Copy)]
+struct Admission {
+    dt_ns: u32,
+    shard: u16,
+    model: u8,
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Admission>() == 8);
+
+impl Admission {
+    fn record(&self, lane: u32, at_ns: u64, key: u64, seq: u64) -> TraceRecord {
+        let (model, shard) = (usize::from(self.model), usize::from(self.shard));
+        let event = if self.flags & SHED != 0 {
+            TraceEvent::Shed { model, shard }
+        } else {
+            TraceEvent::RouteDecision {
+                model,
+                shard,
+                pinned: self.flags & PINNED != 0,
+            }
+        };
+        TraceRecord {
+            at: SimTime::from_nanos(at_ns),
+            key,
+            lane,
+            seq,
             event,
         }
     }
@@ -352,7 +403,8 @@ impl Counts {
     }
 }
 
-/// A per-lane trace buffer: spans, packed events and plain records.
+/// A per-lane trace buffer: spans, admissions, packed events and plain
+/// records.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     lane: u32,
@@ -364,6 +416,10 @@ pub struct FlightRecorder {
     /// Group → the SLA every span of the group carries (`None` until the
     /// group's first span).
     slas: Vec<Option<u64>>,
+    /// Admission `i` is route item `i`'s decision or shed.
+    admits: Chunked<Admission>,
+    /// The latest admission's stamp (0 before the first).
+    admit_ns: u64,
     events: Chunked<PackedEvent>,
     /// Every other record, ascending by `seq` (a recorder built from
     /// records holds them here as handed in).
@@ -393,6 +449,8 @@ impl FlightRecorder {
             seq: 0,
             spans: Chunked::default(),
             slas: Vec::new(),
+            admits: Chunked::default(),
+            admit_ns: 0,
             events: Chunked::default(),
             plain: Vec::new(),
             horizon_ns: 0,
@@ -476,6 +534,14 @@ impl FlightRecorder {
         self.events.iter().map(|e| e.record(self.lane))
     }
 
+    /// Each admission's stamp and whether it is a `Shed`, in append order.
+    pub(crate) fn admissions(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        self.admits.iter().scan(0u64, |at_ns, a| {
+            *at_ns += u64::from(a.dt_ns);
+            Some((*at_ns, a.flags & SHED != 0))
+        })
+    }
+
     /// The latest stamp recorded.
     pub(crate) fn horizon_ns(&self) -> u64 {
         self.horizon_ns
@@ -495,6 +561,7 @@ impl FlightRecorder {
     /// Frees the unfilled buffer tails.
     fn seal(&mut self) {
         self.spans.shrink();
+        self.admits.shrink();
         self.events.shrink();
         self.plain.shrink_to_fit();
     }
@@ -663,34 +730,33 @@ impl FlightRecorder {
         }
     }
 
-    /// Packs a routing decision, shed or lifecycle exception, if it fits.
+    /// Appends a routing decision or shed to the admission column, if it
+    /// is the lane's next route item, its stamp is a 32-bit step on from
+    /// the latest admission's, and its model and shard fit; one that does
+    /// not is kept as a plain record, and so is every later one, whose key
+    /// is then past the column's length.
     #[inline]
-    fn pack(
-        &mut self,
-        at_ns: u64,
-        key: u64,
-        seq: u64,
-        kind: PackedKind,
-        a: usize,
-        b: usize,
-    ) -> bool {
-        let packs = fits32(key) && seq < u64::from(NONE) && fits16(a) && fits16(b);
+    fn admit(&mut self, at_ns: u64, key: u64, model: usize, shard: usize, flags: u8) -> bool {
+        let packs = key == self.admits.len() as u64
+            && at_ns >= self.admit_ns
+            && fits32(at_ns - self.admit_ns)
+            && model <= usize::from(u8::MAX)
+            && fits16(shard);
         if packs {
-            self.events.push(PackedEvent {
-                at: at_ns,
-                seq: seq as u32,
-                key: key as u32,
-                a: a as u16,
-                b: b as u16,
-                kind,
+            self.admits.push(Admission {
+                dt_ns: (at_ns - self.admit_ns) as u32,
+                shard: shard as u16,
+                model: model as u8,
+                flags,
             });
+            self.admit_ns = at_ns;
         }
         packs
     }
 
-    /// [`pack`](Self::pack) for a lifecycle exception of `query`.
+    /// Packs a lifecycle exception of `query`, if it fits.
     #[inline]
-    fn pack_own(
+    fn pack(
         &mut self,
         at_ns: u64,
         key: u64,
@@ -703,7 +769,17 @@ impl FlightRecorder {
             self.in_place = false;
             return false;
         }
-        self.pack(at_ns, key, seq, kind, a, 0)
+        let packs = fits32(key) && seq < u64::from(NONE) && fits16(a);
+        if packs {
+            self.events.push(PackedEvent {
+                at: at_ns,
+                seq: seq as u32,
+                key: key as u32,
+                a: a as u16,
+                kind,
+            });
+        }
+        packs
     }
 
     /// Gives up on open span `i`: the lifecycle so far becomes plain
@@ -778,22 +854,20 @@ impl TraceSink for FlightRecorder {
                 model,
                 shard,
                 pinned,
-            } => self.pack(at_ns, key, seq, PackedKind::Route { pinned }, model, shard),
-            TraceEvent::Shed { model, shard } => {
-                self.pack(at_ns, key, seq, PackedKind::Shed, model, shard)
-            }
+            } => self.admit(at_ns, key, model, shard, if pinned { PINNED } else { 0 }),
+            TraceEvent::Shed { model, shard } => self.admit(at_ns, key, model, shard, SHED),
             TraceEvent::Enqueue { query, group } => {
-                self.pack_own(at_ns, key, seq, query, PackedKind::Enqueue, group)
+                self.pack(at_ns, key, seq, query, PackedKind::Enqueue, group)
             }
             TraceEvent::Stash { query, group } => {
-                self.pack_own(at_ns, key, seq, query, PackedKind::Stash, group)
+                self.pack(at_ns, key, seq, query, PackedKind::Stash, group)
             }
             TraceEvent::ServiceAbort { query, worker } => {
                 self.abort(key, query);
-                self.pack_own(at_ns, key, seq, query, PackedKind::Abort, worker)
+                self.pack(at_ns, key, seq, query, PackedKind::Abort, worker)
             }
             TraceEvent::Requeue { query } => {
-                self.pack_own(at_ns, key, seq, query, PackedKind::Requeue, 0)
+                self.pack(at_ns, key, seq, query, PackedKind::Requeue, 0)
             }
             _ => false,
         };
@@ -815,6 +889,8 @@ const AT_START: u64 = 1;
 const AT_COMPLETE: u64 = 2;
 const AT_EVENT: u64 = 3;
 const AT_PLAIN: u64 = 4;
+/// The next admission: every seq that no other part claims.
+const AT_ADMIT: u64 = 5;
 
 /// A recorder's records in append order ([`FlightRecorder::iter`]).
 #[derive(Debug, Clone)]
@@ -824,15 +900,20 @@ struct Records<'a> {
     /// built from records, which yields its plain records as handed in.
     order: Vec<u64>,
     next: usize,
+    /// Admissions read so far, which is the next one's key.
+    admitted: usize,
+    /// The latest admission's stamp read so far.
+    admit_ns: u64,
 }
 
 impl<'a> Records<'a> {
     fn new(rec: &'a FlightRecorder) -> Self {
         let mut order = Vec::new();
-        if rec.spans.len() + rec.events.len() > 0 {
+        if rec.spans.len() + rec.admits.len() + rec.events.len() > 0 {
             // Every recorded seq below `rec.seq` is kept in exactly one
-            // place: a span, a packed event or a plain record.
-            order = vec![0; rec.len()];
+            // place: a span, a packed event, a plain record or, for the
+            // seqs none of these claims, in order, an admission.
+            order = vec![AT_ADMIT; rec.len()];
             for (i, s) in rec.spans() {
                 let at = i << 3;
                 for (part, seq) in [AT_ARRIVAL, AT_START, AT_COMPLETE].into_iter().zip(s.seq) {
@@ -853,6 +934,7 @@ impl<'a> Records<'a> {
                     .flat_map(|s| s.seq)
                     .filter(|&q| q != NONE)
                     .count()
+                    + rec.admits.len()
                     + rec.events.len()
                     + rec.plain.len(),
                 rec.len(),
@@ -863,7 +945,20 @@ impl<'a> Records<'a> {
             rec,
             order,
             next: 0,
+            admitted: 0,
+            admit_ns: 0,
         }
+    }
+
+    /// The next admission as record `seq`, its stamp decoded from the
+    /// latest one's.
+    #[inline]
+    fn admission(&mut self, seq: usize) -> Option<TraceRecord> {
+        let a = self.rec.admits.get(self.admitted)?;
+        self.admit_ns += u64::from(a.dt_ns);
+        let key = self.admitted as u64;
+        self.admitted += 1;
+        Some(a.record(self.rec.lane, self.admit_ns, key, seq as u64))
     }
 }
 
@@ -889,7 +984,8 @@ impl Iterator for Records<'_> {
             AT_START => rec.spans.get(at)?.start_record(rec.lane, query),
             AT_COMPLETE => rec.spans.get(at)?.complete_record(rec.lane, query),
             AT_EVENT => rec.events.get(at)?.record(rec.lane),
-            _ => rec.plain[at],
+            AT_PLAIN => rec.plain[at],
+            _ => return self.admission(i),
         })
     }
 }
@@ -1347,6 +1443,69 @@ mod tests {
             .map(|rec| (rec.at.as_nanos(), rec.key, rec.event))
             .collect();
         assert_eq!(back, records, "the spans give back every record");
+    }
+
+    #[test]
+    fn an_engine_shaped_gateway_lane_keeps_one_admission_per_route_item() {
+        // Route item k arrives at 70k and is shed when k % 7 == 3, pinned
+        // when k % 5 == 0; every 50th triggers a loan keyed by it, and a
+        // fault keyed by its own counter lands every 90 items, at the
+        // same instant as a route item.
+        const N: u64 = 2_000;
+        let mut records: Vec<(u64, u64, TraceEvent)> = Vec::new();
+        let mut faults = 0;
+        for k in 0..N {
+            let at = 70 * k;
+            let (model, shard) = ((k % 3) as usize, (k % 11) as usize);
+            if k % 90 == 45 {
+                records.push((
+                    at,
+                    faults,
+                    TraceEvent::Fault {
+                        kind: crate::FaultKind::GpuFail,
+                        shard,
+                        gpu: 1,
+                        factor_milli: 0,
+                    },
+                ));
+                faults += 1;
+            }
+            let event = if k % 7 == 3 {
+                TraceEvent::Shed { model, shard }
+            } else {
+                TraceEvent::RouteDecision {
+                    model,
+                    shard,
+                    pinned: k % 5 == 0,
+                }
+            };
+            records.push((at, k, event));
+            if k % 50 == 49 {
+                records.push((
+                    at,
+                    k,
+                    TraceEvent::Loan {
+                        shard,
+                        gpus_delta: 1,
+                        pool_free_after: 0,
+                    },
+                ));
+            }
+        }
+        let mut r = FlightRecorder::new(6);
+        for &(at, key, event) in &records {
+            r.record(SimTime::from_nanos(at), key, event);
+        }
+        assert_eq!(r.admits.len(), N as usize, "one admission per route item");
+        assert_eq!(r.events.len(), 0, "no packed event");
+        assert_eq!(r.plain.len(), records.len() - N as usize);
+        assert!(r.reads_as_spans());
+        let back: Vec<(u64, u64, TraceEvent)> = r
+            .iter()
+            .map(|rec| (rec.at.as_nanos(), rec.key, rec.event))
+            .collect();
+        assert_eq!(back, records, "the column gives back every record");
+        assert!(r.iter().map(|rec| rec.seq).eq(0..records.len() as u64));
     }
 
     #[test]

@@ -1,21 +1,24 @@
-//! The recorder keeps a served query as one packed span, but it must give
-//! back every record exactly as it was recorded, `seq` included, and every
-//! analysis must read its spans as it would read the plain records.
+//! The recorder keeps a served query as one packed span and a routed or
+//! shed one as one admission, but it must give back every record exactly
+//! as it was recorded, `seq` included, and every analysis must read its
+//! spans and admissions as it would read the plain records.
 //!
 //! Each case hand-builds one lane from random operations: arrivals,
 //! service starts, aborts and requeues, enqueues and stashes, completions,
-//! routing decisions and sheds, and annotations. Lanes in the anomalous
-//! modes add what cannot form a span: duplicate and missing arrivals,
-//! completes without a start or with a latency that is not complete −
-//! arrival, second completes, keys that are not their own query, ids,
-//! durations and SLAs wider than 32 bits, and (roundtrip and conservation
-//! only) duplicate arrivals and stamps that go backwards. They also break,
-//! with values that fit 32 bits, each identity a span relies on instead of
-//! storing: a skipped id, an SLA that changes within a group, a completion
-//! in another group than its arrival's, and a completion on another worker
-//! than the latest start's. The oracle for the analyses is the same records
-//! handed in as a plain buffer, which every analysis re-folds record by
-//! record.
+//! routing decisions and sheds with the loans they trigger, and
+//! annotations. Lanes in the anomalous modes add what cannot form a span:
+//! duplicate and missing arrivals, completes without a start or with a
+//! latency that is not complete − arrival, second completes, keys that are
+//! not their own query, ids, durations and SLAs wider than 32 bits, and
+//! (roundtrip and conservation only) duplicate arrivals and stamps that go
+//! backwards. They also break, with values that fit 32 bits, each identity
+//! a span relies on instead of storing: a skipped id, an SLA that changes
+//! within a group, a completion in another group than its arrival's, and a
+//! completion on another worker than the latest start's; and each one an
+//! admission relies on: a skipped route key, a stamp 2³² ns or more after
+//! the previous admission's, and a model or shard too wide for its field.
+//! The oracle for the analyses is the same records handed in as a plain
+//! buffer, which every analysis re-folds record by record.
 
 use des_engine::SimTime;
 use inference_obs::{
@@ -36,9 +39,11 @@ fn sla_of(group: usize) -> u64 {
 /// Turns operations into a lane's `(at, key, event)` records. `mode` 0
 /// builds engine-shaped lifecycles only: ids dense from 0, one SLA per
 /// group, and each completion in its arrival's group and on its latest
-/// start's worker. Mode 1 adds the anomalies that keep the analyses'
-/// arithmetic valid, mode 2 also duplicate arrivals and stamps that go
-/// backwards.
+/// start's worker; route and shed keys dense from 0, as the gateway
+/// numbers its route items, with loans keyed by the route key that
+/// triggered them and faults keyed by their own counter. Mode 1 adds the
+/// anomalies that keep the analyses' arithmetic valid, mode 2 also
+/// duplicate arrivals and stamps that go backwards.
 fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEvent)> {
     let mut out = Vec::new();
     let mut t: u64 = 1_000;
@@ -46,7 +51,8 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
     let mut arrivals: u64 = 0;
     let mut open: Vec<Open> = Vec::new();
     let mut done: Vec<(u64, u64)> = Vec::new();
-    let mut gateway_key: u64 = 0;
+    let mut route_key: u64 = 0;
+    let mut fault_key: u64 = 0;
     for &(op, pick, dt, anomaly) in ops {
         // Anomaly 1..=5 fires only outside mode 0, on half of operations.
         let anomaly = if mode == 0 || anomaly > 5 { 0 } else { anomaly };
@@ -177,21 +183,44 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
                 out.push((t, id, TraceEvent::Requeue { query: id }));
             }
             8 => {
-                gateway_key += 1;
-                let key = if anomaly == 1 { 1 << 35 } else { gateway_key };
-                let event = if pick % 3 == 0 {
-                    TraceEvent::Shed {
-                        model: pick % 2,
-                        shard: 0,
-                    }
+                // Anomaly 1 keys the item wider than 32 bits, anomaly 2
+                // skips a route key, anomaly 3 lands it 2^32 ns or more
+                // after the previous one, and anomalies 4 and 5 name a
+                // model or shard too wide for an admission.
+                let key = if anomaly == 1 {
+                    1 << 35
+                } else {
+                    route_key += 1 + u64::from(anomaly == 2);
+                    route_key - 1
+                };
+                if anomaly == 3 {
+                    t += 1 << 32;
+                }
+                let model = pick % 2 + if anomaly == 4 { 256 } else { 0 };
+                let shard = if anomaly == 5 { 70_000 } else { pick % 3 };
+                let shed = pick % 3 == 0;
+                let event = if shed {
+                    TraceEvent::Shed { model, shard }
                 } else {
                     TraceEvent::RouteDecision {
-                        model: pick % 2,
-                        shard: 0,
+                        model,
+                        shard,
                         pinned: pick % 5 == 0,
                     }
                 };
                 out.push((t, key, event));
+                if !shed && pick % 4 == 1 {
+                    // The routed load tripped the loan controller.
+                    out.push((
+                        t,
+                        key,
+                        TraceEvent::Loan {
+                            shard,
+                            gpus_delta: 1,
+                            pool_free_after: 0,
+                        },
+                    ));
+                }
             }
             9 => {
                 let event = match pick % 3 {
@@ -211,7 +240,15 @@ fn lane_records(mode: u8, ops: &[(u8, u8, u16, u8)]) -> Vec<(u64, u64, TraceEven
                         factor_milli: 0,
                     },
                 };
-                out.push((t, ANNOTATION_KEY, event));
+                // Half the faults are gateway fault items, keyed by their
+                // own counter.
+                let key = if pick % 6 == 2 {
+                    fault_key += 1;
+                    fault_key - 1
+                } else {
+                    ANNOTATION_KEY
+                };
+                out.push((t, key, event));
             }
             10 if anomaly == 1 => {
                 // A start and a complete for an id that never arrived.

@@ -21,8 +21,8 @@ use paris_elsa::dnn::ModelKind;
 use paris_elsa::faults::{FaultPlan, FaultReport, FaultTopology};
 use paris_elsa::metrics::LatencyHistogram;
 use paris_elsa::obs::{
-    alert_records, analyze, check_conservation, evaluate_slos, jsonl, merge_online, MetricRegistry,
-    OnlineLane, QueryTrace, SloSpec,
+    alert_records, analyze, check_conservation, evaluate_slos, jsonl, merge_online, FaultKind,
+    MetricRegistry, OnlineLane, QueryTrace, SloSpec,
 };
 use paris_elsa::prelude::*;
 use proptest::prelude::*;
@@ -431,6 +431,66 @@ fn golden_jsonl_exports_are_reproduced_byte_for_byte() {
                 moved.display()
             );
         }
+    }
+}
+
+/// The gateway numbers its route items densely from 0, and each yields
+/// exactly one `RouteDecision` or `Shed` keyed by its item: the flight
+/// recorder stores neither the key nor the full stamp of such an
+/// admission on the strength of this. Checked on the golden fixture (it
+/// sheds, lends and fails GPUs) at both sync modes, through `records()`,
+/// so it holds whatever the packing: in `seq` order, the gateway lane's
+/// admissions carry keys 0, 1, 2, … with non-decreasing stamps.
+#[test]
+fn gateway_admissions_are_keyed_densely_from_zero() {
+    for window in [
+        SyncWindow::PerEvent,
+        SyncWindow::Lookahead(SimDuration::from_nanos(2_000_000)),
+    ] {
+        let trace = golden_trace(window, &golden_plan());
+        let records = trace.records();
+        let has = |p: fn(&TraceEvent) -> bool| records.iter().any(|r| p(&r.event));
+        assert!(
+            has(|e| matches!(e, TraceEvent::Shed { .. })),
+            "no shed ({window:?})"
+        );
+        assert!(
+            has(|e| matches!(e, TraceEvent::Loan { .. })),
+            "no loan ({window:?})"
+        );
+        assert!(
+            has(|e| matches!(
+                e,
+                TraceEvent::Fault {
+                    kind: FaultKind::GpuFail,
+                    ..
+                }
+            )),
+            "no GPU failure ({window:?})"
+        );
+        let mut admissions: Vec<_> = records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.event,
+                    TraceEvent::RouteDecision { .. } | TraceEvent::Shed { .. }
+                )
+            })
+            .collect();
+        assert!(
+            admissions.iter().all(|r| r.lane == admissions[0].lane),
+            "one gateway lane ({window:?})"
+        );
+        admissions.sort_by_key(|r| r.seq);
+        let gap = admissions.iter().zip(0u64..).find(|(r, i)| r.key != *i);
+        assert!(
+            gap.is_none(),
+            "route item keys are not dense from 0 ({window:?}): {gap:?}"
+        );
+        assert!(
+            admissions.windows(2).all(|w| w[0].at <= w[1].at),
+            "admission stamps never go backwards ({window:?})"
+        );
     }
 }
 
